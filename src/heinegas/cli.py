@@ -338,12 +338,6 @@ def _add_common(sub) -> None:
     sub.add_argument("--out", help="output directory")
     sub.add_argument("--seed", type=int, default=None, help="RNG seed")
     sub.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for interface parity; results are independent of it",
-    )
-    sub.add_argument(
         "--quad-mode",
         choices=("windowed", "full", "both"),
         default=None,

@@ -36,7 +36,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .heine import CountLaw, marginal_cap, poisson_binomial_dp
+from .heine import CountLaw, dp_count_law
 from .potentials import (
     BumpSpec,
     GridResolutionError,
@@ -777,28 +777,11 @@ def exact_count_law(
         raise ValueError("hard-indicator regions required")
     m = regions.m
     if m == 0:
-        return CountLaw(m=0, entries={(): 1.0}, mass_deficit=0.0, cap=())
+        return CountLaw(table=np.ones(()))
     pi = _region_prob_matrix(pot, n, regions, cfg, np.arange(n))
-    if cap is None:
-        per = 0.45 * tail_tol / m
-        caps = tuple(marginal_cap(pi[:, k], per) for k in range(m))
-    elif np.ndim(cap) == 0:
-        caps = (int(cap),) * m
-    else:
-        caps = tuple(int(c) for c in cap)
-    cells = math.prod(c + 1 for c in caps)
-    if cells > 4_000_000:
-        raise ValueError(f"DP size budget exceeded ({cells} cells)")
-    table, _overflow = poisson_binomial_dp(pi, caps)
-    entries = {}
-    for alpha in np.ndindex(*table.shape):
-        p = float(table[alpha])
-        if p >= 1e-300:
-            entries[tuple(int(a) for a in alpha)] = p
-    deficit = 1.0 - math.fsum(entries.values())
-    return CountLaw(
-        m=m, entries=entries, mass_deficit=max(0.0, deficit), cap=caps, tol=tail_tol
-    )
+    if cap is not None and np.ndim(cap) == 0:
+        cap = (int(cap),) * m
+    return dp_count_law(pi, tail_tol, cap)
 
 
 # ------------------------------------------------------------------ sampling
@@ -903,17 +886,18 @@ def _invert_cdf(pot, n, j, cell_lo, cell_hi, cell_mass, phi_max, targets):
         x = np.where(bad, 0.5 * (blo + bhi), x_new)
     resid = np.abs(seg_mass(lo, x) - want)
     tol = 1e-10 * total
-    bad = resid > tol
+    # bisect only the draws whose residual is still above tol
+    bad = np.flatnonzero(resid > tol)
     for _ in range(60):
-        if not bad.any():
+        if bad.size == 0:
             break
-        mid = 0.5 * (blo + bhi)
-        resid_mid = seg_mass(lo, mid) - want
+        mid = 0.5 * (blo[bad] + bhi[bad])
+        resid_mid = seg_mass(lo[bad], mid) - want[bad]
         high = resid_mid > 0
-        bhi = np.where(bad & high, mid, bhi)
-        blo = np.where(bad & ~high, mid, blo)
-        x = np.where(bad, 0.5 * (blo + bhi), x)
-        bad = bad & (np.abs(resid_mid) > tol) & ((bhi - blo) > 1e-15)
+        bhi[bad] = np.where(high, mid, bhi[bad])
+        blo[bad] = np.where(high, blo[bad], mid)
+        x[bad] = 0.5 * (blo[bad] + bhi[bad])
+        bad = bad[(np.abs(resid_mid) > tol) & ((bhi[bad] - blo[bad]) > 1e-15)]
     return x
 
 

@@ -15,10 +15,14 @@ bound, so all reported probabilities carry a certified error budget.
 
 Conventions used throughout:
 
-- ``CountLaw.entries`` stores pointwise *lower* bounds of the true pmf; the
+- ``CountLaw.table`` is a dense float64 array over the box
+  [0, cap_1] x ... x [0, cap_m]; its cells are pointwise *lower* bounds of
+  the true pmf, and cells below ``_CELL_FLOOR`` are stored as 0. The
   omitted mass (site truncation, per-coordinate cap overflow, dropped
   subnormal cells) is accounted for in ``mass_deficit``, so that
-  sum(entries) + mass_deficit == 1 up to one floating rounding.
+  sum(table) + mass_deficit == 1 up to one floating rounding.
+  ``entries``, ``iter_entries`` and the JSON form are derived from the
+  nonzero cells in lexicographic (C) order.
 - coordinates are 0-based in code (coordinate k of the formulas above is
   index k-1 of ``thetas``/``qs`` and of count vectors).
 """
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,6 +47,7 @@ __all__ = [
     "truncation_site_count",
     "poisson_binomial_dp",
     "marginal_cap",
+    "dp_count_law",
     "pmf_table",
     "pmf_point",
     "mgf",
@@ -171,55 +176,90 @@ def _log_zero_run(params: HeineParams, j_from: int) -> float:
 # ----------------------------------------------------------------- count law
 
 
-@dataclass(frozen=True)
 class CountLaw:
     """Finite truncation of a law on count vectors with certified deficit.
 
-    entries map count vectors (length m tuples) to probabilities that are
-    pointwise lower bounds of the true pmf; mass_deficit bounds everything
-    omitted. ``cap`` records the largest count stored per coordinate.
+    ``table`` is a dense float64 array with cap[k] + 1 cells along axis k;
+    table[alpha] is a pointwise lower bound of P(X = alpha), and cells below
+    ``_CELL_FLOOR`` are stored as 0. ``mass_deficit`` bounds everything
+    omitted; when it is not given it is the unstored mass 1 - sum(table).
+    Instead of ``table`` the constructor accepts ``cap`` and an
+    ``{alpha: p}`` dict of entries.
     """
 
-    m: int
-    entries: Dict[Tuple[int, ...], float]
-    mass_deficit: float
-    cap: Tuple[int, ...]
-    tol: Optional[float] = field(default=None, compare=False)
+    __slots__ = ("table", "mass_deficit")
 
-    def __post_init__(self) -> None:
-        if self.m != len(self.cap):
-            raise ValueError("cap length must equal m")
+    def __init__(
+        self, m=None, entries=None, mass_deficit=None, cap=None, *, table=None
+    ) -> None:
+        if table is None:
+            if entries is None or cap is None:
+                raise ValueError("a count law needs a table, or entries and cap")
+            table = _dense(list(entries), list(entries.values()), cap)
+        table = np.asarray(table, dtype=float)
+        table = np.where(table >= _CELL_FLOOR, table, 0.0)
+        table.flags.writeable = False
+        self.table = table
+        if m not in (None, self.m) or (cap is not None and tuple(cap) != self.cap):
+            raise ValueError("m and cap must match the table shape")
+        mass = self.total_mass
+        self.mass_deficit = float(
+            max(0.0, 1.0 - mass) if mass_deficit is None else mass_deficit
+        )
         if self.mass_deficit < -1e-12:
             raise ValueError("negative mass deficit")
-        total = self.total_mass + self.mass_deficit
+        total = mass + self.mass_deficit
         if not 1.0 - 1e-12 <= total <= 1.0 + 1e-12:
             raise ValueError(f"mass + deficit = {total} is not 1 within 1e-12")
 
     @property
-    def total_mass(self) -> float:
-        return math.fsum(self.entries.values())
+    def m(self) -> int:
+        return self.table.ndim
 
-    def pmf(self, alpha: Sequence[int]) -> float:
-        return self.entries.get(tuple(int(a) for a in alpha), 0.0)
+    @property
+    def cap(self) -> Tuple[int, ...]:
+        return tuple(s - 1 for s in self.table.shape)
+
+    @property
+    def total_mass(self) -> float:
+        return math.fsum(self.table.ravel().tolist())
+
+    def _support(self) -> Tuple[list, list]:
+        """Count vectors and probabilities of the stored cells, in C order."""
+        stored = self.table != 0.0
+        return np.argwhere(stored).tolist(), self.table[stored].tolist()
+
+    @property
+    def entries(self) -> Dict[Tuple[int, ...], float]:
+        """The stored cells as a fresh {alpha: p} dict."""
+        return dict(self.iter_entries())
 
     def iter_entries(self) -> Iterator[Tuple[Tuple[int, ...], float]]:
-        """Entries in lexicographic order of the count vector."""
-        for alpha in sorted(self.entries):
-            yield alpha, self.entries[alpha]
+        """Stored cells in lexicographic order of the count vector."""
+        alphas, ps = self._support()
+        return zip(map(tuple, alphas), ps)
+
+    def pmf(self, alpha: Sequence[int]) -> float:
+        a = tuple(int(v) for v in alpha)
+        if len(a) != self.m or not all(0 <= v <= c for v, c in zip(a, self.cap)):
+            return 0.0
+        return float(self.table[a])
 
     # -- moments of the stored (lower-bound) table ---------------------------
+    def _counts(self) -> list:
+        """Per coordinate, the count values shaped to broadcast on the table."""
+        return [
+            np.arange(c + 1.0).reshape((-1,) + (1,) * (self.m - 1 - k))
+            for k, c in enumerate(self.cap)
+        ]
+
     def mean(self) -> np.ndarray:
-        out = np.zeros(self.m)
-        for alpha, p in self.entries.items():
-            out += p * np.asarray(alpha, dtype=float)
-        return out
+        return np.array([(self.table * x).sum() for x in self._counts()], dtype=float)
 
     def second_moment_matrix(self) -> np.ndarray:
-        out = np.zeros((self.m, self.m))
-        for alpha, p in self.entries.items():
-            a = np.asarray(alpha, dtype=float)
-            out += p * np.outer(a, a)
-        return out
+        xs = self._counts()
+        out = [[(self.table * x * y).sum() for y in xs] for x in xs]
+        return np.array(out, dtype=float).reshape(self.m, self.m)
 
     def covariance_matrix(self) -> np.ndarray:
         mu = self.mean()
@@ -232,25 +272,19 @@ class CountLaw:
         sv = np.asarray(s, dtype=float)
         if sv.shape != (self.m,):
             raise ValueError("s length must equal m")
-        return math.fsum(
-            p * math.exp(float(sv @ np.asarray(alpha, dtype=float)))
-            for alpha, p in self.entries.items()
-        )
+        exponent = sum((sk * x for sk, x in zip(sv, self._counts())), np.zeros(()))
+        return float((self.table * np.exp(exponent)).sum())
 
     def marginal(self, k: int) -> np.ndarray:
         """Lower-bound marginal pmf of coordinate k as an array of length cap[k]+1."""
-        out = np.zeros(self.cap[k] + 1)
-        for alpha, p in self.entries.items():
-            out[alpha[k]] += p
-        return out
+        return self.table.sum(axis=tuple(i for i in range(self.m) if i != k))
 
     # -- serialization -------------------------------------------------------
     def to_json_dict(self) -> dict:
+        alphas, ps = self._support()
         return {
             "m": self.m,
-            "entries": [
-                {"alpha": list(alpha), "p": p} for alpha, p in self.iter_entries()
-            ],
+            "entries": [{"alpha": a, "p": p} for a, p in zip(alphas, ps)],
             "mass_deficit": self.mass_deficit,
             "cap": list(self.cap),
         }
@@ -260,15 +294,14 @@ class CountLaw:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CountLaw":
-        entries = {
-            tuple(int(a) for a in item["alpha"]): float(item["p"])
-            for item in data["entries"]
-        }
+        items = data["entries"]
+        table = _dense(
+            [item["alpha"] for item in items],
+            [float(item["p"]) for item in items],
+            [int(c) for c in data["cap"]],
+        )
         return cls(
-            m=int(data["m"]),
-            entries=entries,
-            mass_deficit=float(data["mass_deficit"]),
-            cap=tuple(int(c) for c in data["cap"]),
+            m=int(data["m"]), mass_deficit=float(data["mass_deficit"]), table=table
         )
 
     @classmethod
@@ -276,23 +309,13 @@ class CountLaw:
         return cls.from_json_dict(json.loads(text))
 
 
-def _law_from_table(
-    table: np.ndarray,
-    caps: Tuple[int, ...],
-    extra_deficit_scale: float = 1.0,
-    tol: Optional[float] = None,
-) -> CountLaw:
-    """Collect a DP table (scaled by extra_deficit_scale) into a CountLaw."""
-    entries: Dict[Tuple[int, ...], float] = {}
-    scaled = table * extra_deficit_scale
-    for alpha in np.ndindex(*scaled.shape):
-        p = float(scaled[alpha])
-        if p >= _CELL_FLOOR:
-            entries[tuple(int(a) for a in alpha)] = p
-    deficit = 1.0 - math.fsum(entries.values())
-    return CountLaw(
-        m=len(caps), entries=entries, mass_deficit=max(0.0, deficit), cap=caps, tol=tol
-    )
+def _dense(alphas: list, ps: list, cap: Sequence[int]) -> np.ndarray:
+    """Table of shape cap + 1 holding ps[i] at count vector alphas[i]; raises
+    ValueError for a count vector of the wrong length or outside the caps."""
+    table = np.zeros(tuple(int(c) + 1 for c in cap))
+    idx = np.asarray(alphas, dtype=np.intp).reshape(len(ps), table.ndim)
+    np.put(table, np.ravel_multi_index(tuple(idx.T), table.shape), ps)
+    return table
 
 
 # --------------------------------------------------- multivariate Bernoulli DP
@@ -321,16 +344,10 @@ def poisson_binomial_dp(
             pk = float(r[k])
             if pk <= 0.0:
                 continue
-            if caps[k] > 0:
-                src = tuple(
-                    slice(0, caps[k]) if i == k else slice(None) for i in range(m)
-                )
-                dst = tuple(
-                    slice(1, caps[k] + 1) if i == k else slice(None) for i in range(m)
-                )
-                new[dst] += table[src] * pk
-            top = tuple(caps[k] if i == k else slice(None) for i in range(m))
-            overflow += float(np.asarray(table[top]).sum()) * pk
+            # views with coordinate k first: shift up by one, spill the top
+            src, dst = np.moveaxis(table, k, 0), np.moveaxis(new, k, 0)
+            dst[1:] += src[:-1] * pk
+            overflow += float(src[-1].sum()) * pk
         table = new
     return table, overflow
 
@@ -351,6 +368,39 @@ def marginal_cap(success_probs: Sequence[float], tail_target: float) -> int:
         if above <= tail_target:
             return c
     return len(p)
+
+
+def dp_count_law(
+    rows: np.ndarray,
+    tail_tol: float,
+    caps: Optional[Sequence[int]] = None,
+    scale: float = 1.0,
+    max_cells: int = 4_000_000,
+) -> CountLaw:
+    """Count law of independent categorical sites from their success rows.
+
+    ``rows`` is a (sites, m) array of per-site success probabilities. When
+    ``caps`` is None each coordinate is capped at its marginal quantile
+    with tail 0.45 tail_tol / m. The DP table is multiplied by ``scale`` (a
+    factor common to every cell, such as the probability that omitted sites
+    stay empty); the deficit is the mass the law does not store. Raises
+    ValueError when the capped table would exceed ``max_cells`` cells.
+    """
+    rows = np.asarray(rows, dtype=float)
+    m = rows.shape[1]
+    if caps is None:
+        per = 0.45 * tail_tol / m
+        caps = tuple(marginal_cap(rows[:, k], per) for k in range(m))
+    else:
+        caps = tuple(int(c) for c in caps)
+    cells = math.prod(c + 1 for c in caps)
+    if cells > max_cells:
+        raise ValueError(
+            f"table would hold {cells} cells (budget {max_cells}); "
+            "raise tail_tol or pass smaller caps"
+        )
+    table, _overflow = poisson_binomial_dp(rows, caps)
+    return CountLaw(table=table * scale)
 
 
 # ------------------------------------------------------------------ pmf table
@@ -374,20 +424,8 @@ def pmf_table(
     # split the budget: 45% site truncation, 45% cap overflow, rest fp margin
     j_max = truncation_site_count(params, 0.45 * tail_tol)
     rows = _site_success_matrix(params, j_max + 1)
-    if caps is None:
-        per = 0.45 * tail_tol / params.m
-        caps = tuple(marginal_cap(rows[:, k], per) for k in range(params.m))
-    else:
-        caps = tuple(int(c) for c in caps)
-    cells = math.prod(c + 1 for c in caps)
-    if cells > max_entries:
-        raise ValueError(
-            f"table would hold {cells} cells (budget {max_entries}); "
-            "raise tail_tol or pass smaller caps"
-        )
-    table, _overflow = poisson_binomial_dp(rows, caps)
     c_tail = math.exp(_log_zero_run(params, j_max + 1))
-    return _law_from_table(table, caps, extra_deficit_scale=c_tail, tol=tail_tol)
+    return dp_count_law(rows, tail_tol, caps, scale=c_tail, max_cells=max_entries)
 
 
 # ------------------------------------------------------------------ pmf point
@@ -396,7 +434,6 @@ def pmf_table(
 def pmf_point(
     params: HeineParams,
     alpha: Sequence[int],
-    tail_tol: float = 1e-12,
     term_budget: int = 500_000,
 ) -> float:
     """Point mass P(X = alpha) from the defining sum over disjoint site sets.
@@ -406,8 +443,9 @@ def pmf_point(
 
         T(a) (1 - prod_k q_k^{a_k}) = sum_k (prod_k q_k^{a_k})/q_k T(a - e_k),
 
-    with T(0) = 1, over the lattice below alpha; only the normalizing
-    product over sites is truncated (remainder below 1e-16 relative).
+    with T(0) = 1, over the lattice below alpha. Only the normalizing
+    product over sites is truncated: its sites are summed until their
+    weight falls below 1e-20 and the rest are bounded by a geometric tail.
     Raises ValueError when prod(alpha_k + 1) exceeds ``term_budget``.
     """
     a = tuple(int(v) for v in alpha)
@@ -419,7 +457,6 @@ def pmf_point(
             f"enumeration lattice holds {cells} nodes (budget {term_budget}); "
             "fall back to pmf_table"
         )
-    del tail_tol  # the numerator is exact; normalizer truncation is fixed
     log_z = -_log_zero_run(params, 0)
 
     lnq = np.log(np.asarray(params.qs))
@@ -574,8 +611,9 @@ class CoordinateMap:
     """How two count vectors add into a combined one.
 
     a_to[i] (resp. b_to[i]) is the target coordinate receiving coordinate i
-    of the first (resp. second) law. Every target must receive at least one
-    source coordinate.
+    of the first (resp. second) law. The coordinates of one law go to
+    distinct targets, and every target must receive at least one source
+    coordinate.
     """
 
     source_a: int
@@ -587,6 +625,8 @@ class CoordinateMap:
     def __post_init__(self) -> None:
         if len(self.a_to) != self.source_a or len(self.b_to) != self.source_b:
             raise ValueError("assignment lengths must match source arities")
+        if len(set(self.a_to)) < self.source_a or len(set(self.b_to)) < self.source_b:
+            raise ValueError("the coordinates of one law must go to distinct targets")
         hit = set(self.a_to) | set(self.b_to)
         if any(not 0 <= t < self.target for t in hit):
             raise ValueError("assignment targets out of range")
@@ -599,17 +639,10 @@ def identity_map(m: int) -> CoordinateMap:
     return CoordinateMap(m, m, m, ids, ids)
 
 
-def _mapped_dense(law: CountLaw, to: Tuple[int, ...], target: int) -> np.ndarray:
-    caps = [0] * target
-    for i, t in enumerate(to):
-        caps[t] += law.cap[i]
-    out = np.zeros(tuple(c + 1 for c in caps))
-    for alpha, p in law.entries.items():
-        idx = [0] * target
-        for i, t in enumerate(to):
-            idx[t] += alpha[i]
-        out[tuple(idx)] += p
-    return out
+def _mapped(law: CountLaw, to: Tuple[int, ...], target: int) -> np.ndarray:
+    """The law's table with coordinate i on axis to[i]; other axes have size 1."""
+    table = law.table.reshape(law.table.shape + (1,) * (target - law.m))
+    return np.moveaxis(table, range(law.m), to)
 
 
 def convolve_mapped(a: CountLaw, b: CountLaw, cmap: CoordinateMap) -> CountLaw:
@@ -620,46 +653,39 @@ def convolve_mapped(a: CountLaw, b: CountLaw, cmap: CoordinateMap) -> CountLaw:
     """
     if a.m != cmap.source_a or b.m != cmap.source_b:
         raise ValueError("law arities do not match the coordinate map")
-    da = _mapped_dense(a, cmap.a_to, cmap.target)
-    db = _mapped_dense(b, cmap.b_to, cmap.target)
+    da = _mapped(a, cmap.a_to, cmap.target)
+    db = _mapped(b, cmap.b_to, cmap.target)
     # drive the shift-add with the smaller support
-    if len(b.entries) > len(a.entries):
+    if np.count_nonzero(b.table) > np.count_nonzero(a.table):
         da, db = db, da
-    out_shape = tuple(sa + sb - 1 for sa, sb in zip(da.shape, db.shape))
-    out = np.zeros(out_shape)
-    for idx in np.ndindex(*db.shape):
-        p = float(db[idx])
-        if p == 0.0:
-            continue
-        window = tuple(slice(o, o + s) for o, s in zip(idx, da.shape))
-        out[window] += da * p
-    entries: Dict[Tuple[int, ...], float] = {}
-    for idx in np.ndindex(*out.shape):
-        p = float(out[idx])
-        if p > 0.0:
-            entries[tuple(int(v) for v in idx)] = p
-    deficit = 1.0 - math.fsum(entries.values())
-    caps = tuple(s - 1 for s in out_shape)
-    return CountLaw(
-        m=cmap.target, entries=entries, mass_deficit=max(0.0, deficit), cap=caps
-    )
+    out = np.zeros(tuple(sa + sb - 1 for sa, sb in zip(da.shape, db.shape)))
+    stored = db != 0.0
+    for idx, p in zip(np.argwhere(stored).tolist(), db[stored].tolist()):
+        out[tuple(slice(o, o + s) for o, s in zip(idx, da.shape))] += da * p
+    return CountLaw(table=out)
 
 
 # ------------------------------------------------------------------- distance
 
 
+def _padded(table: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    out = np.zeros(shape)
+    out[tuple(slice(0, s) for s in table.shape)] = table
+    return out
+
+
 def tv_distance(a: CountLaw, b: CountLaw) -> Tuple[float, float]:
     """Interval bracketing the total-variation distance between two laws.
 
-    The point estimate is half the l1 distance over the union of supports;
-    the unseen mass (at most each law's deficit, located anywhere) widens it
-    by (deficit_a + deficit_b)/2 on both sides.
+    The point estimate is half the l1 distance between the tables, padded
+    with zeros to a common shape; the unseen mass (at most each law's
+    deficit, located anywhere) widens it by (deficit_a + deficit_b)/2 on
+    both sides.
     """
     if a.m != b.m:
         raise ValueError("laws must share the coordinate count")
-    keys = set(a.entries) | set(b.entries)
-    t0 = 0.5 * math.fsum(
-        abs(a.entries.get(k, 0.0) - b.entries.get(k, 0.0)) for k in keys
-    )
+    shape = tuple(max(x, y) for x, y in zip(a.table.shape, b.table.shape))
+    diff = _padded(a.table, shape) - _padded(b.table, shape)
+    t0 = 0.5 * math.fsum(np.abs(diff).ravel().tolist())
     w = 0.5 * (a.mass_deficit + b.mass_deficit)
     return (max(0.0, t0 - w), min(1.0, t0 + w))

@@ -227,6 +227,50 @@ def test_poisson_binomial_dp_small_case():
     assert np.sum(table) == pytest.approx(1.0, abs=1e-14)
 
 
+def bernoulli_sum_pmf(probs):
+    """Law of a sum of independent Bernoulli(p) variables, in python floats."""
+    dist = [1.0]
+    for p in probs:
+        nxt = [0.0] * (len(dist) + 1)
+        for a, v in enumerate(dist):
+            nxt[a] += v * (1.0 - p)
+            nxt[a + 1] += v * p
+        dist = nxt
+    return dist
+
+
+@st.composite
+def site_rows(draw):
+    """(rows, caps): per-site success probabilities for m categories, each
+    row summing to at most 1, and a cap per coordinate."""
+    m = draw(st.integers(min_value=1, max_value=3))
+    sites = draw(st.integers(min_value=0, max_value=8))
+    rows = []
+    for _ in range(sites):
+        w = draw(st.lists(st.floats(0.0, 1.0), min_size=m + 1, max_size=m + 1))
+        total = sum(w)
+        rows.append([v / total for v in w[1:]] if total > 0 else [0.0] * m)
+    caps = draw(st.lists(st.integers(0, sites), min_size=m, max_size=m))
+    return rows, caps
+
+
+@given(site_rows())
+@settings(max_examples=60, deadline=None)
+def test_poisson_binomial_dp_mass_and_marginals(case):
+    rows, caps = case
+    m = len(caps)
+    table, overflow = poisson_binomial_dp(rows, caps)
+    assert table.shape == tuple(c + 1 for c in caps)
+    assert math.fsum(table.ravel()) + overflow == pytest.approx(1.0, abs=1e-12)
+    # with every cap at the site count nothing is clipped
+    full, spill = poisson_binomial_dp(rows, [len(rows)] * m)
+    assert spill == 0.0
+    for k in range(m):
+        marg = full.sum(axis=tuple(i for i in range(m) if i != k))
+        want = bernoulli_sum_pmf([row[k] for row in rows])
+        assert np.allclose(marg, want, rtol=0.0, atol=1e-12)
+
+
 def test_marginal_cap_covers_tail():
     probs = [0.3] * 50
     cap = marginal_cap(probs, 1e-9)
@@ -292,6 +336,80 @@ def test_count_law_json_roundtrip():
     assert back.cap == law.cap
     for alpha, p in law.iter_entries():
         assert back.pmf(alpha) == pytest.approx(p, rel=1e-15, abs=1e-300)
+
+
+def test_count_law_json_golden():
+    # entries given out of order; the JSON lists them lexicographically
+    law = hg.CountLaw(
+        2, {(1, 0): 0.125, (0, 0): 0.5, (0, 1): 0.25}, 0.125, (1, 1)
+    )
+    assert law.to_json() == (
+        '{"m": 2, "entries": [{"alpha": [0, 0], "p": 0.5}, '
+        '{"alpha": [0, 1], "p": 0.25}, {"alpha": [1, 0], "p": 0.125}], '
+        '"mass_deficit": 0.125, "cap": [1, 1]}'
+    )
+    assert law.table.tolist() == [[0.5, 0.25], [0.125, 0.0]]
+
+
+def test_count_law_json_exact_roundtrip():
+    law = hg.pmf_table(hg.validate_params([0.5, 2.0, 1.0], [0.3, 0.8, 0.5]))
+    back = hg.CountLaw.from_json(law.to_json())
+    assert back.entries == law.entries
+    assert back.cap == law.cap
+    assert back.mass_deficit == law.mass_deficit
+    assert np.array_equal(back.table, law.table)
+
+
+def test_count_law_without_coordinates():
+    law = hg.CountLaw(table=np.ones(()))
+    assert law.m == 0 and law.cap == ()
+    assert law.entries == {(): 1.0}
+    assert law.mass_deficit == 0.0
+    assert law.pmf(()) == 1.0
+    assert law.mean().shape == (0,)
+    assert law.covariance_matrix().shape == (0, 0)
+    back = hg.CountLaw.from_json(law.to_json())
+    assert back.entries == {(): 1.0}
+    assert hg.tv_distance(law, back) == (0.0, 0.0)
+
+
+def test_count_law_from_dict_equals_table():
+    law = hg.pmf_table(hg.validate_params([0.5, 2.0], [0.3, 0.8]))
+    rebuilt = hg.CountLaw(law.m, law.entries, law.mass_deficit, law.cap)
+    assert np.array_equal(rebuilt.table, law.table)
+    assert rebuilt.mass_deficit == law.mass_deficit
+    assert rebuilt.to_json() == law.to_json()
+    assert list(rebuilt.iter_entries()) == list(law.iter_entries())
+    # the deficit defaults to the mass the table does not hold
+    assert hg.CountLaw(table=law.table).mass_deficit == pytest.approx(
+        law.mass_deficit, abs=1e-15
+    )
+
+
+def test_count_law_rejects_inconsistent_input():
+    with pytest.raises(ValueError):
+        hg.CountLaw(2, {(0, 0): 1.0}, 0.0, (0,))
+    with pytest.raises(ValueError):
+        hg.CountLaw(1, {(2,): 1.0}, 0.0, (1,))
+    with pytest.raises(ValueError):
+        hg.CountLaw(1, {(0,): 0.5}, 0.0, (1,))
+    with pytest.raises(ValueError):
+        hg.CountLaw(1, {(0,): 1.0}, -0.5, (0,))
+
+
+def test_tv_distance_different_caps_matches_union_formula():
+    a = hg.pmf_table(hg.validate_params([0.5, 2.0], [0.3, 0.8]))
+    b = hg.pmf_table(hg.validate_params([1.0, 1.0], [0.5, 0.5]))
+    assert a.cap != b.cap
+    ea, eb = a.entries, b.entries
+    t0 = 0.5 * math.fsum(abs(ea.get(k, 0.0) - eb.get(k, 0.0)) for k in set(ea) | set(eb))
+    w = 0.5 * (a.mass_deficit + b.mass_deficit)
+    assert hg.tv_distance(a, b) == (max(0.0, t0 - w), min(1.0, t0 + w))
+
+
+def test_coordinate_map_rejects_merging_one_laws_coordinates():
+    with pytest.raises(ValueError, match="distinct targets"):
+        CoordinateMap(source_a=2, source_b=1, target=1, a_to=(0, 0), b_to=(0,))
 
 
 def test_validate_params_rejects_bad_input():
