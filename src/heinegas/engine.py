@@ -6,10 +6,13 @@ factorizes everything over the index j = 0..n-1: modulus j carries the law
 accuracy,
 
 - ``log_norm``: the log of the weighted norm 2∫ r^(2j+1) e^(Σ s_k h_k) e^(-nq) dr,
-- ``joint_mgf``: the product over j of weighted/unweighted norm ratios,
 - ``region_probabilities`` and ``exact_count_law``: the per-index landing
-  probabilities of disjoint radial regions and the resulting multivariate
-  Poisson-binomial count law,
+  probabilities π_jk of disjoint radial regions and the resulting
+  multivariate Poisson-binomial count law,
+- ``joint_mgf``: E[exp⟨s, N⟩] as a product over j. For hard regions each
+  factor is 1 + Σ_k π_jk (e^{s_k} − 1), from the same cached landing
+  matrix as the count law; for smooth statistics it is the ratio of
+  weighted to unweighted norms,
 - ``sample_moduli``: inverse-CDF Monte Carlo draws of all n moduli.
 
 Quadrature is deterministic Gauss-Legendre on graded panels: panels shrink
@@ -19,6 +22,12 @@ in two until it is stable to cfg.rel_tol. Windowed mode instead integrates
 only a neighborhood of each significant peak of the integrand exponent
 (half-width max(sqrt(C log n / n), 8/sqrt(n ΔQ))), mirroring the droplet
 localization; mode="both" certifies the two routes against each other.
+The mode governs log norms and smooth statistics; the landing matrix π,
+and with it every hard-region count law and MGF, always comes from the
+full graded grid.
+
+Grids, log norms and landing matrices are memoized per potential and are
+freed with it (``per_potential_cache``).
 
 Statistics are described by a RegionSet whose entries are either hard
 radial intervals or smooth plateau bumps. An entry may be index-split: it
@@ -31,7 +40,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -46,6 +54,7 @@ from .potentials import (
     droplet_data,
     find_peaks,
     laplacian,
+    per_potential_cache,
     shoulder,
 )
 
@@ -337,7 +346,7 @@ def _graded_offsets(center: float, sigma: float, lo: float, hi: float):
     return pts[(pts > lo) & (pts < hi)]
 
 
-@lru_cache(maxsize=64)
+@per_potential_cache(maxsize=64)
 def _special_structure(pot: RadialPotential, n: int):
     """Special radii and their peak scales, plus the bulk panel width."""
     data = droplet_data(pot)
@@ -372,7 +381,7 @@ def _fill_edges(breaks: np.ndarray, h_fill: float) -> np.ndarray:
     return np.asarray(out)
 
 
-@lru_cache(maxsize=128)
+@per_potential_cache(maxsize=128)
 def _full_grid(pot: RadialPotential, n: int, extra_edges: Tuple[float, ...], splits: int):
     special, sigmas, h_bulk = _special_structure(pot, n)
     lo, hi = 1e-9, pot.r_max
@@ -392,7 +401,7 @@ def _full_grid(pot: RadialPotential, n: int, extra_edges: Tuple[float, ...], spl
     return _panels_to_nodes(breaks)
 
 
-@lru_cache(maxsize=64)
+@per_potential_cache(maxsize=64)
 def _windowed_grid(
     pot: RadialPotential,
     n: int,
@@ -525,7 +534,7 @@ def _s_key(s) -> Tuple[float, ...]:
     return tuple(float(v) for v in np.atleast_1d(np.asarray(s, dtype=float)))
 
 
-@lru_cache(maxsize=512)
+@per_potential_cache(maxsize=512)
 def _log_norm_rows_full(
     pot: RadialPotential,
     n: int,
@@ -646,21 +655,55 @@ def joint_mgf(
     cfg: QuadratureConfig = QuadratureConfig(),
     restrict: Optional[str] = None,
 ) -> MgfResult:
-    """E[exp(Σ_k s_k N_k)] = ∏_j exp(log_norm(j, s) − log_norm(j, 0)).
+    """E[exp(Σ_k s_k N_k)] as a product over the indices j.
 
-    Requires |s_k| ≤ log n. With restrict="tail" (or "split") only the
-    indices j ≥ n − ⌈C log n⌉ (or the ⌈C log n⌉-windows around each index
-    split) keep their s-dependence; the dropped log contribution is
+    Hard regions give the Poisson-binomial product ∏_j (1 + Σ_k π_jk
+    (e^{s_k} − 1)) over the landing matrix π that exact_count_law uses;
+    like the count law, π comes from the full graded grid whatever
+    cfg.mode is. Smooth statistics give ∏_j exp(log_norm(j, s) −
+    log_norm(j, 0)) by weighted quadrature, on the grid cfg.mode selects
+    ("both" checks the windowed against the full grid).
+
+    Requires finite |s_k| ≤ log n. With restrict="tail" (or "split") only
+    the indices j ≥ n − ⌈C log n⌉ (or the ⌈C log n⌉-windows around each
+    index split) keep their s-dependence; the dropped log contribution is
     evaluated anyway and reported as remainder_bound.
     """
     s_vec = np.asarray(s, dtype=float)
     if s_vec.shape != (stats.m,):
         raise ValueError("s length must match the statistic count")
+    if not np.all(np.isfinite(s_vec)):
+        raise ValueError("s must be finite")
     if np.any(np.abs(s_vec) > math.log(max(n, 2)) + 1e-12):
         raise ValueError("s out of range (require |s_k| <= log n)")
     if not np.any(s_vec != 0.0):
         return MgfResult(1.0, 0.0, 0.0, n)
 
+    if stats.kind == "hard":
+        delta = np.log1p(_landing_matrix(pot, n, stats, cfg) @ np.expm1(s_vec))
+    else:
+        delta = _smooth_log_factors(pot, n, s_vec, stats, cfg)
+    keep = _restrict_indices(restrict, n, stats, cfg)
+    mask = np.zeros(n, dtype=bool)
+    mask[keep] = True
+    log_value = float(delta[mask].sum())
+    dropped = float(delta[~mask].sum())
+    return MgfResult(
+        value=math.exp(log_value),
+        log_value=log_value,
+        remainder_bound=abs(dropped),
+        terms=int(mask.sum()),
+    )
+
+
+def _smooth_log_factors(
+    pot: RadialPotential,
+    n: int,
+    s_vec: np.ndarray,
+    stats: RegionSet,
+    cfg: QuadratureConfig,
+) -> np.ndarray:
+    """log_norm(j, s) − log_norm(j, 0) for every j, on cfg.mode's grid."""
     all_j = tuple(range(n))
     if cfg.mode in ("full", "both"):
         base = np.asarray(_log_norm_rows_full(pot, n, all_j, (), None, cfg))
@@ -685,18 +728,7 @@ def joint_mgf(
                 raise QuadratureError(
                     f"windowed and full quadrature disagree (gap {gap:.3e})"
                 )
-    delta = wtd - base
-    keep = _restrict_indices(restrict, n, stats, cfg)
-    mask = np.zeros(n, dtype=bool)
-    mask[keep] = True
-    log_value = float(delta[mask].sum())
-    dropped = float(delta[~mask].sum())
-    return MgfResult(
-        value=math.exp(log_value),
-        log_value=log_value,
-        remainder_bound=abs(dropped),
-        terms=int(mask.sum()),
-    )
+    return wtd - base
 
 
 # -------------------------------------------------------------- count laws
@@ -741,6 +773,17 @@ def _region_prob_matrix(
     return np.clip(pi, 0.0, 1.0)
 
 
+@per_potential_cache(maxsize=16)
+def _landing_matrix(
+    pot: RadialPotential, n: int, regions: RegionSet, cfg: QuadratureConfig
+) -> np.ndarray:
+    """The read-only n × m landing matrix π of all indices, shared by
+    exact_count_law and the hard-region joint_mgf."""
+    pi = _region_prob_matrix(pot, n, regions, cfg, np.arange(n))
+    pi.flags.writeable = False
+    return pi
+
+
 def region_probabilities(
     pot: RadialPotential,
     n: int,
@@ -778,10 +821,9 @@ def exact_count_law(
     m = regions.m
     if m == 0:
         return CountLaw(table=np.ones(()))
-    pi = _region_prob_matrix(pot, n, regions, cfg, np.arange(n))
     if cap is not None and np.ndim(cap) == 0:
         cap = (int(cap),) * m
-    return dp_count_law(pi, tail_tol, cap)
+    return dp_count_law(_landing_matrix(pot, n, regions, cfg), tail_tol, cap)
 
 
 # ------------------------------------------------------------------ sampling

@@ -19,9 +19,11 @@ derivatives. The machinery here answers the planar questions in radial form:
 
 from __future__ import annotations
 
+import functools
 import math
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -193,7 +195,7 @@ class RadialPotential:
     q, dq, ddq accept scalars or arrays. smooth_window is the interval on
     which C2 evaluation is guaranteed; r_max the declared range bound with
     confining growth beyond it. Hashes by identity so evaluations can be
-    memoized per instance.
+    memoized per instance (see ``per_potential_cache``).
     """
 
     q: Callable
@@ -203,6 +205,37 @@ class RadialPotential:
     r_max: float = 6.0
     label: str = "custom"
     params: Dict = field(default_factory=dict)
+
+
+def per_potential_cache(maxsize: int):
+    """LRU memo of ``fn(pot, *args)`` that lives and dies with ``pot``.
+
+    Each potential gets its own LRU of at most maxsize entries, held in a
+    weak-keyed table, so a potential's cached grids and tables are freed
+    when the last outside reference to it goes. Cached values must not
+    refer back to the potential, or it would never be freed.
+    """
+
+    def decorate(fn):
+        memos = weakref.WeakKeyDictionary()
+
+        @functools.wraps(fn)
+        def wrapper(pot, *args):
+            memo = memos.get(pot)
+            if memo is None:
+                memo = memos[pot] = OrderedDict()
+            if args in memo:
+                memo.move_to_end(args)
+                return memo[args]
+            value = fn(pot, *args)
+            memo[args] = value
+            if len(memo) > maxsize:
+                memo.popitem(last=False)
+            return value
+
+        return wrapper
+
+    return decorate
 
 
 def _scalarize(r, out: np.ndarray):
@@ -516,7 +549,7 @@ class PeakAnalysis:
         return tuple(p for p in self.peaks if p.significant)
 
 
-@lru_cache(maxsize=32)
+@per_potential_cache(maxsize=32)
 def _dense_eval(pot: RadialPotential, lo: float, hi: float, pts: int):
     r = np.linspace(lo, hi, pts)
     return r, np.asarray(pot.q(r)), np.asarray(pot.dq(r)), np.asarray(pot.ddq(r))
@@ -808,13 +841,19 @@ def classify(pot: RadialPotential, n_probe: int = 801, tol: float = 1e-9) -> Dro
     )
 
 
-@lru_cache(maxsize=16)
+@per_potential_cache(maxsize=16)
 def droplet_data(pot: RadialPotential) -> DropletData:
     """Memoized default classification for engine consumers."""
     return classify(pot)
 
 
 # ------------------------------------------------------------------ checking
+
+
+# 9-point central second difference: weight of f(r) and of f(r ± k h),
+# at step h = _D2_STEP
+_D2_STENCIL = (-205.0 / 72.0, 8.0 / 5.0, -1.0 / 5.0, 8.0 / 315.0, -1.0 / 560.0)
+_D2_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -827,18 +866,25 @@ class ValidationCheck:
 def derivative_consistency(
     pot: RadialPotential, n_probe: int = 2000, h: float = 5e-5
 ) -> Tuple[float, float]:
-    """Worst relative mismatch of (dq, ddq) against 5-point differences."""
+    """Worst relative mismatch of dq against a 5-point central difference
+    (step h) and of ddq against a 9-point central second difference (step
+    1e-4). The wider, higher-order stencil keeps the second difference
+    accurate near the narrow edges of the builders' windows."""
+    h2 = _D2_STEP
+    reach = max(2 * h, 4 * h2)
     lo, hi = pot.smooth_window
-    lo = max(lo, 1e-3) + 4 * h
-    hi = hi - 4 * h
+    lo = max(lo, 1e-3) + 2 * reach
+    hi = hi - 2 * reach
     r = np.linspace(lo, hi, n_probe)
     fm2 = np.asarray(pot.q(r - 2 * h))
     fm1 = np.asarray(pot.q(r - h))
-    f0 = np.asarray(pot.q(r))
     fp1 = np.asarray(pot.q(r + h))
     fp2 = np.asarray(pot.q(r + 2 * h))
     d1_fd = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
-    d2_fd = (-fm2 + 16.0 * fm1 - 30.0 * f0 + 16.0 * fp1 - fp2) / (12.0 * h * h)
+    d2_fd = _D2_STENCIL[0] * np.asarray(pot.q(r))
+    for k, c in enumerate(_D2_STENCIL[1:], start=1):
+        d2_fd = d2_fd + c * (np.asarray(pot.q(r - k * h2)) + np.asarray(pot.q(r + k * h2)))
+    d2_fd = d2_fd / (h2 * h2)
     d1 = np.asarray(pot.dq(r))
     d2 = np.asarray(pot.ddq(r))
     err1 = np.max(np.abs(d1 - d1_fd) / np.maximum(1.0, np.abs(d1)))

@@ -1,12 +1,17 @@
 """Quadrature engine, count laws, standard statistics, and the sampler."""
 
 import csv
+import gc
+import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
+from scipy.special import gammainc
 
 import heinegas as hg
+from heinegas import engine
 from heinegas.engine import (
     HardRegion,
     QuadratureConfig,
@@ -286,6 +291,13 @@ def test_joint_mgf_input_validation(case1_pot, case1_data):
         joint_mgf(case1_pot, 64, np.array([10.0, 0.0]), regions)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_joint_mgf_rejects_non_finite_s(case1_pot, case1_data, bad):
+    regions, _ = standard_regions(case1_data)
+    with pytest.raises(ValueError, match="finite"):
+        joint_mgf(case1_pot, 64, np.array([bad, 0.0]), regions)
+
+
 def test_joint_mgf_tail_restriction(case1_pot, case1_data):
     regions, _ = standard_regions(case1_data)
     s = np.array([0.7, -0.4])
@@ -307,6 +319,75 @@ def test_smooth_and_hard_mgf_agree_in_the_limit(case1_pot, case1_data):
         gaps.append(abs(vs - vh))
     assert all(a > b for a, b in zip(gaps[:-1], gaps[1:]))
     assert gaps[-1] < 1e-4
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("restrict", [None, "tail"])
+def test_hard_joint_mgf_ginibre_closed_form(ginibre_pot, n, restrict):
+    # modulus j of the Ginibre ensemble has r^2 ~ Gamma(j + 1, 1/n), so its
+    # annulus probabilities are differences of regularized incomplete gammas
+    annuli = [(0.9, 0.98), (0.98, 1.02), (1.02, 1.2)]
+    regions = RegionSet.hard(HardRegion(lo, hi) for lo, hi in annuli)
+    j = np.arange(n)[:, None]
+    lo, hi = np.array(annuli).T
+    pi = gammainc(j + 1, n * hi**2) - gammainc(j + 1, n * lo**2)
+    L = math.ceil(QuadratureConfig().window_constant * math.log(n))
+    kept = np.arange(n) >= (n - L if restrict == "tail" else 0)
+    for s in ([-1.0, 0.5, 1.0], [1.0, 1.0, -1.0], [0.3, -0.7, 0.2]):
+        factors = 1.0 + pi @ np.expm1(s)
+        want = math.prod(factors[kept])
+        dropped = abs(float(np.log(factors[~kept]).sum()))
+        res = joint_mgf(ginibre_pot, n, np.array(s), regions, restrict=restrict)
+        assert res.value == pytest.approx(want, rel=1e-10)
+        assert res.remainder_bound == pytest.approx(dropped, rel=1e-10, abs=1e-13)
+        assert res.terms == int(kept.sum())
+
+
+def _quadrature_log_mgf(pot, n, s, stats, cfg, kept):
+    # Σ_j [log_norm(j, s) − log_norm(j, 0)] with the hard indicators put
+    # into the quadrature exponent, the route the landing matrix replaces
+    j_all = tuple(range(n))
+    wtd = engine._log_norm_rows_full(pot, n, j_all, tuple(s), stats, cfg)
+    base = engine._log_norm_rows_full(pot, n, j_all, (), None, cfg)
+    delta = np.asarray(wtd) - np.asarray(base)
+    return float(delta[kept].sum()), abs(float(delta[~kept].sum()))
+
+
+@pytest.mark.parametrize("case", ["case1", "case2", "case2-split"])
+def test_hard_joint_mgf_matches_quadrature_route(request, case):
+    n = 64
+    kind = case.split("-")[0]
+    pot = request.getfixturevalue(f"{kind}_pot")
+    regions, _ = standard_regions(request.getfixturevalue(f"{kind}_data"), n=n)
+    kept = np.ones(n, dtype=bool)
+    restrict = None
+    cfg = QuadratureConfig()
+    if case == "case2-split":
+        # a small window constant so the split window drops indices at n=64
+        cfg = QuadratureConfig(window_constant=3.0)
+        restrict = "split"
+        L = math.ceil(cfg.window_constant * math.log(n))
+        m0 = regions.entries[0].m0
+        kept = np.abs(np.arange(n) - m0) <= L
+        assert not kept.all()
+    for s in itertools.product((-1.0, 0.0, 1.0), repeat=regions.m):
+        want, dropped = _quadrature_log_mgf(pot, n, s, regions, cfg, kept)
+        res = joint_mgf(pot, n, np.array(s), regions, cfg, restrict=restrict)
+        assert res.value == pytest.approx(math.exp(want), rel=1e-10)
+        assert res.remainder_bound == pytest.approx(dropped, rel=1e-10, abs=1e-12)
+
+
+def test_engine_caches_free_their_potential():
+    pot = hg.ginibre()
+    hard = RegionSet.hard([HardRegion(0.9, 1.1)])
+    smooth = RegionSet.smooth([BumpSpec(1.0, 0.1)])
+    exact_count_law(pot, 32, hard)
+    joint_mgf(pot, 32, np.array([0.5]), hard)
+    joint_mgf(pot, 32, np.array([0.5]), smooth, QuadratureConfig(mode="both"))
+    ref = weakref.ref(pot)
+    del pot
+    gc.collect()
+    assert ref() is None
 
 
 # ----------------------------------------------------------------- sampling

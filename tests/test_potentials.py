@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import heinegas as hg
 from heinegas.potentials import (
@@ -115,6 +115,9 @@ def test_single_outpost_roundtrip():
     w=st.floats(min_value=0.08, max_value=0.18),
 )
 @settings(max_examples=8, deadline=None)
+# a narrow window whose edge once fooled the derivative check's difference
+# stencil into rejecting a correct potential
+@example(t1=1.59375, gap=0.75, w=0.08984375)
 def test_case1_random_geometry_roundtrip(t1, gap, w):
     pot = hg.build_case1((t1, t1 + gap), w=(w, w), r_max=8.0)
     data = hg.droplet_data(pot)
