@@ -74,7 +74,7 @@ def _load_config(path: Optional[str]) -> dict:
 
 
 def _quad_config(cfg: dict, args) -> QuadratureConfig:
-    mode = getattr(args, "quad_mode", None) or cfg.get("mode", "full")
+    mode = args.quad_mode or cfg.get("mode", "full")
     return QuadratureConfig(
         rel_tol=float(cfg.get("rel_tol", 1e-11)),
         window_constant=float(cfg.get("C", 10.0)),
@@ -119,7 +119,7 @@ def _build_potential(cfg: dict):
 
 
 def _out_dir(args) -> Optional[str]:
-    out = getattr(args, "out", None)
+    out = args.out
     if out is not None:
         os.makedirs(out, exist_ok=True)
     return out
@@ -316,8 +316,8 @@ def cmd_sample(args) -> int:
     pot, _case = _build_potential(cfg)
     qcfg = _quad_config(cfg, args)
     n = args.n if args.n is not None else int(cfg.get("n", 0))
-    if n < 1:
-        raise ValueError("n must be >= 1 (set --n or config key 'n')")
+    if n < 2:
+        raise ValueError("n must be >= 2 (set --n or config key 'n')")
     seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     ms = sample_moduli(pot, n, seed, qcfg, reps=args.reps)
     out = _out_dir(args) or "."
@@ -333,16 +333,17 @@ def cmd_sample(args) -> int:
 # -------------------------------------------------------------------- main
 
 
-def _add_common(sub) -> None:
-    sub.add_argument("--config", help="JSON experiment config")
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument("--seed", type=int, default=None, help="RNG seed")
-    sub.add_argument(
-        "--quad-mode",
-        choices=("windowed", "full", "both"),
-        default=None,
-        help="quadrature mode override",
-    )
+_FLAGS = {
+    "--config": dict(help="JSON experiment config"),
+    "--out": dict(help="output directory"),
+    "--seed": dict(type=int, help="RNG seed"),
+    "--quad-mode": dict(choices=("windowed", "full", "both"), help="quadrature mode override"),
+}
+
+
+def _add_flags(sub, *flags: str) -> None:
+    for flag in flags:
+        sub.add_argument(flag, **_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -358,23 +359,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pmf", action="store_true", help="print the pmf table")
     p.add_argument("--tol", type=float, default=1e-12, help="table tail bound")
     p.add_argument("--sample", type=int, default=0, help="draw count vectors")
-    _add_common(p)
+    _add_flags(p, "--out", "--seed")
     p.set_defaults(func=cmd_heine, seed=0)
 
     p = subs.add_parser("converge", help="finite-n vs limit convergence study")
-    _add_common(p)
+    _add_flags(p, "--config", "--out", "--quad-mode")
     p.set_defaults(func=cmd_converge)
 
     p = subs.add_parser(
         "validate-potential", help="run the potential validator suite"
     )
-    _add_common(p)
+    _add_flags(p, "--config")
     p.set_defaults(func=cmd_validate_potential)
 
     p = subs.add_parser("sample", help="draw moduli replicas to CSV")
     p.add_argument("--n", type=int, default=None, help="particle count")
     p.add_argument("--reps", type=int, default=1, help="replica count")
-    _add_common(p)
+    _add_flags(p, "--config", "--out", "--seed", "--quad-mode")
     p.set_defaults(func=cmd_sample)
     return parser
 

@@ -26,6 +26,12 @@ The mode governs log norms and smooth statistics; the landing matrix π,
 and with it every hard-region count law and MGF, always comes from the
 full graded grid.
 
+π, the log norms and the sampler share one log-density kernel
+(``_log_weight``: (2j+1) ln x − n q(x)) and one Gauss-Legendre panel
+mapper (``_gl_panels``). Peak windows are merged by one helper, and every
+grid and sampler cell is split by one vectorised subdivider whose edges
+are bitwise those of np.linspace.
+
 Grids, log norms and landing matrices are memoized per potential and are
 freed with it (``per_potential_cache``).
 
@@ -38,6 +44,7 @@ gap-edge coordinate of the two-component ensemble is defined.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
@@ -84,14 +91,13 @@ class QuadratureError(RuntimeError):
 @dataclass(frozen=True)
 class QuadratureConfig:
     rel_tol: float = 1e-11
-    abs_tol: float = 1e-280
     window_constant: float = 10.0
     mode: str = "full"
     max_subdivisions: int = 12
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if self.rel_tol <= 0.0:
+            raise ValueError("tolerances must be positive (rel_tol)")
         if self.window_constant < 1.0:
             raise ValueError("window constant C must be >= 1")
         if self.mode not in ("windowed", "full", "both"):
@@ -331,13 +337,41 @@ _GL16 = np.polynomial.legendre.leggauss(16)
 _GL8 = np.polynomial.legendre.leggauss(8)
 
 
-def _panels_to_nodes(edges: np.ndarray, rule=_GL32) -> Tuple[np.ndarray, np.ndarray]:
+def _gl_panels(lo: np.ndarray, hi: np.ndarray, rule) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights (panels × rule nodes) of ``rule`` on panels [lo, hi]."""
     nodes, weights = rule
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = (mids[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * weights[None, :]).ravel()
-    return x, w
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    return mid[:, None] + half[:, None] * nodes, half[:, None] * weights
+
+
+def _subdivide(lo: np.ndarray, hi: np.ndarray, parts) -> Tuple[np.ndarray, np.ndarray]:
+    """Split panel i of [lo, hi] into parts[i] (or parts) equal pieces.
+
+    Piece edges are i·step + a with the last pinned to b, the arithmetic of
+    np.linspace(a, b, parts + 1), so they equal it bitwise.
+    """
+    parts = np.broadcast_to(parts, lo.shape)
+    ends = np.cumsum(parts)
+    i = np.arange(parts.sum()) - np.repeat(ends - parts, parts)
+    start = np.repeat(lo, parts)
+    step = np.repeat((hi - lo) / parts, parts)
+    new_hi = (i + 1) * step + start
+    new_hi[ends - 1] = hi
+    return i * step + start, new_hi
+
+
+def _merge_windows(peaks, r_max: float):
+    """Union of the windows [r0 - h, r0 + h] ∩ [1e-9, r_max], as sorted
+    disjoint (a, b) pairs."""
+    windows = []
+    for r0, h in sorted(peaks):
+        a, b = max(1e-9, r0 - h), min(r_max, r0 + h)
+        if windows and a <= windows[-1][1]:
+            windows[-1] = (windows[-1][0], max(windows[-1][1], b))
+        else:
+            windows.append((a, b))
+    return windows
 
 
 def _graded_offsets(center: float, sigma: float, lo: float, hi: float):
@@ -371,14 +405,11 @@ def _special_structure(pot: RadialPotential, n: int):
 
 
 def _fill_edges(breaks: np.ndarray, h_fill: float) -> np.ndarray:
-    out = [breaks[0]]
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        span = b - a
-        if span <= 1e-14:
-            continue
-        parts = max(1, int(math.ceil(span / h_fill)))
-        out.extend(np.linspace(a, b, parts + 1)[1:])
-    return np.asarray(out)
+    lo, hi = breaks[:-1], breaks[1:]
+    keep = hi - lo > 1e-14
+    lo, hi = lo[keep], hi[keep]
+    parts = np.maximum(1, np.ceil((hi - lo) / h_fill).astype(int))
+    return np.concatenate((breaks[:1], _subdivide(lo, hi, parts)[1]))
 
 
 @per_potential_cache(maxsize=128)
@@ -390,15 +421,11 @@ def _full_grid(pot: RadialPotential, n: int, extra_edges: Tuple[float, ...], spl
     for r0, sg in zip(special, sigmas):
         pts.update(_graded_offsets(r0, sg, lo, hi))
     breaks = _fill_edges(np.array(sorted(pts)), h_bulk)
-    if splits > 1:
-        parts = [
-            np.linspace(a, b, splits + 1)[:-1]
-            for a, b in zip(breaks[:-1], breaks[1:])
-        ]
-        breaks = np.concatenate(parts + [breaks[-1:]])
-    if breaks.size * 32 > 400_000:
+    panels = _subdivide(breaks[:-1], breaks[1:], splits)
+    if panels[0].size * 32 >= 400_000:
         raise QuadratureError("node budget exceeded; relax rel_tol")
-    return _panels_to_nodes(breaks)
+    x, w = _gl_panels(*panels, _GL32)
+    return x.ravel(), w.ravel()
 
 
 @per_potential_cache(maxsize=64)
@@ -409,34 +436,27 @@ def _windowed_grid(
     extra_edges: Tuple[float, ...],
     splits: int,
 ):
-    windows = []
-    for r0, h in sorted(peaks_key):
-        a, b = max(1e-9, r0 - h), min(pot.r_max, r0 + h)
-        if windows and a <= windows[-1][1]:
-            windows[-1] = (windows[-1][0], max(windows[-1][1], b))
-        else:
-            windows.append((a, b))
-    xs, ws = [], []
-    for a, b in windows:
+    los, his = [], []
+    for a, b in _merge_windows(peaks_key, pot.r_max):
         pts = {a, b}
         pts.update(e for e in extra_edges if a < e < b)
         for r0, h in peaks_key:
             if a < r0 < b:
                 pts.update(_graded_offsets(r0, h / 32.0, a, b))
         breaks = _fill_edges(np.array(sorted(pts)), max((b - a) / 8.0, 1e-6))
-        if splits > 1:
-            parts = [
-                np.linspace(p, q, splits + 1)[:-1]
-                for p, q in zip(breaks[:-1], breaks[1:])
-            ]
-            breaks = np.concatenate(parts + [breaks[-1:]])
-        x, w = _panels_to_nodes(breaks)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
+        los.append(breaks[:-1])
+        his.append(breaks[1:])
+    panels = _subdivide(np.concatenate(los), np.concatenate(his), splits)
+    x, w = _gl_panels(*panels, _GL32)
+    return x.ravel(), w.ravel()
 
 
 # ---------------------------------------------------------- core logsumexp
+
+
+def _log_weight(pot: RadialPotential, n: int, j, x: np.ndarray) -> np.ndarray:
+    """(2j+1) ln x − n q(x), the log-density of modulus j; j and x broadcast."""
+    return (2 * j + 1) * np.log(x) - n * np.asarray(pot.q(x))
 
 
 def _phi_matrix(
@@ -448,9 +468,7 @@ def _phi_matrix(
     stats: Optional[RegionSet],
 ) -> np.ndarray:
     """phi[i, :] = (2 j_i + 1) ln x - n q(x) + Σ_k s_k h_k(x) (index-aware)."""
-    log_x = np.log(x)
-    qx = np.asarray(pot.q(x))
-    phi = (2.0 * j_arr[:, None] + 1.0) * log_x[None, :] - float(n) * qx[None, :]
+    phi = _log_weight(pot, n, j_arr[:, None], x)
     if stats is not None and s is not None and np.any(s != 0.0):
         groups = {}
         for row, j in enumerate(j_arr):
@@ -534,6 +552,18 @@ def _s_key(s) -> Tuple[float, ...]:
     return tuple(float(v) for v in np.atleast_1d(np.asarray(s, dtype=float)))
 
 
+def _log_norm_rows(pot, n, j_arr, s, stats, cfg, grid) -> np.ndarray:
+    """log 2∫ per index j_arr[i] on the nodes grid(edges, splits), with
+    panel splitting until stable to cfg.rel_tol."""
+    edges = stats.edge_radii() if stats is not None else ()
+
+    def make(splits):
+        x, w = grid(edges, splits)
+        return _log_rows(_phi_matrix(pot, n, j_arr, x, s, stats), w)
+
+    return math.log(2.0) + _converged_rows(make, cfg)
+
+
 @per_potential_cache(maxsize=512)
 def _log_norm_rows_full(
     pot: RadialPotential,
@@ -545,14 +575,8 @@ def _log_norm_rows_full(
 ) -> Tuple[float, ...]:
     j_arr = np.asarray(j_key, dtype=float)
     s = np.asarray(s_key, dtype=float) if s_key else None
-    edges = stats.edge_radii() if stats is not None else ()
-
-    def make(splits):
-        x, w = _full_grid(pot, n, edges, splits)
-        return _log_rows(_phi_matrix(pot, n, j_arr, x, s, stats), w)
-
-    rows = _converged_rows(make, cfg)
-    return tuple(math.log(2.0) + rows)
+    grid = functools.partial(_full_grid, pot, n)
+    return tuple(_log_norm_rows(pot, n, j_arr, s, stats, cfg, grid))
 
 
 def _log_norm_windowed(
@@ -563,17 +587,11 @@ def _log_norm_windowed(
     stats: Optional[RegionSet],
     cfg: QuadratureConfig,
 ) -> float:
-    peaks_key = _windows_for_index(pot, n, j, cfg)
     s_vec = np.asarray(_s_key(s), dtype=float) if s is not None else None
-    edges = stats.edge_radii() if stats is not None else ()
+    peaks_key = _windows_for_index(pot, n, j, cfg)
+    grid = functools.partial(_windowed_grid, pot, n, peaks_key)
     j_arr = np.asarray([j], dtype=float)
-
-    def make(splits):
-        x, w = _windowed_grid(pot, n, peaks_key, edges, splits)
-        return _log_rows(_phi_matrix(pot, n, j_arr, x, s_vec, stats), w)
-
-    rows = _converged_rows(make, cfg)
-    return math.log(2.0) + float(rows[0])
+    return float(_log_norm_rows(pot, n, j_arr, s_vec, stats, cfg, grid)[0])
 
 
 def log_norm(
@@ -752,7 +770,7 @@ def _region_prob_matrix(
 
     def make(splits):
         x, w = _full_grid(pot, n, edges, splits)
-        phi = _phi_matrix(pot, n, j_arr.astype(float), x, None, None)
+        phi = _log_weight(pot, n, j_arr[:, None], x)
         full = _log_rows(phi, w)
         pi = np.zeros((n_rows, regions.m))
         for k in range(regions.m):
@@ -844,27 +862,16 @@ def _cells_for_index(pot, n, j, cfg, target_frac=1e-3):
     """(cell_lo, cell_hi, cell_mass, phi_max) with each cell below the
     target mass fraction; cells tile the peak windows only."""
     peaks = _windows_for_index(pot, n, j, cfg)
-    windows = []
-    for r0, h in sorted((p[0], 1.25 * p[1]) for p in peaks):
-        a, b = max(1e-9, r0 - h), min(pot.r_max, r0 + h)
-        if windows and a <= windows[-1][1]:
-            windows[-1] = (windows[-1][0], max(windows[-1][1], b))
-        else:
-            windows.append((a, b))
-    lo = np.concatenate([np.linspace(a, b, 65)[:-1] for a, b in windows])
-    hi = np.concatenate([np.linspace(a, b, 65)[1:] for a, b in windows])
+    windows = np.array(_merge_windows([(r0, 1.25 * h) for r0, h in peaks], pot.r_max))
+    lo, hi = _subdivide(windows[:, 0], windows[:, 1], 64)
 
     def masses_of(a, b):
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        x = mid[:, None] + half[:, None] * _GL16[0][None, :]
-        w = half[:, None] * _GL16[1][None, :]
-        phi = (2 * j + 1) * np.log(x) - n * np.asarray(pot.q(x))
-        return phi, w
+        x, w = _gl_panels(a, b, _GL16)
+        phi = _log_weight(pot, n, j, x)
+        phi_max = float(phi.max())
+        return (w * np.exp(phi - phi_max)).sum(axis=1), phi_max
 
-    phi, w = masses_of(lo, hi)
-    phi_max = float(phi.max())
-    cell_mass = (w * np.exp(phi - phi_max)).sum(axis=1)
+    cell_mass, phi_max = masses_of(lo, hi)
     for _ in range(24):
         total = cell_mass.sum()
         too_big = cell_mass > target_frac * total
@@ -877,16 +884,8 @@ def _cells_for_index(pot, n, j, cfg, target_frac=1e-3):
             ),
             1,
         )
-        new_lo, new_hi = [], []
-        for a, b, k in zip(lo, hi, parts):
-            grid = np.linspace(a, b, k + 1)
-            new_lo.append(grid[:-1])
-            new_hi.append(grid[1:])
-        lo = np.concatenate(new_lo)
-        hi = np.concatenate(new_hi)
-        phi, w = masses_of(lo, hi)
-        phi_max = float(phi.max())
-        cell_mass = (w * np.exp(phi - phi_max)).sum(axis=1)
+        lo, hi = _subdivide(lo, hi, parts)
+        cell_mass, phi_max = masses_of(lo, hi)
     return lo, hi, cell_mass, phi_max
 
 
@@ -904,15 +903,11 @@ def _invert_cdf(pot, n, j, cell_lo, cell_hi, cell_mass, phi_max, targets):
     mass_here = np.maximum(cell_mass[idx], 1e-300)
 
     def seg_mass(a, b):
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        x = mid[:, None] + half[:, None] * _GL8[0][None, :]
-        w = half[:, None] * _GL8[1][None, :]
-        phi = (2 * j + 1) * np.log(x) - n * np.asarray(pot.q(x))
-        return (w * np.exp(phi - phi_max)).sum(axis=1)
+        x, w = _gl_panels(a, b, _GL8)
+        return (w * np.exp(_log_weight(pot, n, j, x) - phi_max)).sum(axis=1)
 
     def dens(x):
-        return np.exp((2 * j + 1) * np.log(x) - n * np.asarray(pot.q(x)) - phi_max)
+        return np.exp(_log_weight(pot, n, j, x) - phi_max)
 
     x = lo + (hi - lo) * (want / mass_here)
     blo, bhi = lo.copy(), hi.copy()
@@ -958,10 +953,11 @@ def sample_moduli(
     bisection until the cumulative-probability residual is below 1e-10.
     Randomness is one substream per index j, so results are reproducible
     and independent of reps batching; the law truncation from ignoring
-    mass outside the windows is recorded.
+    mass outside the windows is recorded. Requires n >= 2: the windows
+    scale with sqrt(log n / n), which leaves none at n = 1.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if n < 2:
+        raise ValueError("n must be >= 2")
     if reps < 1:
         raise ValueError("reps must be >= 1")
     radii = np.empty((reps, n))

@@ -250,6 +250,35 @@ def test_sample_quad_mode_both(tmp_path, capsys):
     assert (out / "moduli.csv").exists()
 
 
+def test_sample_rejects_single_particle(tmp_path, capsys):
+    path = write_config(tmp_path, "gin.json", {"case": "ginibre"})
+    rc = main(["sample", "--config", path, "--n", "1", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "n must be >= 2 (set --n" in err
+
+
+# ----------------------------------------------------------------- flags
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        (["heine", "--theta", "1", "--q", "0.5"], ["--config", "c.json"]),
+        (["heine", "--theta", "1", "--q", "0.5"], ["--quad-mode", "full"]),
+        (["converge", "--config", "c.json"], ["--seed", "1"]),
+        (["validate-potential", "--config", "c.json"], ["--seed", "1"]),
+        (["validate-potential", "--config", "c.json"], ["--out", "results"]),
+        (["validate-potential", "--config", "c.json"], ["--quad-mode", "full"]),
+    ],
+)
+def test_subcommands_reject_flags_they_ignore(capsys, command, flag):
+    rc = main(command + flag)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
+
+
 def test_sample_requires_n(tmp_path, capsys):
     path = write_config(tmp_path, "gin.json", {"case": "ginibre"})
     rc = main(["sample", "--config", path])

@@ -8,6 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import gammainc
 
 import heinegas as hg
@@ -72,6 +73,31 @@ def test_quadrature_config_validation():
         QuadratureConfig(rel_tol=0.0)
     with pytest.raises(ValueError, match="window constant"):
         QuadratureConfig(window_constant=0.5)
+
+
+panel_sets = st.lists(
+    st.tuples(st.floats(1e-9, 20.0), st.floats(1e-9, 5.0), st.integers(1, 70)),
+    min_size=1,
+    max_size=30,
+)
+
+
+@given(panel_sets, st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_subdivide_matches_linspace_bitwise(panels, scalar_parts):
+    # every grid and sampler cell is built by _subdivide; its edges must be
+    # those of the per-panel np.linspace bit for bit
+    lo, width, parts = (np.array(v) for v in zip(*panels))
+    hi = lo + width
+    if scalar_parts:
+        parts = int(parts[0])
+    got_lo, got_hi = engine._subdivide(lo, hi, parts)
+    grids = [
+        np.linspace(a, b, k + 1)
+        for a, b, k in zip(lo, hi, np.broadcast_to(parts, lo.shape))
+    ]
+    assert got_lo.tobytes() == np.concatenate([g[:-1] for g in grids]).tobytes()
+    assert got_hi.tobytes() == np.concatenate([g[1:] for g in grids]).tobytes()
 
 
 # ------------------------------------------------------------------ regions
@@ -438,8 +464,49 @@ def test_sampler_case1_outpost_occupancy(case1_pot, case1_data):
 def test_sampler_input_validation(ginibre_pot):
     with pytest.raises(ValueError, match="n must be"):
         sample_moduli(ginibre_pot, 0, seed=1)
+    # n = 1 leaves no peak window; the check comes before any quadrature
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        sample_moduli(None, 1, seed=1)
     with pytest.raises(ValueError, match="reps"):
         sample_moduli(ginibre_pot, 4, seed=1, reps=0)
+
+
+# radii of sample_moduli(pot, 32, seed, reps=4) recorded before the sampler's
+# density, panel mapping and cell refinement were shared with the quadrature:
+# columns j = 0, 16, 31 and the per-replica sums over all j
+PINNED_RADII = {
+    ("ginibre_pot", 2024): (
+        {
+            0: [0.18126730969771143, 0.15351184431008125,
+                0.07558748829634478, 0.18511967137327162],
+            16: [0.6671481756726261, 0.6930717651324956,
+                 0.801847868312654, 0.7767591925693513],
+            31: [0.9787076655485014, 0.9679207428684651,
+                 0.8082575538343724, 1.071524100127959],
+        },
+        [20.58063387925365, 21.10943070428371, 20.93755491491414, 22.314894224181195],
+    ),
+    ("case1_pot", 2025): (
+        {
+            0: [0.4677963900098143, 0.17098006096944407,
+                0.036366734793485705, 0.06732742121121706],
+            16: [0.5650632547335606, 0.8643235498725397,
+                 0.778739834668843, 0.7602428971621682],
+            31: [0.9098489857311338, 1.036384941541163,
+                 1.0934293481116542, 1.0838090475870783],
+        },
+        [22.195449418726323, 21.91427756700577, 22.1805882670242, 21.391667045068864],
+    ),
+}
+
+
+@pytest.mark.parametrize("pot_name,seed", list(PINNED_RADII))
+def test_sampler_pinned_radii(request, pot_name, seed):
+    columns, sums = PINNED_RADII[(pot_name, seed)]
+    radii = sample_moduli(request.getfixturevalue(pot_name), 32, seed, reps=4).radii
+    for j, want in columns.items():
+        assert radii[:, j] == pytest.approx(want, rel=1e-9)
+    assert radii.sum(axis=1) == pytest.approx(sums, rel=1e-9)
 
 
 def test_moduli_csv_roundtrip(tmp_path, ginibre_pot):
