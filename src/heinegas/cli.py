@@ -37,6 +37,7 @@ from .engine import (
     QuadratureError,
     exact_count_law,
     joint_mgf,
+    landing_matrix,
     moduli_to_csv,
     sample_moduli,
     standard_regions,
@@ -215,6 +216,7 @@ def cmd_converge(args) -> int:
         arity = regions.m
         s_grid = cfg.get("s_grid") or _default_s_grid(case, arity)
         law = exact_count_law(pot, n, regions, cfg=qcfg)
+        landing = landing_matrix(pot, n, regions, qcfg)
         if case == "case1":
             lim = lim1
             predicted = hd.pmf_table(lim.heine, tail_tol=1e-12)
@@ -246,6 +248,11 @@ def cmd_converge(args) -> int:
                 "eps": eps,
                 "cap": list(law.cap),
                 "exact_mass_deficit": law.mass_deficit,
+                "kept_rows": {
+                    "spans": [list(span) for span in landing.spans()],
+                    "count": int(landing.rows.size),
+                },
+                "localization_bound": landing.bound,
                 "predicted_mass_deficit": predicted.mass_deficit,
                 "smooth_vs_hard_mgf_gap": diag,
                 "limit": lim.to_json_dict(),

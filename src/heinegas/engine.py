@@ -32,8 +32,15 @@ mapper (``_gl_panels``). Peak windows are merged by one helper, and every
 grid and sampler cell is split by one vectorised subdivider whose edges
 are bitwise those of np.linspace.
 
-Grids, log norms and landing matrices are memoized per potential and are
-freed with it (``per_potential_cache``).
+π is built only on the indices that can reach a region. Modulus j's
+density ratio to modulus j + 1 is monotone in r, so tail probabilities
+P_j(r > c) rise and P_j(r < c) fall with j; ``_localize`` uses this to
+drop the far indices of each region with a computed bound B ≤ 1e-15 on
+their total landing probability. The count law scales its table by 1 − B
+and the hard-region MGF adds B's effect to its remainder bound.
+
+Grids, log norms, peak windows and landing matrices are memoized per
+potential and are freed with it (``per_potential_cache``).
 
 Statistics are described by a RegionSet whose entries are either hard
 radial intervals or smooth plateau bumps. An entry may be index-split: it
@@ -77,6 +84,8 @@ __all__ = [
     "log_norm",
     "joint_mgf",
     "region_probabilities",
+    "LandingMatrix",
+    "landing_matrix",
     "exact_count_law",
     "sample_moduli",
     "standard_regions",
@@ -514,6 +523,7 @@ def _tau(j: int, n: int) -> float:
     return (j + 0.5) / n
 
 
+@per_potential_cache(maxsize=8192)
 def _windows_for_index(
     pot: RadialPotential, n: int, j: int, cfg: QuadratureConfig
 ) -> Tuple[Tuple[float, float], ...]:
@@ -678,9 +688,12 @@ def joint_mgf(
     Hard regions give the Poisson-binomial product ∏_j (1 + Σ_k π_jk
     (e^{s_k} − 1)) over the landing matrix π that exact_count_law uses;
     like the count law, π comes from the full graded grid whatever
-    cfg.mode is. Smooth statistics give ∏_j exp(log_norm(j, s) −
-    log_norm(j, 0)) by weighted quadrature, on the grid cfg.mode selects
-    ("both" checks the windowed against the full grid).
+    cfg.mode is, and only on the indices the localization keeps; the
+    others' certified log contribution B·M / (1 − B·M), with B the
+    localization bound and M = max_k |e^{s_k} − 1|, joins remainder_bound.
+    Smooth statistics give ∏_j exp(log_norm(j, s) − log_norm(j, 0)) by
+    weighted quadrature, on the grid cfg.mode selects ("both" checks the
+    windowed against the full grid).
 
     Requires finite |s_k| ≤ log n. With restrict="tail" (or "split") only
     the indices j ≥ n − ⌈C log n⌉ (or the ⌈C log n⌉-windows around each
@@ -697,8 +710,15 @@ def joint_mgf(
     if not np.any(s_vec != 0.0):
         return MgfResult(1.0, 0.0, 0.0, n)
 
+    localization = 0.0
     if stats.kind == "hard":
-        delta = np.log1p(_landing_matrix(pot, n, stats, cfg) @ np.expm1(s_vec))
+        lm = _landing_matrix(pot, n, stats, cfg)
+        delta = np.zeros(n)
+        delta[lm.rows] = np.log1p(lm.pi @ np.expm1(s_vec))
+        # a dropped index's factor is within M·Σ_k π_jk of 1, and those
+        # sums total at most the bound B: |Σ log| <= B·M / (1 − B·M)
+        spread = lm.bound * float(np.max(np.abs(np.expm1(s_vec))))
+        localization = spread / (1.0 - spread)
     else:
         delta = _smooth_log_factors(pot, n, s_vec, stats, cfg)
     keep = _restrict_indices(restrict, n, stats, cfg)
@@ -709,7 +729,7 @@ def joint_mgf(
     return MgfResult(
         value=math.exp(log_value),
         log_value=log_value,
-        remainder_bound=abs(dropped),
+        remainder_bound=abs(dropped) + localization,
         terms=int(mask.sum()),
     )
 
@@ -752,6 +772,13 @@ def _smooth_log_factors(
 # -------------------------------------------------------------- count laws
 
 
+# Total landing probability the landing matrix may leave out, summed over the
+# indices it drops; each dropped index's share is certified by _localize.
+_LOCALIZATION_BUDGET = 1e-15
+# candidate rows per search side and pass in _localize
+_SEARCH_ROWS = 32
+
+
 def _region_prob_matrix(
     pot: RadialPotential,
     n: int,
@@ -791,15 +818,146 @@ def _region_prob_matrix(
     return np.clip(pi, 0.0, 1.0)
 
 
+@dataclass(frozen=True)
+class LandingMatrix:
+    """π on the kept indices: pi[i, k] = P(modulus rows[i] lands in region
+    k). Every other index lands in some region with total probability (summed
+    over those indices) at most ``bound``."""
+
+    rows: np.ndarray
+    pi: np.ndarray
+    bound: float
+
+    def spans(self) -> Tuple[Tuple[int, int], ...]:
+        """The kept indices as inclusive runs (first, last)."""
+        if self.rows.size == 0:
+            return ()
+        cut = np.flatnonzero(np.diff(self.rows) > 1)
+        firsts = np.concatenate((self.rows[:1], self.rows[cut + 1]))
+        lasts = np.concatenate((self.rows[cut], self.rows[-1:]))
+        return tuple((int(a), int(b)) for a, b in zip(firsts, lasts))
+
+
+def _active_intervals(regions: RegionSet, n: int):
+    """(lo, hi, a, b) per atomic interval (lo, hi) counted by the indices
+    a..b; a split entry's ``below`` is active on [0, m0 − 1] and its
+    ``above`` on [m0, n − 1]. Intervals with no active index are left out."""
+    out = []
+    for e in regions.entries:
+        if isinstance(e, HardRegion):
+            out.append((e.lo, e.hi, 0, n - 1))
+        else:
+            m0 = min(max(e.m0, 0), n)
+            out.append((e.below.lo, e.below.hi, 0, m0 - 1))
+            out.append((e.above.lo, e.above.hi, m0, n - 1))
+    return [iv for iv in out if iv[2] <= iv[3]]
+
+
+class _TailSearch:
+    """One side of an interval active on [a, b]: the farthest index
+    ``good`` from ``origin`` whose product |j − origin|·P_j(tail) stays
+    within the share, where the tail is r > cut (``upper``, origin a) or
+    r < cut (origin b). ``bad`` is the nearest index known to fail."""
+
+    def __init__(self, upper: bool, cut: float, a: int, b: int) -> None:
+        self.upper, self.cut = upper, cut
+        self.origin = self.good = a if upper else b
+        self.bad = b + 1 if upper else a - 1
+        self.product = 0.0
+
+    def candidates(self) -> np.ndarray:
+        """Indices strictly between good and bad, ordered from good."""
+        step = 1 if self.bad > self.good else -1
+        if abs(self.bad - self.good) - 1 <= _SEARCH_ROWS:
+            return np.arange(self.good + step, self.bad, step)
+        pts = np.rint(np.linspace(self.good, self.bad, _SEARCH_ROWS + 2)[1:-1])
+        return np.unique(pts.astype(int))[::step]
+
+    def update(self, cand: np.ndarray, prod: np.ndarray, share: float) -> None:
+        # the products are monotone, so the passing candidates lead
+        fail = np.flatnonzero(prod > share)
+        first = int(fail[0]) if fail.size else cand.size
+        if first > 0:
+            self.good, self.product = int(cand[first - 1]), float(prod[first - 1])
+        if first < cand.size:
+            self.bad = int(cand[first])
+
+
+def _localize(pot: RadialPotential, n: int, regions: RegionSet) -> Tuple[np.ndarray, float]:
+    """Kept indices and the bound B on the landing mass of all others.
+
+    Modulus j has density ∝ r^(2j+1) e^(−n q(r)); the ratio of consecutive
+    densities ∝ r² increases in r, so P_j(r > c) is nondecreasing and
+    P_j(r < c) nonincreasing in j. Below index j_lo an interval (lo, hi)
+    active on [a, b] is therefore reached with total probability at most
+    (j_lo − a)·P_{j_lo}(r > lo), and above j_hi with at most
+    (b − j_hi)·P_{j_hi}(r < hi). Each side takes the farthest end whose
+    product stays within an equal share of _LOCALIZATION_BUDGET (the side
+    is skipped when lo = 0 or hi ≥ r_max). The products are monotone in j,
+    so a batched search evaluating up to _SEARCH_ROWS candidate rows per
+    side and pass, on π's own base grid, finds the ends. The kept indices
+    are the union of the [j_lo, j_hi], and B sums the products.
+    """
+    plan = [
+        (
+            a,
+            b,
+            _TailSearch(True, lo, a, b) if lo > 0.0 else None,
+            _TailSearch(False, hi, a, b) if hi < pot.r_max else None,
+        )
+        for lo, hi, a, b in _active_intervals(regions, n)
+    ]
+    searches = [t for _, _, *pair in plan for t in pair if t is not None]
+    share = _LOCALIZATION_BUDGET / max(len(searches), 1)
+    x, w = _full_grid(pot, n, regions.edge_radii(), 1)
+    while True:
+        open_ = [t for t in searches if abs(t.bad - t.good) > 1]
+        if not open_:
+            break
+        cands = [t.candidates() for t in open_]
+        js = np.unique(np.concatenate(cands))
+        phi = _log_weight(pot, n, js[:, None], x)
+        dens = w * np.exp(phi - phi.max(axis=1, keepdims=True))
+        total = dens.sum(axis=1)
+        for t, cand in zip(open_, cands):
+            at = np.searchsorted(js, cand)
+            cut = int(np.searchsorted(x, t.cut))
+            tail = dens[at, cut:] if t.upper else dens[at, :cut]
+            prob = tail.sum(axis=1) / total[at]
+            t.update(cand, np.abs(cand - t.origin) * prob, share)
+    kept = np.zeros(n, dtype=bool)
+    for a, b, up, down in plan:
+        kept[up.good if up else a : (down.good if down else b) + 1] = True
+    return np.flatnonzero(kept), float(sum(t.product for t in searches))
+
+
 @per_potential_cache(maxsize=16)
 def _landing_matrix(
     pot: RadialPotential, n: int, regions: RegionSet, cfg: QuadratureConfig
-) -> np.ndarray:
-    """The read-only n × m landing matrix π of all indices, shared by
-    exact_count_law and the hard-region joint_mgf."""
-    pi = _region_prob_matrix(pot, n, regions, cfg, np.arange(n))
+) -> LandingMatrix:
+    """The read-only landing matrix on the kept indices (``_localize``),
+    shared by exact_count_law and the hard-region joint_mgf."""
+    rows, bound = _localize(pot, n, regions)
+    if rows.size:
+        pi = _region_prob_matrix(pot, n, regions, cfg, rows)
+    else:
+        pi = np.zeros((0, regions.m))
+    rows.flags.writeable = False
     pi.flags.writeable = False
-    return pi
+    return LandingMatrix(rows, pi, bound)
+
+
+def landing_matrix(
+    pot: RadialPotential,
+    n: int,
+    regions: RegionSet,
+    cfg: QuadratureConfig = QuadratureConfig(),
+) -> LandingMatrix:
+    """The localized landing matrix that exact_count_law and the hard-region
+    joint_mgf read: π on the kept indices plus the bound on all others."""
+    if regions.kind != "hard":
+        raise ValueError("hard-indicator regions required")
+    return _landing_matrix(pot, n, regions, cfg)
 
 
 def region_probabilities(
@@ -832,7 +990,10 @@ def exact_count_law(
     Independence over j makes this a multivariate Poisson-binomial; the DP
     clips each coordinate at its cap (auto-chosen from the marginal
     quantiles when cap is None) and folds the clipped mass into the
-    deficit.
+    deficit. Only the indices kept by the landing matrix's localization
+    enter the DP; the table is scaled by 1 − B, a lower bound on the
+    probability that every dropped index misses all regions, so cells stay
+    pointwise lower bounds and B joins the deficit.
     """
     if regions.kind != "hard":
         raise ValueError("hard-indicator regions required")
@@ -841,7 +1002,8 @@ def exact_count_law(
         return CountLaw(table=np.ones(()))
     if cap is not None and np.ndim(cap) == 0:
         cap = (int(cap),) * m
-    return dp_count_law(_landing_matrix(pot, n, regions, cfg), tail_tol, cap)
+    lm = _landing_matrix(pot, n, regions, cfg)
+    return dp_count_law(lm.pi, tail_tol, cap, scale=1.0 - lm.bound)
 
 
 # ------------------------------------------------------------------ sampling

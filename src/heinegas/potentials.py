@@ -684,7 +684,7 @@ def classify(pot: RadialPotential, n_probe: int = 801, tol: float = 1e-9) -> Dro
     # chunked argmin sweep of g_tau over the dense radius grid
     r_min = np.empty(n_probe)
     log_r = np.log(grid_r)
-    chunk = max(1, int(2e7 // pts))
+    chunk = max(1, int(1e6 // pts))
     for start in range(0, n_probe, chunk):
         block = taus[start : start + chunk]
         g = grid_q[None, :] - 2.0 * block[:, None] * log_r[None, :]

@@ -150,6 +150,13 @@ def test_converge_case1_outputs(tmp_path, capsys):
         assert blob["limit"]["case"] == "case1"
     report = json.loads((out / "convergence.json").read_text())
     assert [r["n"] for r in report["rows"]] == [16, 32]
+    for row in report["rows"]:
+        # each row says which indices its landing matrix kept and what the
+        # dropped ones may carry
+        assert 0.0 <= row["localization_bound"] <= 1e-15
+        spans = row["kept_rows"]["spans"]
+        assert all(0 <= a <= b < row["n"] for a, b in spans)
+        assert row["kept_rows"]["count"] == sum(b - a + 1 for a, b in spans)
 
 
 def test_converge_deterministic_modulo_timing(tmp_path, capsys):

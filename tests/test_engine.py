@@ -4,12 +4,15 @@ import csv
 import gc
 import itertools
 import math
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaincc
 
 import heinegas as hg
 from heinegas import engine
@@ -286,6 +289,142 @@ def test_count_law_split_matches_per_index_probabilities(
         assert law.pmf((a,)) == pytest.approx(float(table[a]), abs=1e-13)
 
 
+# ------------------------------------------------------- index localization
+
+
+GINIBRE_ANNULI = ((0.985, 1.0), (1.0, 1.015), (1.015, 1.04))
+
+
+def _ginibre_annuli():
+    return RegionSet.hard(HardRegion(lo, hi) for lo, hi in GINIBRE_ANNULI)
+
+
+def _localization_case(request, case, n):
+    if case == "ginibre":
+        return request.getfixturevalue("ginibre_pot"), _ginibre_annuli()
+    pot = request.getfixturevalue(f"{case}_pot")
+    regions, _ = standard_regions(request.getfixturevalue(f"{case}_data"), n=n)
+    return pot, regions
+
+
+@pytest.mark.parametrize(
+    "case,n",
+    [("case1", 512), ("case1", 4096), ("case2", 256), ("case2", 512), ("ginibre", 1024)],
+)
+def test_landing_matrix_localization_is_certified(request, case, n):
+    # the oracle is π over every index, the route before localization
+    pot, regions = _localization_case(request, case, n)
+    lm = engine.landing_matrix(pot, n, regions)
+    oracle = engine._region_prob_matrix(pot, n, regions, QuadratureConfig(), np.arange(n))
+    assert 0.0 < lm.bound <= 1e-15
+    assert 0 < lm.rows.size < n
+    assert lm.pi.tobytes() == oracle[lm.rows].tobytes()
+    dropped = np.ones(n, dtype=bool)
+    dropped[lm.rows] = False
+    assert oracle[dropped].sum() <= lm.bound
+    if case == "case2":
+        # indices are dropped on both sides of the split, and kept across it
+        m0 = regions.entries[0].m0
+        assert 0 < lm.rows[0] < m0 <= lm.rows[-1] < n - 1
+
+
+@pytest.mark.parametrize("n", [1024, 10_000])
+def test_landing_matrix_ginibre_closed_form(ginibre_pot, n):
+    # r^2 of modulus j is Gamma(j + 1, 1/n); each kept row is a difference
+    # of regularized incomplete gammas, taken on whichever side avoids
+    # cancellation
+    lm = engine.landing_matrix(ginibre_pot, n, _ginibre_annuli())
+    j = lm.rows[:, None] + 1.0
+    lo, hi = n * np.array(GINIBRE_ANNULI).T ** 2
+    want = np.where(
+        gammainc(j, lo) > 0.5,
+        gammaincc(j, lo) - gammaincc(j, hi),
+        gammainc(j, hi) - gammainc(j, lo),
+    )
+    assert lm.bound <= 1e-15
+    assert lm.pi == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+def test_landing_matrix_spans():
+    lm = engine.LandingMatrix(np.array([2, 3, 4, 7, 9, 10]), np.zeros((6, 1)), 0.0)
+    assert lm.spans() == ((2, 4), (7, 7), (9, 10))
+    assert engine.LandingMatrix(np.array([], dtype=int), np.zeros((0, 1)), 0.0).spans() == ()
+
+
+def test_count_law_localized_within_bound(case1_pot, case1_data):
+    # dropping the far indices moves the law by at most the bound, which
+    # the deficit carries, and leaves the auto-chosen caps alone
+    n = 512
+    regions, _ = standard_regions(case1_data)
+    lm = engine.landing_matrix(case1_pot, n, regions)
+    law = exact_count_law(case1_pot, n, regions)
+    pi = engine._region_prob_matrix(case1_pot, n, regions, QuadratureConfig(), np.arange(n))
+    full = hg.heine.dp_count_law(pi, 1e-12)
+    assert law.cap == full.cap
+    assert 0.5 * np.abs(law.table - full.table).sum() <= 1.5 * lm.bound + 1e-16
+    assert law.mass_deficit >= lm.bound - 1e-16
+
+
+def test_count_law_unlocalized_is_unchanged(ginibre_pot):
+    # with every index kept the law is the all-rows DP, byte for byte
+    n = 16
+    regions = RegionSet.hard([HardRegion(0.3, 0.9)])
+    lm = engine.landing_matrix(ginibre_pot, n, regions)
+    assert lm.rows.tolist() == list(range(n)) and lm.bound == 0.0
+    pi = engine._region_prob_matrix(ginibre_pot, n, regions, QuadratureConfig(), np.arange(n))
+    law = exact_count_law(ginibre_pot, n, regions)
+    assert law.table.tobytes() == hg.heine.dp_count_law(pi, 1e-12).table.tobytes()
+
+
+def test_count_law_large_n_bounded_memory():
+    # at n = 10^5 only the indices near the outposts enter π and the DP.
+    # On Linux a child's ru_maxrss keeps the forking parent's peak, so the
+    # child reads the peak of its own address space (VmHWM) where it can.
+    code = (
+        "import os, resource, heinegas as hg\n"
+        "from heinegas.engine import exact_count_law, landing_matrix, standard_regions\n"
+        "pot = hg.build_case1((1.5, 2.0), w=(0.2, 0.2))\n"
+        "regions, _ = standard_regions(hg.droplet_data(pot))\n"
+        "law = exact_count_law(pot, 100_000, regions)\n"
+        "lm = landing_matrix(pot, 100_000, regions)\n"
+        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "if os.path.exists('/proc/self/status'):\n"
+        "    for line in open('/proc/self/status'):\n"
+        "        if line.startswith('VmHWM:'):\n"
+        "            peak = int(line.split()[1])\n"
+        "print(lm.rows.size, lm.bound, law.mass_deficit, peak)\n"
+    )
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    rows, bound, deficit, maxrss_kb = int(out[0]), float(out[1]), float(out[2]), int(out[3])
+    assert rows < 200
+    assert bound <= 1e-15
+    assert deficit <= 1e-12
+    assert maxrss_kb < 1024 * 1024
+
+
+def test_count_correlation_with_non_nearest_outpost():
+    # the paper's headline: an outpost's count is correlated with every
+    # other outpost's, not only its neighbour's. Cov(N1, N3) is negative at
+    # every n and converges to the Heine limit at rate 1/n.
+    pot = hg.build_case1((1.4, 1.9, 2.4), w=(0.15,) * 3)
+    data = hg.droplet_data(pot)
+    cov_inf = hg.covariance_matrix(hg.case1(data, pot).heine)[0, 2]
+    regions, _ = standard_regions(data)
+    errors = []
+    for n in (128, 512, 2048, 8192):
+        cov = exact_count_law(pot, n, regions).covariance_matrix()[0, 2]
+        assert cov < 0.0
+        errors.append(abs(cov - cov_inf))
+        assert 1e-3 <= n * errors[-1] <= 3e-3
+    assert cov_inf < 0.0
+    assert all(a >= 3.5 * b for a, b in zip(errors[:-1], errors[1:]))
+
+
 # ------------------------------------------------------------------ the MGF
 
 
@@ -401,6 +540,34 @@ def test_hard_joint_mgf_matches_quadrature_route(request, case):
         res = joint_mgf(pot, n, np.array(s), regions, cfg, restrict=restrict)
         assert res.value == pytest.approx(math.exp(want), rel=1e-10)
         assert res.remainder_bound == pytest.approx(dropped, rel=1e-10, abs=1e-12)
+
+
+def test_windowed_mgf_caches_peak_windows(monkeypatch):
+    # peak windows depend only on (potential, n, j, cfg): the base and the
+    # weighted rows of every s share one find_peaks per index
+    calls = []
+    real = engine.find_peaks
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    def fresh():
+        pot = hg.build_case1((1.5, 2.0), w=(0.2, 0.2))
+        return pot, standard_regions(hg.droplet_data(pot), n=64, smooth=True)[0]
+
+    cfg = QuadratureConfig(mode="windowed")
+    s1, s2 = np.array([0.5, -0.5]), np.array([-1.0, 1.0])
+    pot, smooth = fresh()
+    monkeypatch.setattr(engine, "find_peaks", counting)
+    first = joint_mgf(pot, 64, s1, smooth, cfg)
+    second = joint_mgf(pot, 64, s2, smooth, cfg)
+    assert len(calls) <= 64
+    monkeypatch.setattr(engine, "find_peaks", real)
+    for s, got in ((s1, first), (s2, second)):
+        ref_pot, ref_smooth = fresh()
+        ref = joint_mgf(ref_pot, 64, s, ref_smooth, cfg)
+        assert (got.value, got.log_value) == (ref.value, ref.log_value)
 
 
 def test_engine_caches_free_their_potential():
