@@ -206,7 +206,11 @@ def cmd_converge(args) -> int:
     if isinstance(cfg.get("bumps"), dict):
         smooth_diag = bool(cfg["bumps"].get("enabled", True))
 
-    lim1 = case1(data, pot) if case == "case1" else None
+    if case == "case1":
+        # the case-1 limit and its law do not depend on n
+        lim1 = case1(data, pot)
+        predicted1 = hd.pmf_table(lim1.heine, tail_tol=1e-12)
+        predict_mgf1 = lambda s: hd.mgf(lim1.heine, s)
     rows = []
     law_files = []
     out = _out_dir(args)
@@ -218,10 +222,7 @@ def cmd_converge(args) -> int:
         law = exact_count_law(pot, n, regions, cfg=qcfg)
         landing = landing_matrix(pot, n, regions, qcfg)
         if case == "case1":
-            lim = lim1
-            predicted = hd.pmf_table(lim.heine, tail_tol=1e-12)
-            predict_mgf = lambda s: hd.mgf(lim.heine, s)
-            x_n = None
+            lim, predicted, predict_mgf, x_n = lim1, predicted1, predict_mgf1, None
         else:
             lim = case2(data, pot, n)
             predicted = case2_predicted_law(lim, tail_tol=1e-12)

@@ -102,7 +102,6 @@ class QuadratureConfig:
     rel_tol: float = 1e-11
     window_constant: float = 10.0
     mode: str = "full"
-    max_subdivisions: int = 12
 
     def __post_init__(self) -> None:
         if self.rel_tol <= 0.0:
@@ -504,11 +503,15 @@ def _log_rows(phi: np.ndarray, w: np.ndarray, mask=None) -> np.ndarray:
     return out
 
 
+# panel-splitting passes before a quadrature is declared non-convergent
+_MAX_SUBDIVISIONS = 12
+
+
 def _converged_rows(make_rows, cfg: QuadratureConfig):
     """Run make_rows(splits) with panel splitting until stable to rel_tol."""
     prev = None
     splits = 1
-    for _ in range(cfg.max_subdivisions):
+    for _ in range(_MAX_SUBDIVISIONS):
         rows = make_rows(splits)
         if prev is not None:
             gap = np.max(np.abs(np.where(np.isfinite(rows) | np.isfinite(prev), rows - prev, 0.0)))

@@ -1,7 +1,10 @@
 """Radial external potentials: evaluation, obstacle diagnostics, and builders.
 
-A potential is a radial profile q(r) with explicit first and second
-derivatives. The machinery here answers the planar questions in radial form:
+A potential is a radial profile q(r) given by one evaluation path,
+``terms(r, order)``, which returns (q, q′, …, q^(order)) for order 0, 1 or 2
+and computes only what is asked for. ``RadialPotential.q``, ``dq`` and
+``ddq`` read it for scalars or arrays. The machinery here answers the planar
+questions in radial form:
 
 - ``laplacian`` returns the planar Laplacian density ΔQ(r) = (q″ + q′/r)/4.
 - ``g_tau`` is the family g_τ(r) = q(r) − 2τ ln r whose minimizers, swept
@@ -77,46 +80,45 @@ class ClassificationError(RuntimeError):
 # ------------------------------------------------------------ smooth cutoffs
 
 
-def _smoothstep(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Monotone C-infinity step: 0 for x <= 0, 1 for x >= 1, with d/dx, d2/dx2.
+def _smoothstep(x: np.ndarray, order: int) -> Tuple[np.ndarray, ...]:
+    """Monotone C-infinity step: 0 for x <= 0, 1 for x >= 1, with its
+    x-derivatives up to ``order`` (0, 1 or 2).
 
     Built from eta(x) = exp(-1/x) as eta(x) / (eta(x) + eta(1-x)).
     """
     x = np.asarray(x, dtype=float)
-    val = np.zeros(x.shape)
-    d1 = np.zeros(x.shape)
-    d2 = np.zeros(x.shape)
-    val[x >= 1.0 - 1e-8] = 1.0
+    out = tuple(np.zeros(x.shape) for _ in range(order + 1))
+    out[0][x >= 1.0 - 1e-8] = 1.0
     mid = (x > 1e-8) & (x < 1.0 - 1e-8)
     if mid.any():
         xm = x[mid]
         ym = 1.0 - xm
         a = np.exp(-1.0 / xm)
         b = np.exp(-1.0 / ym)
-        da = a / xm**2
-        db = -b / ym**2  # d/dx of eta(1-x)
-        dda = a * (1.0 - 2.0 * xm) / xm**4
-        ddb = b * (1.0 - 2.0 * ym) / ym**4  # d2/dx2 of eta(1-x), chain (-1)^2
         den = a + b
-        num1 = da * b - a * db
-        val[mid] = a / den
-        d1[mid] = num1 / den**2
-        d2[mid] = (dda * b - a * ddb) / den**2 - 2.0 * num1 * (da + db) / den**3
-    return val, d1, d2
+        out[0][mid] = a / den
+        if order >= 1:
+            da = a / xm**2
+            db = -b / ym**2  # d/dx of eta(1-x)
+            num1 = da * b - a * db
+            out[1][mid] = num1 / den**2
+        if order >= 2:
+            dda = a * (1.0 - 2.0 * xm) / xm**4
+            ddb = b * (1.0 - 2.0 * ym) / ym**4  # d2/dx2 of eta(1-x), chain (-1)^2
+            out[2][mid] = (dda * b - a * ddb) / den**2 - 2.0 * num1 * (da + db) / den**3
+    return out
 
 
 def _zeta_sum(
-    r: np.ndarray, centers: Sequence[float], widths: Sequence[float]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """S(r) = sum_k zeta((r - t_k)/w_k) with r-derivatives.
+    r: np.ndarray, centers: Sequence[float], widths: Sequence[float], order: int
+) -> Tuple[np.ndarray, ...]:
+    """S(r) = sum_k zeta((r - t_k)/w_k) with its r-derivatives up to ``order``.
 
     zeta(u) = exp(1 - 1/(1-u^2)) for |u| < 1, zero outside; zeta(0) = 1,
     zeta'(0) = 0, zeta''(0) = -2, which makes every touch below quadratic.
     """
     r = np.asarray(r, dtype=float)
-    s = np.zeros(r.shape)
-    s1 = np.zeros(r.shape)
-    s2 = np.zeros(r.shape)
+    out = tuple(np.zeros(r.shape) for _ in range(order + 1))
     for t, w in zip(centers, widths):
         u = (r - t) / w
         inside = np.abs(u) < 1.0 - 1e-8
@@ -126,10 +128,12 @@ def _zeta_sum(
         v = 1.0 - ui * ui
         with np.errstate(over="ignore", under="ignore"):
             z = np.exp(1.0 - 1.0 / v)
-        s[inside] += z
-        s1[inside] += (-2.0 * ui / v**2) * z / w
-        s2[inside] += z * (4.0 * ui**2 / v**4 - 2.0 / v**2 - 8.0 * ui**2 / v**3) / w**2
-    return s, s1, s2
+        out[0][inside] += z
+        if order >= 1:
+            out[1][inside] += (-2.0 * ui / v**2) * z / w
+        if order >= 2:
+            out[2][inside] += z * (4.0 * ui**2 / v**4 - 2.0 / v**2 - 8.0 * ui**2 / v**3) / w**2
+    return out
 
 
 @dataclass(frozen=True)
@@ -153,8 +157,8 @@ def bump(spec: BumpSpec, r) -> np.ndarray:
     """Evaluate the plateau cutoff h(r) of ``spec`` (values in [0, 1])."""
     rr = np.asarray(r, dtype=float)
     t, eps = spec.center, spec.half_width
-    up, _, _ = _smoothstep((rr - (t - eps)) / (eps / 2.0))
-    down, _, _ = _smoothstep(((t + eps) - rr) / (eps / 2.0))
+    (up,) = _smoothstep((rr - (t - eps)) / (eps / 2.0), 0)
+    (down,) = _smoothstep(((t + eps) - rr) / (eps / 2.0), 0)
     out = up * down
     if np.ndim(r) == 0:
         return float(out)
@@ -178,7 +182,7 @@ class Shoulder:
 def shoulder(spec: Shoulder, r) -> np.ndarray:
     """Evaluate the one-sided cutoff h(r) of ``spec`` (values in [0, 1])."""
     rr = np.asarray(r, dtype=float)
-    up, _, _ = _smoothstep((rr - spec.lo) / (spec.hi - spec.lo))
+    (up,) = _smoothstep((rr - spec.lo) / (spec.hi - spec.lo), 0)
     out = 1.0 - up if spec.keep_below else up
     if np.ndim(r) == 0:
         return float(out)
@@ -192,19 +196,53 @@ def shoulder(spec: Shoulder, r) -> np.ndarray:
 class RadialPotential:
     """Immutable radial potential with analytic derivatives.
 
-    q, dq, ddq accept scalars or arrays. smooth_window is the interval on
-    which C2 evaluation is guaranteed; r_max the declared range bound with
-    confining growth beyond it. Hashes by identity so evaluations can be
-    memoized per instance (see ``per_potential_cache``).
+    ``terms(r, order)`` is the one evaluation path. Given a float array r
+    of any shape with at least one dimension and order 0, 1 or 2, it
+    returns the tuple (q, q′, …, q^(order)) of float arrays shaped like r,
+    and should compute no derivative above ``order``. A custom potential
+    supplies that one function::
+
+        def terms(r, order):
+            out = (r * r + 0.25 * r**4,)
+            if order >= 1:
+                out += (2.0 * r + r**3,)
+            if order >= 2:
+                out += (2.0 + 3.0 * r**2,)
+            return out
+
+        pot = RadialPotential(terms, smooth_window=(0.0, 6.0))
+
+    The methods q, dq and ddq accept scalars (returning floats) or arrays
+    of any shape and evaluate at orders 0, 1 and 2. smooth_window is the
+    interval on which C2 evaluation is guaranteed; r_max the declared
+    range bound with confining growth beyond it. Hashes by identity so
+    evaluations can be memoized per instance (see ``per_potential_cache``).
     """
 
-    q: Callable
-    dq: Callable
-    ddq: Callable
+    terms: Callable
     smooth_window: Tuple[float, float]
     r_max: float = 6.0
     label: str = "custom"
     params: Dict = field(default_factory=dict)
+
+    def _evaluate(self, r, order: int):
+        rr = np.asarray(r, dtype=float)
+        out = self.terms(np.atleast_1d(rr), order)
+        if rr.ndim == 0:
+            return tuple(float(v[0]) for v in out)
+        return out
+
+    def q(self, r):
+        """q(r) for a scalar (as a float) or an array of any shape."""
+        return self._evaluate(r, 0)[0]
+
+    def dq(self, r):
+        """q′(r) for a scalar (as a float) or an array of any shape."""
+        return self._evaluate(r, 1)[1]
+
+    def ddq(self, r):
+        """q″(r) for a scalar (as a float) or an array of any shape."""
+        return self._evaluate(r, 2)[2]
 
 
 def per_potential_cache(maxsize: int):
@@ -259,9 +297,10 @@ def laplacian(pot: RadialPotential, r) -> np.ndarray:
     pos = rr > 0.0
     if pos.any():
         rp = rr[pos]
-        out[pos] = (np.asarray(pot.ddq(rp)) + np.asarray(pot.dq(rp)) / rp) / 4.0
+        _, d1, d2 = pot.terms(rp, 2)
+        out[pos] = (d2 + d1 / rp) / 4.0
     if (~pos).any():
-        out[~pos] = np.asarray(pot.ddq(np.zeros((~pos).sum()))) / 2.0
+        out[~pos] = pot.terms(np.zeros((~pos).sum()), 2)[2] / 2.0
     if np.ndim(r) == 0:
         return float(out[0])
     return out.reshape(np.shape(r))
@@ -287,19 +326,11 @@ def g_tau_curvature(pot: RadialPotential, tau: float, r) -> np.ndarray:
 def ginibre() -> RadialPotential:
     """The quadratic benchmark q(r) = r²: unit-disk droplet, ΔQ ≡ 1."""
 
-    def q(r):
-        r = np.asarray(r, dtype=float)
-        return _scalarize(r, r * r)
+    def _terms(r, order):
+        derivs = (lambda: r * r, lambda: 2.0 * r, lambda: np.full(r.shape, 2.0))
+        return tuple(d() for d in derivs[: order + 1])
 
-    def dq(r):
-        r = np.asarray(r, dtype=float)
-        return _scalarize(r, 2.0 * r)
-
-    def ddq(r):
-        r = np.asarray(r, dtype=float)
-        return _scalarize(r, np.full(r.shape, 2.0))
-
-    return RadialPotential(q, dq, ddq, smooth_window=(0.0, 6.0), label="ginibre")
+    return RadialPotential(_terms, smooth_window=(0.0, 6.0), label="ginibre")
 
 
 def _check_windows(
@@ -349,34 +380,29 @@ def build_case1(
         "outpost not in (1,3)", "window touches the boundary of (1,3)",
     )
 
-    def _terms(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        s, s1, s2 = _zeta_sum(r, ts, ws)
-        q = r * r
-        d1 = 2.0 * r
-        d2 = np.full(r.shape, 2.0)
-        act = s > 0.0
+    def _terms(r, order):
+        s = _zeta_sum(r, ts, ws, order)
+        out = [r * r]
+        if order >= 1:
+            out.append(2.0 * r)
+        if order >= 2:
+            out.append(np.full(r.shape, 2.0))
+        act = s[0] > 0.0
         if act.any():
             ra = r[act]
+            sa = [sk[act] for sk in s]
             a = ra * ra - 1.0 - 2.0 * np.log(ra)
-            a1 = 2.0 * ra - 2.0 / ra
-            a2 = 2.0 + 2.0 / ra**2
-            q[act] -= a * s[act]
-            d1[act] -= a1 * s[act] + a * s1[act]
-            d2[act] -= a2 * s[act] + 2.0 * a1 * s1[act] + a * s2[act]
-        return q, d1, d2
-
-    def q(r):
-        return _scalarize(r, _terms(r)[0].reshape(np.shape(r)))
-
-    def dq(r):
-        return _scalarize(r, _terms(r)[1].reshape(np.shape(r)))
-
-    def ddq(r):
-        return _scalarize(r, _terms(r)[2].reshape(np.shape(r)))
+            out[0][act] -= a * sa[0]
+            if order >= 1:
+                a1 = 2.0 * ra - 2.0 / ra
+                out[1][act] -= a1 * sa[0] + a * sa[1]
+            if order >= 2:
+                a2 = 2.0 + 2.0 / ra**2
+                out[2][act] -= a2 * sa[0] + 2.0 * a1 * sa[1] + a * sa[2]
+        return tuple(out)
 
     pot = RadialPotential(
-        q, dq, ddq, smooth_window=(0.0, r_max), r_max=r_max,
+        _terms, smooth_window=(0.0, r_max), r_max=r_max,
         label="case1", params={"t": ts, "w": ws, "margin": margin},
     )
     if validate:
@@ -436,85 +462,73 @@ def build_case2(
     q_a1 = m0 + 2.0 * m0 * math.log(a1 / b0)  # obstacle value at the far edge
     d_out = m0 - c1 * a1**2
 
-    def _terms(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        q = np.empty(r.shape)
-        d1 = np.empty(r.shape)
-        d2 = np.empty(r.shape)
+    def _terms(r, order):
+        out = tuple(np.empty(r.shape) for _ in range(order + 1))
 
         inner = r <= b0
         outer = r >= a1
         mid = ~(inner | outer)
 
         ri = r[inner]
-        q[inner] = c0 * ri**2
-        d1[inner] = 2.0 * c0 * ri
-        d2[inner] = 2.0 * c0
-
+        out[0][inner] = c0 * ri**2
         ro = r[outer]
-        q[outer] = q_a1 + c1 * (ro**2 - a1**2) + 2.0 * d_out * np.log(ro / a1)
-        d1[outer] = 2.0 * c1 * ro + 2.0 * d_out / ro
-        d2[outer] = 2.0 * c1 - 2.0 * d_out / ro**2
+        out[0][outer] = q_a1 + c1 * (ro**2 - a1**2) + 2.0 * d_out * np.log(ro / a1)
+        if order >= 1:
+            out[1][inner] = 2.0 * c0 * ri
+            out[1][outer] = 2.0 * c1 * ro + 2.0 * d_out / ro
+        if order >= 2:
+            out[2][inner] = 2.0 * c0
+            out[2][outer] = 2.0 * c1 - 2.0 * d_out / ro**2
 
         if mid.any():
             rg = r[mid]
             u = (rg - b0) / gap
             cu = 1.0 / gap  # du/dr
-
-            qc = m0 + 2.0 * m0 * np.log(rg / b0)
-            qc1 = 2.0 * m0 / rg
-            qc2 = -2.0 * m0 / rg**2
-
-            # inward continuation excess and outward continuation excess
-            p = c0 * rg**2 - qc
-            p1 = 2.0 * c0 * rg - qc1
-            p2 = 2.0 * c0 - qc2
-            ps = c1 * (rg**2 - a1**2) - 2.0 * c1 * a1**2 * np.log(rg / a1)
-            ps1 = 2.0 * c1 * rg - 2.0 * c1 * a1**2 / rg
-            ps2 = 2.0 * c1 + 2.0 * c1 * a1**2 / rg**2
-
-            sl, sl1, sl2 = _smoothstep((u - 0.30) / 0.15)
-            cl = cu / 0.15
-            wl, wl1, wl2 = 1.0 - sl, -sl1 * cl, -sl2 * cl**2
-
-            wr, wr1, wr2 = _smoothstep((u - 0.55) / 0.15)
-            cr = cu / 0.15
-            wr1, wr2 = wr1 * cr, wr2 * cr**2
-
-            f, f1, f2 = _smoothstep((u - 0.15) / 0.10)
-            g, g1, g2 = _smoothstep((0.85 - u) / 0.10)
+            c15 = cu / 0.15  # d/dr of the arguments of the 0.15-wide steps
             cf = cu / 0.10
             cg = -cu / 0.10
-            bm = f * g
-            bm1 = f1 * cf * g + f * g1 * cg
-            bm2 = f2 * cf**2 * g + 2.0 * f1 * cf * g1 * cg + f * g2 * cg**2
 
-            bar = wl * p + wr * ps + k_bridge * bm
-            bar1 = wl1 * p + wl * p1 + wr1 * ps + wr * ps1 + k_bridge * bm1
-            bar2 = (
-                wl2 * p + 2.0 * wl1 * p1 + wl * p2
-                + wr2 * ps + 2.0 * wr1 * ps1 + wr * ps2
-                + k_bridge * bm2
-            )
+            # obstacle, inward continuation excess, outward continuation excess
+            qc = m0 + 2.0 * m0 * np.log(rg / b0)
+            p = c0 * rg**2 - qc
+            ps = c1 * (rg**2 - a1**2) - 2.0 * c1 * a1**2 * np.log(rg / a1)
 
-            s, s1, s2 = _zeta_sum(rg, ts, ws)
-            wfun = 1.0 - s
-            q[mid] = qc + bar * wfun
-            d1[mid] = qc1 + bar1 * wfun - bar * s1
-            d2[mid] = qc2 + bar2 * wfun - 2.0 * bar1 * s1 - bar * s2
-        return q, d1, d2
+            sl = _smoothstep((u - 0.30) / 0.15, order)
+            wr = _smoothstep((u - 0.55) / 0.15, order)
+            f = _smoothstep((u - 0.15) / 0.10, order)
+            g = _smoothstep((0.85 - u) / 0.10, order)
+            s = _zeta_sum(rg, ts, ws, order)
 
-    def q(r):
-        return _scalarize(r, _terms(r)[0].reshape(np.shape(r)))
-
-    def dq(r):
-        return _scalarize(r, _terms(r)[1].reshape(np.shape(r)))
-
-    def ddq(r):
-        return _scalarize(r, _terms(r)[2].reshape(np.shape(r)))
+            wl = 1.0 - sl[0]
+            bar = wl * p + wr[0] * ps + k_bridge * (f[0] * g[0])
+            wfun = 1.0 - s[0]
+            out[0][mid] = qc + bar * wfun
+            if order >= 1:
+                qc1 = 2.0 * m0 / rg
+                p1 = 2.0 * c0 * rg - qc1
+                ps1 = 2.0 * c1 * rg - 2.0 * c1 * a1**2 / rg
+                wl1 = -sl[1] * c15
+                wr1 = wr[1] * c15
+                bm1 = f[1] * cf * g[0] + f[0] * g[1] * cg
+                bar1 = wl1 * p + wl * p1 + wr1 * ps + wr[0] * ps1 + k_bridge * bm1
+                out[1][mid] = qc1 + bar1 * wfun - bar * s[1]
+            if order >= 2:
+                qc2 = -2.0 * m0 / rg**2
+                p2 = 2.0 * c0 - qc2
+                ps2 = 2.0 * c1 + 2.0 * c1 * a1**2 / rg**2
+                wl2 = -sl[2] * c15**2
+                wr2 = wr[2] * c15**2
+                bm2 = f[2] * cf**2 * g[0] + 2.0 * f[1] * cf * g[1] * cg + f[0] * g[2] * cg**2
+                bar2 = (
+                    wl2 * p + 2.0 * wl1 * p1 + wl * p2
+                    + wr2 * ps + 2.0 * wr1 * ps1 + wr[0] * ps2
+                    + k_bridge * bm2
+                )
+                out[2][mid] = qc2 + bar2 * wfun - 2.0 * bar1 * s[1] - bar * s[2]
+        return out
 
     pot = RadialPotential(
-        q, dq, ddq, smooth_window=(0.0, r_max), r_max=r_max,
+        _terms, smooth_window=(0.0, r_max), r_max=r_max,
         label="case2",
         params={
             "components": ((0.0, b0), (a1, b1)), "M0": m0,
@@ -552,7 +566,8 @@ class PeakAnalysis:
 @per_potential_cache(maxsize=32)
 def _dense_eval(pot: RadialPotential, lo: float, hi: float, pts: int):
     r = np.linspace(lo, hi, pts)
-    return r, np.asarray(pot.q(r)), np.asarray(pot.dq(r)), np.asarray(pot.ddq(r))
+    q, dq = pot.terms(r, 1)
+    return r, q, dq
 
 
 def find_peaks(
@@ -579,7 +594,7 @@ def find_peaks(
     if C <= 0.0:
         raise ValueError("C must be positive")
     pts = max(64, int(points_per_unit * (hi - lo)) + 1)
-    r, _, dqv, _ = _dense_eval(pot, lo, hi, pts)
+    r, _, dqv = _dense_eval(pot, lo, hi, pts)
     f = r * dqv - 2.0 * tau
     # signs are read only at nodes where f is definitely nonzero; a stretch
     # of near-zero values means r q'(r) = 2τ identically there up to
@@ -678,7 +693,7 @@ def classify(pot: RadialPotential, n_probe: int = 801, tol: float = 1e-9) -> Dro
     lo = 1e-6
     hi = pot.r_max
     pts = int(4096 * (hi - lo)) + 1
-    grid_r, grid_q, grid_dq, _ = _dense_eval(pot, lo, hi, pts)
+    grid_r, grid_q, _ = _dense_eval(pot, lo, hi, pts)
     taus = np.linspace(0.0, 1.0, n_probe)
 
     # chunked argmin sweep of g_tau over the dense radius grid
@@ -851,8 +866,9 @@ def droplet_data(pot: RadialPotential) -> DropletData:
 
 
 # 9-point central second difference: weight of f(r) and of f(r ± k h),
-# at step h = _D2_STEP
+# at step h = _D2_STEP; the 5-point first difference uses step _D1_STEP
 _D2_STENCIL = (-205.0 / 72.0, 8.0 / 5.0, -1.0 / 5.0, 8.0 / 315.0, -1.0 / 560.0)
+_D1_STEP = 5e-5
 _D2_STEP = 1e-4
 
 
@@ -864,12 +880,15 @@ class ValidationCheck:
 
 
 def derivative_consistency(
-    pot: RadialPotential, n_probe: int = 2000, h: float = 5e-5
+    pot: RadialPotential, n_probe: int = 2000
 ) -> Tuple[float, float]:
-    """Worst relative mismatch of dq against a 5-point central difference
-    (step h) and of ddq against a 9-point central second difference (step
-    1e-4). The wider, higher-order stencil keeps the second difference
-    accurate near the narrow edges of the builders' windows."""
+    """Worst relative mismatch of the analytic q′ and q″, read from one
+    order-2 ``terms`` call, against finite differences of q alone: a 5-point
+    central first difference (step _D1_STEP = 5e-5) and a 9-point central
+    second difference (step _D2_STEP = 1e-4). The wider, higher-order
+    stencil keeps the second difference accurate near the narrow edges of
+    the builders' windows."""
+    h = _D1_STEP
     h2 = _D2_STEP
     reach = max(2 * h, 4 * h2)
     lo, hi = pot.smooth_window
@@ -885,8 +904,7 @@ def derivative_consistency(
     for k, c in enumerate(_D2_STENCIL[1:], start=1):
         d2_fd = d2_fd + c * (np.asarray(pot.q(r - k * h2)) + np.asarray(pot.q(r + k * h2)))
     d2_fd = d2_fd / (h2 * h2)
-    d1 = np.asarray(pot.dq(r))
-    d2 = np.asarray(pot.ddq(r))
+    _, d1, d2 = pot.terms(r, 2)
     err1 = np.max(np.abs(d1 - d1_fd) / np.maximum(1.0, np.abs(d1)))
     err2 = np.max(np.abs(d2 - d2_fd) / np.maximum(1.0, np.abs(d2)))
     return float(err1), float(err2)

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import heinegas as hg
+from heinegas.engine import sample_moduli
 from heinegas.potentials import (
     BumpSpec,
     RadialPotential,
     Shoulder,
+    classify,
     derivative_consistency,
     find_peaks,
     mass_between,
@@ -21,22 +23,16 @@ def wiggle_potential(a=0.03, c=1.2, s=0.05):
     """Quadratic well with a narrow Gaussian ripple: creates a close pair
     of stationarity crossings for the grid-resolution tests."""
 
-    def q(r):
-        r = np.asarray(r, dtype=float)
-        return r * r + a * np.exp(-(((r - c) / s) ** 2))
-
-    def dq(r):
-        r = np.asarray(r, dtype=float)
-        return 2 * r - a * 2 * (r - c) / s**2 * np.exp(-(((r - c) / s) ** 2))
-
-    def ddq(r):
-        r = np.asarray(r, dtype=float)
+    def terms(r, order):
         e = np.exp(-(((r - c) / s) ** 2))
-        return 2 + a * e * (4 * (r - c) ** 2 / s**4 - 2 / s**2)
+        derivs = (
+            lambda: r * r + a * e,
+            lambda: 2 * r - a * 2 * (r - c) / s**2 * e,
+            lambda: 2 + a * e * (4 * (r - c) ** 2 / s**4 - 2 / s**2),
+        )
+        return tuple(d() for d in derivs[: order + 1])
 
-    return RadialPotential(
-        q, dq, ddq, smooth_window=(0.0, 4.0), r_max=6.0, label="wiggle"
-    )
+    return RadialPotential(terms, smooth_window=(0.0, 4.0), r_max=6.0, label="wiggle")
 
 
 # ------------------------------------------------------------------ ginibre
@@ -334,15 +330,93 @@ def test_shoulder_rejects_bad_band():
 def test_derivative_consistency_catches_wrong_slope():
     base = hg.ginibre()
     broken = RadialPotential(
-        base.q,
-        lambda r: np.asarray(base.dq(r)) * 1.01,
-        base.ddq,
+        lambda r, order: tuple(
+            v * 1.01 if i == 1 else v for i, v in enumerate(base.terms(r, order))
+        ),
         smooth_window=base.smooth_window,
         r_max=base.r_max,
         label="broken",
     )
     e1, _ = derivative_consistency(broken)
     assert e1 > 1e-3
+
+
+# ------------------------------------------------------- evaluation orders
+
+
+def _piece_edges(pot):
+    """Radii where a builder's pieces meet, with their float neighbours:
+    component edges, window edges t_k ± w_k, case-2 smoothstep band edges."""
+    p = pot.params
+    pts = [1.0, 3.0] if pot.label == "case1" else []
+    if "components" in p:
+        (_, b0), (a1, _) = p["components"]
+        bands = (0.15, 0.25, 0.30, 0.45, 0.55, 0.70, 0.75, 0.85)
+        pts += [b0, a1] + [b0 + u * (a1 - b0) for u in bands]
+    for t, w in zip(p.get("t", ()), p.get("w", ())):
+        pts += [t - w, t, t + w]
+    pts = np.array(pts, dtype=float)
+    return np.concatenate((pts, np.nextafter(pts, 0.0), np.nextafter(pts, np.inf)))
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_terms_orders_agree(ginibre_pot, case1_pot, case2_pot, case2_bare_pot, data):
+    pot = data.draw(st.sampled_from((ginibre_pot, case1_pot, case2_pot, case2_bare_pot)))
+    radius = st.floats(min_value=0.0, max_value=pot.r_max, exclude_min=True, exclude_max=True)
+    edges = _piece_edges(pot)
+    if edges.size:
+        radius = st.one_of(radius, st.sampled_from(edges.tolist()))
+    shape = data.draw(st.sampled_from([(12,), (3, 4), (6, 2)]))
+    r = np.array(data.draw(st.lists(radius, min_size=12, max_size=12))).reshape(shape)
+    by_order = [pot.terms(r, k) for k in range(3)]
+    for k, out in enumerate(by_order):
+        assert len(out) == k + 1
+        for i, v in enumerate(out):
+            # the same bits whatever higher order is also asked for
+            assert v.dtype == np.float64 and v.shape == r.shape
+            assert v.tobytes() == by_order[2][i].tobytes()
+    x = float(r.flat[0])
+    one = pot.terms(np.array([x]), 2)
+    for i, method in enumerate((pot.q, pot.dq, pot.ddq)):
+        assert np.asarray(method(r)).tobytes() == by_order[2][i].tobytes()
+        for scalar in (x, np.float64(x), np.array(x)):
+            value = method(scalar)
+            assert type(value) is float
+            assert np.float64(value).tobytes() == one[i].tobytes()
+
+
+def test_hot_paths_ask_only_for_order_zero():
+    base = hg.build_case1((1.5, 2.0), w=(0.2, 0.2))
+    calls = []
+
+    def recording():
+        def terms(r, order):
+            calls.append((order, r.size))
+            return base.terms(r, order)
+
+        return RadialPotential(
+            terms, smooth_window=base.smooth_window, r_max=base.r_max,
+            label=base.label, params=base.params,
+        )
+
+    pot = recording()
+    sample_moduli(pot, 32, seed=5)  # warms the peak and grid caches
+    per_reps = {}
+    for reps in (1, 200):
+        calls.clear()
+        sample_moduli(pot, 32, seed=5, reps=reps)
+        per_reps[reps] = list(calls)
+    derivs = {reps: [c for c in got if c[0] >= 1] for reps, got in per_reps.items()}
+    assert derivs[1] == derivs[200]
+    q_elems = {reps: sum(size for order, size in got if order == 0) for reps, got in per_reps.items()}
+    assert q_elems[200] > q_elems[1]
+
+    # classify reads q and q' on its full dense grid from one order-1 call
+    calls.clear()
+    classify(recording())
+    full = int(4096 * (base.r_max - 1e-6)) + 1
+    assert [c for c in calls if c[1] == full] == [(1, full)]
 
 
 def test_mass_between_additivity(case2_pot):
