@@ -343,6 +343,7 @@ def standard_regions(
 _GL32 = np.polynomial.legendre.leggauss(32)
 _GL16 = np.polynomial.legendre.leggauss(16)
 _GL8 = np.polynomial.legendre.leggauss(8)
+_GL2 = np.polynomial.legendre.leggauss(2)
 
 
 def _gl_panels(lo: np.ndarray, hi: np.ndarray, rule) -> Tuple[np.ndarray, np.ndarray]:
@@ -1054,53 +1055,68 @@ def _cells_for_index(pot, n, j, cfg, target_frac=1e-3):
     return lo, hi, cell_mass, phi_max
 
 
+_CDF_TOL = 1e-10  # inverse-CDF residual gate, as a share of the window mass
+_NEWTON_STEPS = 8
+_BISECTIONS = 60
+
+
 def _invert_cdf(pot, n, j, cell_lo, cell_hi, cell_mass, phi_max, targets):
-    """Solve F(x) = target (in window-mass units) per draw, vectorized."""
+    """Solve F(x) = target (in window-mass units) per draw, vectorized.
+
+    Each pass evaluates the residual F(x) − target only at the draws still
+    above the gate; a draw that passes leaves with that point, or with its
+    Newton polish when the polished residual, checked over the step, is
+    smaller. The others take a Newton step, or the bracket midpoint when
+    the step leaves the bracket, and after 8 steps are bisected. A draw
+    still above the gate after 60 bisections raises QuadratureError.
+    """
     cdf = np.cumsum(cell_mass)
     total = cdf[-1]
+    tol = _CDF_TOL * total
     u = targets * total
-    idx = np.searchsorted(cdf, u, side="right")
-    idx = np.minimum(idx, len(cell_mass) - 1)
+    idx = np.minimum(np.searchsorted(cdf, u, side="right"), len(cell_mass) - 1)
     lo = cell_lo[idx]
-    hi = cell_hi[idx]
-    below = np.where(idx > 0, cdf[idx - 1], 0.0)
-    want = u - below  # mass to accumulate inside the cell
-    mass_here = np.maximum(cell_mass[idx], 1e-300)
+    blo, bhi = lo.copy(), cell_hi[idx].copy()
+    want = u - np.where(idx > 0, cdf[idx - 1], 0.0)  # mass to accumulate inside the cell
+    x = lo + (bhi - lo) * (want / np.maximum(cell_mass[idx], 1e-300))
 
-    def seg_mass(a, b):
-        x, w = _gl_panels(a, b, _GL8)
-        return (w * np.exp(_log_weight(pot, n, j, x) - phi_max)).sum(axis=1)
+    def seg_mass(a, b, rule):
+        nodes, w = _gl_panels(a, b, rule)
+        return (w * np.exp(_log_weight(pot, n, j, nodes) - phi_max)).sum(axis=1)
 
     def dens(x):
-        return np.exp(_log_weight(pot, n, j, x) - phi_max)
+        return np.maximum(np.exp(_log_weight(pot, n, j, x) - phi_max), 1e-300)
 
-    x = lo + (hi - lo) * (want / mass_here)
-    blo, bhi = lo.copy(), hi.copy()
-    for _ in range(8):
-        resid = seg_mass(lo, x) - want
-        high = resid > 0
-        bhi = np.where(high, x, bhi)
-        blo = np.where(~high, x, blo)
-        f = np.maximum(dens(x), 1e-300)
-        step = resid / f
-        x_new = x - step
-        bad = (x_new <= blo) | (x_new >= bhi)
-        x = np.where(bad, 0.5 * (blo + bhi), x_new)
-    resid = np.abs(seg_mass(lo, x) - want)
-    tol = 1e-10 * total
-    # bisect only the draws whose residual is still above tol
-    bad = np.flatnonzero(resid > tol)
-    for _ in range(60):
-        if bad.size == 0:
+    act = np.arange(x.size)  # draws still above the gate
+    last = _NEWTON_STEPS + _BISECTIONS
+    for k in range(last + 1):
+        xa = x[act]
+        resid = seg_mass(lo[act], xa, _GL8) - want[act]
+        done = np.abs(resid) <= tol
+        if done.any():
+            d, xd, rd = act[done], xa[done], resid[done]
+            xp = np.clip(xd - rd / dens(xd), blo[d], bhi[d])
+            rp = rd + seg_mass(xd, xp, _GL2)
+            x[d] = np.where(np.abs(rp) < np.abs(rd), xp, xd)
+            act, xa, resid = act[~done], xa[~done], resid[~done]
+        if act.size == 0:
+            return x
+        if k == last:
             break
-        mid = 0.5 * (blo[bad] + bhi[bad])
-        resid_mid = seg_mass(lo[bad], mid) - want[bad]
-        high = resid_mid > 0
-        bhi[bad] = np.where(high, mid, bhi[bad])
-        blo[bad] = np.where(high, blo[bad], mid)
-        x[bad] = 0.5 * (blo[bad] + bhi[bad])
-        bad = bad[(np.abs(resid_mid) > tol) & ((bhi[bad] - blo[bad]) > 1e-15)]
-    return x
+        high = resid > 0
+        bhi[act] = np.where(high, xa, bhi[act])
+        blo[act] = np.where(high, blo[act], xa)
+        x_next = 0.5 * (blo[act] + bhi[act])
+        if k < _NEWTON_STEPS:
+            x_new = xa - resid / dens(xa)
+            inside = (x_new > blo[act]) & (x_new < bhi[act])
+            x_next = np.where(inside, x_new, x_next)
+        x[act] = x_next
+    raise QuadratureError(
+        f"inverse CDF of modulus j={j}: {act.size} draws stop at residual "
+        f"{float(np.abs(resid).max() / total):.2e} of the window mass, above "
+        f"the {_CDF_TOL:.0e} gate"
+    )
 
 
 def sample_moduli(
@@ -1113,9 +1129,12 @@ def sample_moduli(
     """Draw the n independent moduli, modulus j ∝ r^(2j+1) e^(-n q(r)).
 
     Inverse CDF per index: the peak windows are tabulated into cells of at
-    most 1e-3 of the window mass, a draw picks its cell by binary search,
-    and the within-cell position is refined by safeguarded Newton plus
-    bisection until the cumulative-probability residual is below 1e-10.
+    most 1e-3 of the window mass, and a draw picks its cell by binary
+    search. Within the cell, bracketed Newton runs on the active set: each
+    pass evaluates only the draws whose cumulative-probability residual is
+    still above 1e-10 of the window mass, and a draw leaves with a point
+    whose residual was checked. Draws Newton cannot finish in 8 steps are
+    bisected; one still above the gate after that raises QuadratureError.
     Randomness is one substream per index j, so results are reproducible
     and independent of reps batching; the law truncation from ignoring
     mass outside the windows is recorded. Requires n >= 2: the windows

@@ -759,7 +759,9 @@ def classify(pot: RadialPotential, n_probe: int = 801, tol: float = 1e-9) -> Dro
 
     # refine each branching value: bisection on the basin predicate, then
     # Newton on the envelope equation g_tau(r1) = g_tau(r2) (whose tau
-    # derivative is 2 log(r2/r1)), which removes the dense-grid bias
+    # derivative is 2 log(r2/r1)), which removes the dense-grid bias. Edge
+    # roots that coincide mean the minimizer moved continuously (q = r^4
+    # moves it like tau^(1/4) from 0), so that jump is no branch.
     branch_taus = []
     gaps = []  # (r_low_branch_end, r_high_branch_start)
     for g in groups:
@@ -778,10 +780,13 @@ def classify(pot: RadialPotential, n_probe: int = 801, tol: float = 1e-9) -> Dro
         for _ in range(4):
             r1 = edge_root(t_cur, r1)
             r2 = edge_root(t_cur, r2)
+            if abs(r2 - r1) <= 1e-9 * max(r1, r2):
+                break
             h = float(g_tau(pot, t_cur, r1)) - float(g_tau(pot, t_cur, r2))
             t_cur -= h / (2.0 * math.log(r2 / r1))
-        branch_taus.append(t_cur)
-        gaps.append((r1, r2))
+        else:
+            branch_taus.append(t_cur)
+            gaps.append((r1, r2))
 
     # component boundaries: [0 or a_nu, b_nu]; the tau = 1 edge is seeded
     # from the second-to-last row since the last row may have tied away

@@ -56,6 +56,21 @@ def test_ginibre_classifies_plain_disk(ginibre_pot):
     assert data.masses[-1] == pytest.approx(1.0, abs=1e-8)
 
 
+def test_quartic_classifies_plain_disk():
+    # the minimizer of g_tau moves like tau^(1/4) from 0, fast enough to
+    # look like a branch jump on the probe grid; its edge roots coincide
+    def terms(r, order):
+        return (r**4, 4.0 * r**3, 12.0 * r**2)[: order + 1]
+
+    data = classify(RadialPotential(terms, smooth_window=(0.0, 3.0), r_max=3.0))
+    assert data.case_tag == "none"
+    assert data.branch_values == ()
+    assert data.outposts == ()
+    # r q'(r) = 4 r^4 = 2 at tau = 1
+    assert data.components == ((0.0, pytest.approx(2.0**-0.25, abs=1e-12)),)
+    assert data.masses[-1] == pytest.approx(1.0, abs=1e-8)
+
+
 # ------------------------------------------------------------------- case 1
 
 
