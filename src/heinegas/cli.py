@@ -75,7 +75,8 @@ def _load_config(path: Optional[str]) -> dict:
 
 
 def _quad_config(cfg: dict, args) -> QuadratureConfig:
-    mode = args.quad_mode or cfg.get("mode", "full")
+    # sample has no --quad-mode: the moduli sampler reads no mode
+    mode = getattr(args, "quad_mode", None) or cfg.get("mode", "full")
     return QuadratureConfig(
         rel_tol=float(cfg.get("rel_tol", 1e-11)),
         window_constant=float(cfg.get("C", 10.0)),
@@ -383,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("sample", help="draw moduli replicas to CSV")
     p.add_argument("--n", type=int, default=None, help="particle count")
     p.add_argument("--reps", type=int, default=1, help="replica count")
-    _add_flags(p, "--config", "--out", "--seed", "--quad-mode")
+    _add_flags(p, "--config", "--out", "--seed")
     p.set_defaults(func=cmd_sample)
     return parser
 

@@ -30,7 +30,10 @@ full graded grid.
 (``_log_weight``: (2j+1) ln x − n q(x)) and one Gauss-Legendre panel
 mapper (``_gl_panels``). Peak windows are merged by one helper, and every
 grid and sampler cell is split by one vectorised subdivider whose edges
-are bitwise those of np.linspace.
+are bitwise those of np.linspace. π and the localization search read
+interval probabilities off one density array (``_interval_shares``): a
+region's share is the sum over its contiguous run of nodes divided by the
+row's total.
 
 π is built only on the indices that can reach a region. Modulus j's
 density ratio to modulus j + 1 is monotone in r, so tail probabilities
@@ -297,9 +300,7 @@ def standard_regions(
     if data.case_tag == "case2":
         if n is None:
             raise ValueError("case-2 regions need n to place the index split")
-        # forward nudge: at exact-integer M0 n the classified mass can sit
-        # a few ulp low and must not drop m0 by one
-        m0 = int(math.floor(data.masses[0] * n + 1e-9))
+        m0 = data.index_split(n)[0]
         b0 = data.components[0][1]
         a1 = data.components[1][0]
         if data.outposts:
@@ -465,7 +466,9 @@ def _windowed_grid(
 
 def _log_weight(pot: RadialPotential, n: int, j, x: np.ndarray) -> np.ndarray:
     """(2j+1) ln x − n q(x), the log-density of modulus j; j and x broadcast."""
-    return (2 * j + 1) * np.log(x) - n * np.asarray(pot.q(x))
+    out = (2 * j + 1) * np.log(x)
+    out -= n * np.asarray(pot.q(x))
+    return out
 
 
 def _phi_matrix(
@@ -488,13 +491,8 @@ def _phi_matrix(
     return phi
 
 
-def _log_rows(phi: np.ndarray, w: np.ndarray, mask=None) -> np.ndarray:
-    """log ∫ per row: log Σ w e^phi over (optionally masked) columns."""
-    if mask is not None:
-        phi = phi[:, mask]
-        w = w[mask]
-    if phi.shape[1] == 0:
-        return np.full(phi.shape[0], -np.inf)
+def _log_rows(phi: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """log ∫ per row: log Σ w e^phi over the columns."""
     m = phi.max(axis=1)
     out = np.where(np.isfinite(m), m, -np.inf).astype(float)
     safe = np.isfinite(m)
@@ -502,6 +500,29 @@ def _log_rows(phi: np.ndarray, w: np.ndarray, mask=None) -> np.ndarray:
         acc = (w[None, :] * np.exp(phi[safe] - m[safe, None])).sum(axis=1)
         out[safe] = m[safe] + np.log(acc)
     return out
+
+
+def _interval_shares(
+    pot: RadialPotential, n: int, j_arr: np.ndarray, x: np.ndarray, w: np.ndarray, intervals
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(log Σ w e^phi per row, share of that mass in each (lo, hi) per row).
+
+    The rows × nodes density w·e^(phi − row max) is formed once, in place.
+    The nodes are sorted and every interval edge is a panel break, so an
+    interval's nodes are one contiguous run and its share is the run's sum
+    over the row's total, with no difference of large logs.
+    """
+    dens = _log_weight(pot, n, j_arr[:, None], x)
+    top = dens.max(axis=1, keepdims=True)
+    dens -= top
+    np.exp(dens, out=dens)
+    dens *= w
+    total = dens.sum(axis=1)
+    shares = np.empty((len(j_arr), len(intervals)))
+    for i, (lo, hi) in enumerate(intervals):
+        a, b = np.searchsorted(x, (lo, hi))
+        shares[:, i] = dens[:, a:b].sum(axis=1) / total
+    return top[:, 0] + np.log(total), shares
 
 
 # panel-splitting passes before a quadrature is declared non-convergent
@@ -653,30 +674,9 @@ class MgfResult:
     value: float
     log_value: float
     remainder_bound: float
-    terms: int
 
     def __float__(self) -> float:
         return self.value
-
-
-def _restrict_indices(restrict, n: int, stats: Optional[RegionSet], cfg) -> np.ndarray:
-    if restrict is None:
-        return np.arange(n)
-    L = int(math.ceil(cfg.window_constant * math.log(n)))
-    if restrict == "tail":
-        return np.arange(max(0, n - L), n)
-    if restrict == "split":
-        m0s = [
-            e.m0 for e in (stats.entries if stats is not None else ())
-            if isinstance(e, (SplitRegion, SplitBump))
-        ]
-        if not m0s:
-            raise ValueError("split restriction needs an index-split statistic")
-        keep = np.zeros(n, dtype=bool)
-        for m0 in m0s:
-            keep[max(0, m0 - L) : min(n, m0 + L + 1)] = True
-        return np.nonzero(keep)[0]
-    raise ValueError("restrict must be None, 'tail', or 'split'")
 
 
 def joint_mgf(
@@ -685,7 +685,6 @@ def joint_mgf(
     s,
     stats: RegionSet,
     cfg: QuadratureConfig = QuadratureConfig(),
-    restrict: Optional[str] = None,
 ) -> MgfResult:
     """E[exp(Σ_k s_k N_k)] as a product over the indices j.
 
@@ -697,12 +696,9 @@ def joint_mgf(
     localization bound and M = max_k |e^{s_k} − 1|, joins remainder_bound.
     Smooth statistics give ∏_j exp(log_norm(j, s) − log_norm(j, 0)) by
     weighted quadrature, on the grid cfg.mode selects ("both" checks the
-    windowed against the full grid).
+    windowed against the full grid); their remainder_bound is 0.
 
-    Requires finite |s_k| ≤ log n. With restrict="tail" (or "split") only
-    the indices j ≥ n − ⌈C log n⌉ (or the ⌈C log n⌉-windows around each
-    index split) keep their s-dependence; the dropped log contribution is
-    evaluated anyway and reported as remainder_bound.
+    Requires finite |s_k| ≤ log n.
     """
     s_vec = np.asarray(s, dtype=float)
     if s_vec.shape != (stats.m,):
@@ -712,30 +708,19 @@ def joint_mgf(
     if np.any(np.abs(s_vec) > math.log(max(n, 2)) + 1e-12):
         raise ValueError("s out of range (require |s_k| <= log n)")
     if not np.any(s_vec != 0.0):
-        return MgfResult(1.0, 0.0, 0.0, n)
+        return MgfResult(1.0, 0.0, 0.0)
 
-    localization = 0.0
     if stats.kind == "hard":
         lm = _landing_matrix(pot, n, stats, cfg)
-        delta = np.zeros(n)
-        delta[lm.rows] = np.log1p(lm.pi @ np.expm1(s_vec))
+        log_value = float(np.log1p(lm.pi @ np.expm1(s_vec)).sum())
         # a dropped index's factor is within M·Σ_k π_jk of 1, and those
         # sums total at most the bound B: |Σ log| <= B·M / (1 − B·M)
         spread = lm.bound * float(np.max(np.abs(np.expm1(s_vec))))
-        localization = spread / (1.0 - spread)
+        remainder = spread / (1.0 - spread)
     else:
-        delta = _smooth_log_factors(pot, n, s_vec, stats, cfg)
-    keep = _restrict_indices(restrict, n, stats, cfg)
-    mask = np.zeros(n, dtype=bool)
-    mask[keep] = True
-    log_value = float(delta[mask].sum())
-    dropped = float(delta[~mask].sum())
-    return MgfResult(
-        value=math.exp(log_value),
-        log_value=log_value,
-        remainder_bound=abs(dropped) + localization,
-        terms=int(mask.sum()),
-    )
+        log_value = float(_smooth_log_factors(pot, n, s_vec, stats, cfg).sum())
+        remainder = 0.0
+    return MgfResult(math.exp(log_value), log_value, remainder)
 
 
 def _smooth_log_factors(
@@ -790,32 +775,26 @@ def _region_prob_matrix(
     cfg: QuadratureConfig,
     j_arr: np.ndarray,
 ) -> np.ndarray:
-    """pi[i, k] = P(modulus j_i lands in region k), by aligned-panel ratios.
+    """pi[i, k] = P(modulus j_i lands in region k): the share of row i's
+    mass on the nodes of the interval entry k counts at index j_i.
 
     Convergence is monitored on the probabilities themselves (linear scale)
     alongside the log norms, so regions carrying exponentially small mass
     do not stall the refinement with log-tail noise.
     """
     edges = regions.edge_radii()
+    active = _active_intervals(regions, n)
+    intervals = [(lo, hi) for _, lo, hi, _, _ in active]
     n_rows = len(j_arr)
 
     def make(splits):
         x, w = _full_grid(pot, n, edges, splits)
-        phi = _log_weight(pot, n, j_arr[:, None], x)
-        full = _log_rows(phi, w)
+        log_total, shares = _interval_shares(pot, n, j_arr, x, w, intervals)
         pi = np.zeros((n_rows, regions.m))
-        for k in range(regions.m):
-            entry = regions.entries[k]
-            if isinstance(entry, HardRegion):
-                mask = (x > entry.lo) & (x < entry.hi)
-                pi[:, k] = np.exp(_log_rows(phi, w, mask) - full)
-            else:
-                lo_m = (x > entry.below.lo) & (x < entry.below.hi)
-                hi_m = (x > entry.above.lo) & (x < entry.above.hi)
-                below = np.exp(_log_rows(phi, w, lo_m) - full)
-                above = np.exp(_log_rows(phi, w, hi_m) - full)
-                pi[:, k] = np.where(j_arr >= entry.m0, above, below)
-        return np.concatenate((full, pi.ravel()))
+        for (k, _, _, a, b), share in zip(active, shares.T):
+            on = (j_arr >= a) & (j_arr <= b)
+            pi[on, k] = share[on]
+        return np.concatenate((log_total, pi.ravel()))
 
     flat = _converged_rows(make, cfg)
     pi = flat[n_rows:].reshape(n_rows, regions.m)
@@ -843,28 +822,30 @@ class LandingMatrix:
 
 
 def _active_intervals(regions: RegionSet, n: int):
-    """(lo, hi, a, b) per atomic interval (lo, hi) counted by the indices
-    a..b; a split entry's ``below`` is active on [0, m0 − 1] and its
-    ``above`` on [m0, n − 1]. Intervals with no active index are left out."""
+    """(k, lo, hi, a, b) per atomic interval (lo, hi) that entry k counts at
+    the indices a..b; a split entry's ``below`` is active on [0, m0 − 1] and
+    its ``above`` on [m0, n − 1]. Intervals with no active index are left
+    out."""
     out = []
-    for e in regions.entries:
+    for k, e in enumerate(regions.entries):
         if isinstance(e, HardRegion):
-            out.append((e.lo, e.hi, 0, n - 1))
+            out.append((k, e.lo, e.hi, 0, n - 1))
         else:
             m0 = min(max(e.m0, 0), n)
-            out.append((e.below.lo, e.below.hi, 0, m0 - 1))
-            out.append((e.above.lo, e.above.hi, m0, n - 1))
-    return [iv for iv in out if iv[2] <= iv[3]]
+            out.append((k, e.below.lo, e.below.hi, 0, m0 - 1))
+            out.append((k, e.above.lo, e.above.hi, m0, n - 1))
+    return [iv for iv in out if iv[3] <= iv[4]]
 
 
 class _TailSearch:
     """One side of an interval active on [a, b]: the farthest index
     ``good`` from ``origin`` whose product |j − origin|·P_j(tail) stays
-    within the share, where the tail is r > cut (``upper``, origin a) or
-    r < cut (origin b). ``bad`` is the nearest index known to fail."""
+    within the share, where ``tail`` is the interval r > cut (``upper``,
+    origin a) or r < cut (origin b). ``bad`` is the nearest index known to
+    fail."""
 
     def __init__(self, upper: bool, cut: float, a: int, b: int) -> None:
-        self.upper, self.cut = upper, cut
+        self.tail = (cut, math.inf) if upper else (0.0, cut)
         self.origin = self.good = a if upper else b
         self.bad = b + 1 if upper else a - 1
         self.product = 0.0
@@ -909,7 +890,7 @@ def _localize(pot: RadialPotential, n: int, regions: RegionSet) -> Tuple[np.ndar
             _TailSearch(True, lo, a, b) if lo > 0.0 else None,
             _TailSearch(False, hi, a, b) if hi < pot.r_max else None,
         )
-        for lo, hi, a, b in _active_intervals(regions, n)
+        for _, lo, hi, a, b in _active_intervals(regions, n)
     ]
     searches = [t for _, _, *pair in plan for t in pair if t is not None]
     share = _LOCALIZATION_BUDGET / max(len(searches), 1)
@@ -920,14 +901,9 @@ def _localize(pot: RadialPotential, n: int, regions: RegionSet) -> Tuple[np.ndar
             break
         cands = [t.candidates() for t in open_]
         js = np.unique(np.concatenate(cands))
-        phi = _log_weight(pot, n, js[:, None], x)
-        dens = w * np.exp(phi - phi.max(axis=1, keepdims=True))
-        total = dens.sum(axis=1)
-        for t, cand in zip(open_, cands):
-            at = np.searchsorted(js, cand)
-            cut = int(np.searchsorted(x, t.cut))
-            tail = dens[at, cut:] if t.upper else dens[at, :cut]
-            prob = tail.sum(axis=1) / total[at]
+        probs = _interval_shares(pot, n, js, x, w, [t.tail for t in open_])[1]
+        for i, (t, cand) in enumerate(zip(open_, cands)):
+            prob = probs[np.searchsorted(js, cand), i]
             t.update(cand, np.abs(cand - t.origin) * prob, share)
     kept = np.zeros(n, dtype=bool)
     for a, b, up, down in plan:

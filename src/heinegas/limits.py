@@ -198,10 +198,7 @@ def case2(data: DropletData, pot: RadialPotential, n: int) -> Case2Limit:
     m0_mass = float(data.masses[0])
     if not 0.0 < m0_mass < 1.0:
         raise ValueError("inner component mass must lie in (0, 1)")
-    # forward nudge matching the m0 placement in the exact statistic: at
-    # exact-integer M0 n the measured mass can sit a few ulp low, and the
-    # phase must read 0 there, not 1 - O(ulp)
-    x_n = max(0.0, m0_mass * n - math.floor(m0_mass * n + 1e-9))
+    x_n = data.index_split(n)[1]
     lap_b0, lap_a1 = _positive_laplacians(pot, [b0, a1])
     lap_t = _positive_laplacians(pot, ts)
 

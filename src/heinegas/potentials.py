@@ -658,6 +658,18 @@ class DropletData:
             "branch_values": list(self.branch_values),
         }
 
+    def index_split(self, n: int) -> Tuple[int, float]:
+        """(m0, x_n): the case-2 index split m0 = floor(M0 n) and the phase
+        x_n = M0 n − m0, with M0 the inner component's mass.
+
+        The floor is nudged forward by 1e-9: at exact-integer M0 n the
+        classified mass can sit a few ulp low, and m0 must not drop by one
+        nor x_n read 1 − O(ulp) instead of 0.
+        """
+        mass_n = float(self.masses[0]) * n
+        m0 = math.floor(mass_n + 1e-9)
+        return int(m0), max(0.0, mass_n - m0)
+
 
 def mass_between(pot: RadialPotential, lo: float, hi: float, panels: int = 64) -> float:
     """Planar σ-mass of the annulus lo ≤ r ≤ hi: 2 ∫ ΔQ(r) r dr."""

@@ -239,24 +239,6 @@ def test_sample_writes_deterministic_csv(tmp_path, capsys):
     assert rows_a != rows_c
 
 
-def test_sample_quad_mode_both(tmp_path, capsys):
-    path = write_config(tmp_path, "c1.json", CASE1_CFG)
-    out = tmp_path / "qb"
-    rc = main(
-        [
-            "sample",
-            "--config", path,
-            "--n", "12",
-            "--seed", "1",
-            "--out", str(out),
-            "--quad-mode", "both",
-        ]
-    )
-    capsys.readouterr()
-    assert rc == 0
-    assert (out / "moduli.csv").exists()
-
-
 def test_sample_rejects_single_particle(tmp_path, capsys):
     path = write_config(tmp_path, "gin.json", {"case": "ginibre"})
     rc = main(["sample", "--config", path, "--n", "1", "--out", str(tmp_path)])
@@ -277,6 +259,7 @@ def test_sample_rejects_single_particle(tmp_path, capsys):
         (["validate-potential", "--config", "c.json"], ["--seed", "1"]),
         (["validate-potential", "--config", "c.json"], ["--out", "results"]),
         (["validate-potential", "--config", "c.json"], ["--quad-mode", "full"]),
+        (["sample", "--config", "c.json", "--n", "12"], ["--quad-mode", "both"]),
     ],
 )
 def test_subcommands_reject_flags_they_ignore(capsys, command, flag):

@@ -111,6 +111,18 @@ def test_case2_reciprocity_many_n(case2_pot, case2_data):
         assert abs(lim.tilde_vartheta[0] * lim.hat_vartheta[-1] - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [64, 65])
+def test_case2_index_split_is_decided_once(case2_pot, case2_data, n):
+    # M0 = 1/2 measured a few ulp low: M0 n is an exact integer at n = 64
+    # and a half-integer at n = 65
+    m0, x_n = case2_data.index_split(n)
+    assert m0 == 32
+    assert x_n == (0.0 if n == 64 else pytest.approx(0.5, abs=1e-9))
+    regions, _ = standard_regions(case2_data, n)
+    assert regions.entries[0].m0 == m0
+    assert case2(case2_data, case2_pot, n).x_n == x_n
+
+
 def test_case2_phase_periodicity(case2_pot, case2_data):
     # M0 = 1/2: the phase alternates between 0 and 1/2 with n parity and
     # the parameters depend on n only through the phase
