@@ -67,8 +67,11 @@ _ENGINE_ERRORS = (
 def _load_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
-    with open(path) as fh:
-        cfg = json.load(fh)
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read config: {exc}") from None
     if not isinstance(cfg, dict):
         raise ValueError("config root must be a JSON object")
     return cfg
@@ -263,15 +266,10 @@ def cmd_converge(args) -> int:
         if out is not None:
             path = os.path.join(out, f"law_n{n}.json")
             with open(path, "w") as fh:
-                json.dump(
-                    {
-                        "n": n,
-                        "x_n": x_n,
-                        "exact": law.to_json_dict(),
-                        "predicted": predicted.to_json_dict(),
-                        "limit": lim.to_json_dict(),
-                    },
-                    fh,
+                fh.write(
+                    f'{{"n": {n}, "x_n": {json.dumps(x_n)}, "exact": {law.to_json()}, '
+                    f'"predicted": {predicted.to_json()}, '
+                    f'"limit": {json.dumps(lim.to_json_dict())}}}'
                 )
             law_files.append(path)
         print(

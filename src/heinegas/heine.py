@@ -29,9 +29,12 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -280,41 +283,106 @@ class CountLaw:
         return self.table.sum(axis=tuple(i for i in range(self.m) if i != k))
 
     # -- serialization -------------------------------------------------------
-    def to_json_dict(self) -> dict:
-        alphas, ps = self._support()
-        return {
-            "m": self.m,
-            "entries": [{"alpha": a, "p": p} for a, p in zip(alphas, ps)],
-            "mass_deficit": self.mass_deficit,
-            "cap": list(self.cap),
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        """The law as JSON text, stored cells in lexicographic order.
+
+        The text is json.dumps of {"m", "entries": [{"alpha", "p"}, ...],
+        "mass_deficit", "cap"}, built from the table without an object per
+        cell: each cell's '{"alpha": [...], "p": ' head comes from the
+        per-axis index strings, and p is float.__repr__, as json.dumps
+        writes it.
+        """
+        close = '], "p": '
+        heads = ['{"alpha": [' + ("" if self.m else close)]
+        for k, c in enumerate(self.cap):
+            tail = close if k == self.m - 1 else ""
+            axis = [f"{', ' if k else ''}{i}{tail}" for i in range(c + 1)]
+            heads = [h + a for h in heads for a in axis]
+        stored = self.table != 0.0
+        # separator, head and p of each stored cell; the first cell's
+        # separator is taken off
+        body = chain.from_iterable(
+            zip(
+                repeat("}, "),
+                compress(heads, stored.ravel().tolist()),
+                map(float.__repr__, self.table[stored].tolist()),
+            )
+        )
+        last_close = "}" if next(body, None) else ""
+        start = f'{{"m": {self.m}, "entries": ['
+        end = (
+            f'{last_close}], "mass_deficit": {json.dumps(self.mass_deficit)}, '
+            f'"cap": {json.dumps(list(self.cap))}}}'
+        )
+        return "".join(chain((start,), body, (end,)))
+
+    def to_json_dict(self) -> dict:
+        """The parsed ``to_json`` text."""
+        return json.loads(self.to_json())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CountLaw":
-        items = data["entries"]
-        table = _dense(
-            [item["alpha"] for item in items],
-            [float(item["p"]) for item in items],
-            [int(c) for c in data["cap"]],
-        )
-        return cls(
-            m=int(data["m"]), mass_deficit=float(data["mass_deficit"]), table=table
-        )
+        """The law a parsed JSON document describes. Raises ValueError for a
+        missing field, a p or mass_deficit that is not a number, or a count
+        vector that is not m integers within the caps or is listed twice."""
+        return cls(**_law_fields(data))
 
     @classmethod
     def from_json(cls, text: str) -> "CountLaw":
-        return cls.from_json_dict(json.loads(text))
+        # A parsed document holds no cycles. With the cyclic collector
+        # paused, its per-cell objects are freed (_law_fields holds the only
+        # reference) before any collection has walked them.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return cls(**_law_fields(json.loads(text)))
+        finally:
+            if collecting:
+                gc.enable()
 
 
-def _dense(alphas: list, ps: list, cap: Sequence[int]) -> np.ndarray:
+def _law_fields(data) -> dict:
+    """CountLaw keyword arguments (m, mass_deficit, table) from a parsed law
+    document; raises ValueError for a malformed one."""
+    if not isinstance(data, dict):
+        raise ValueError("a count law document must be a JSON object")
+    for key in ("m", "entries", "mass_deficit", "cap"):
+        if key not in data:
+            raise ValueError(f"count law document lacks '{key}'")
+    m, cap, mass_deficit = int(data["m"]), [int(c) for c in data["cap"]], data["mass_deficit"]
+    try:
+        alphas = list(map(itemgetter("alpha"), data["entries"]))
+        ps = list(map(itemgetter("p"), data["entries"]))
+        lengths = set(map(len, alphas))
+    except (KeyError, TypeError):
+        raise ValueError("every count law entry needs an 'alpha' list and a 'p'") from None
+    del data
+    if not lengths <= {m}:
+        raise ValueError(f"count vectors must have length m = {m}")
+    if not set(map(type, chain.from_iterable(alphas))) <= {int}:
+        raise ValueError("count vectors must hold integers")
+    if not set(map(type, ps)) | {type(mass_deficit)} <= {int, float}:
+        raise ValueError("p and mass_deficit must be numbers")
+    flat = np.fromiter(chain.from_iterable(alphas), np.intp, count=m * len(ps))
+    del alphas
+    table = _dense(flat, np.fromiter(ps, float, count=len(ps)), cap)
+    return {"m": m, "mass_deficit": float(mass_deficit), "table": table}
+
+
+def _dense(alphas, ps, cap: Sequence[int]) -> np.ndarray:
     """Table of shape cap + 1 holding ps[i] at count vector alphas[i]; raises
-    ValueError for a count vector of the wrong length or outside the caps."""
+    ValueError for a count vector of the wrong length, outside the caps or
+    listed twice."""
     table = np.zeros(tuple(int(c) + 1 for c in cap))
     idx = np.asarray(alphas, dtype=np.intp).reshape(len(ps), table.ndim)
-    np.put(table, np.ravel_multi_index(tuple(idx.T), table.shape), ps)
+    if table.ndim:
+        flat = np.ravel_multi_index(tuple(idx.T), table.shape)
+    else:
+        flat = np.zeros(len(ps), dtype=np.intp)
+    ordered = np.sort(flat)
+    if (ordered[1:] == ordered[:-1]).any():
+        raise ValueError("a count vector is listed twice")
+    np.put(table, flat, ps)
     return table
 
 

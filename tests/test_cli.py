@@ -148,6 +148,8 @@ def test_converge_case1_outputs(tmp_path, capsys):
         assert blob["x_n"] is None
         assert blob["exact"]["m"] == 2
         assert blob["limit"]["case"] == "case1"
+        text = (out / f"law_n{n}.json").read_text()
+        assert json.dumps(json.loads(text)) == text
     report = json.loads((out / "convergence.json").read_text())
     assert [r["n"] for r in report["rows"]] == [16, 32]
     for row in report["rows"]:
@@ -176,7 +178,9 @@ def test_converge_case2_records_phase(tmp_path, capsys):
     cfg = dict(CASE2_CFG, n_schedule=[12], s_grid=[[0.5, -0.5, 0.5]])
     rc, out, _ = run_converge(tmp_path, capsys, cfg, "c2")
     assert rc == 0
-    blob = json.loads((out / "law_n12.json").read_text())
+    text = (out / "law_n12.json").read_text()
+    assert json.dumps(json.loads(text)) == text
+    blob = json.loads(text)
     assert blob["x_n"] == 0.0
     assert blob["limit"]["case"] == "case2"
     assert len(blob["limit"]["tilde_theta"]) == 3
@@ -205,6 +209,14 @@ def test_converge_requires_schedule(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "n_schedule" in err
+
+
+@pytest.mark.parametrize("command", [["converge"], ["sample", "--n", "8"]])
+def test_unreadable_config_exits_2(tmp_path, capsys, command):
+    rc = main(command + ["--config", str(tmp_path / "missing.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "error: cannot read config" in err and "missing.json" in err
 
 
 # -------------------------------------------------------------------- sample

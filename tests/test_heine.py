@@ -8,10 +8,12 @@ near machine precision.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import heinegas as hg
 from heinegas.heine import (
@@ -384,6 +386,100 @@ def test_count_law_from_dict_equals_table():
     assert hg.CountLaw(table=law.table).mass_deficit == pytest.approx(
         law.mass_deficit, abs=1e-15
     )
+
+
+def old_law_document(law):
+    """The law as one dict per stored cell; json.dumps of it is the
+    byte-for-byte reference for CountLaw.to_json."""
+    stored = law.table != 0.0
+    alphas, ps = np.argwhere(stored).tolist(), law.table[stored].tolist()
+    return {
+        "m": law.m,
+        "entries": [{"alpha": a, "p": p} for a, p in zip(alphas, ps)],
+        "mass_deficit": law.mass_deficit,
+        "cap": list(law.cap),
+    }
+
+
+_FLOOR = 1e-300
+CELL_VALUES = st.one_of(
+    st.just(0.0),
+    # at, just above and just below the storage floor; subnormals
+    st.sampled_from(
+        [_FLOOR, np.nextafter(_FLOOR, 1.0), np.nextafter(_FLOOR, 0.0), 1e-310, 5e-324]
+    ),
+    st.floats(min_value=-300.0, max_value=-2.5).map(lambda e: 10.0**e),
+    st.floats(min_value=0.0, max_value=1.0 / 256),
+)
+
+
+@given(
+    table=hnp.arrays(
+        np.float64,
+        st.lists(st.integers(min_value=1, max_value=4), max_size=4).map(tuple),
+        elements=CELL_VALUES,
+    ),
+    order=st.randoms(use_true_random=False),
+)
+@settings(max_examples=200, deadline=None)
+def test_count_law_json_matches_per_cell_encoder(table, order):
+    law = hg.CountLaw(table=table)
+    text = law.to_json()
+    assert text == json.dumps(old_law_document(law))
+    back = hg.CountLaw.from_json(text)
+    assert np.array_equal(back.table, law.table)
+    assert back.cap == law.cap and back.mass_deficit == law.mass_deficit
+    assert law.to_json_dict() == old_law_document(law)
+    # the reader takes the entries in any order
+    doc = json.loads(text)
+    order.shuffle(doc["entries"])
+    assert np.array_equal(hg.CountLaw.from_json_dict(doc).table, law.table)
+
+
+def test_count_law_json_writer_memory():
+    # a work guard by measurement: the writer's traced peak on a 10^4-cell
+    # table is 4.4 times the text it returns; the per-cell dict encoder
+    # peaks at 11.7 times
+    law = hg.pmf_table(hg.validate_params((1.0,) * 4, (0.5,) * 4))
+    assert law.cap == (9, 9, 9, 9)
+    tracemalloc.start()
+    try:
+        text = law.to_json()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * len(text)
+
+
+def _doc(entries, **fields):
+    doc = {"m": 1, "entries": entries, "mass_deficit": 0.0, "cap": [1]}
+    doc.update(fields)
+    return {k: v for k, v in doc.items() if v is not None}
+
+
+@pytest.mark.parametrize(
+    "doc,match",
+    [
+        # listed mass 1.5; letting the last copy win would load mass 1.0
+        (
+            _doc([{"alpha": [0], "p": 0.5}, {"alpha": [1], "p": 0.5}, {"alpha": [0], "p": 0.5}]),
+            "listed twice",
+        ),
+        (_doc([{"alpha": [0], "p": "0.5"}, {"alpha": [1], "p": 0.5}]), "must be numbers"),
+        (_doc([{"alpha": [0], "p": 1.0}], mass_deficit=None), "lacks 'mass_deficit'"),
+        # ragged count vectors whose lengths sum to m times the entry count
+        (
+            _doc([{"alpha": [0], "p": 0.5}, {"alpha": [0, 1, 1], "p": 0.5}], m=2, cap=[1, 1]),
+            "length m = 2",
+        ),
+    ],
+    ids=["duplicate", "string-p", "missing-deficit", "ragged"],
+)
+def test_count_law_json_rejects_malformed(doc, match):
+    with pytest.raises(ValueError, match=match):
+        hg.CountLaw.from_json(json.dumps(doc))
+    with pytest.raises(ValueError, match=match):
+        hg.CountLaw.from_json_dict(doc)
 
 
 def test_count_law_rejects_inconsistent_input():
