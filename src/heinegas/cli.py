@@ -77,13 +77,17 @@ def _load_config(path: Optional[str]) -> dict:
     return cfg
 
 
-def _quad_config(cfg: dict, args) -> QuadratureConfig:
-    # sample has no --quad-mode: the moduli sampler reads no mode
-    mode = getattr(args, "quad_mode", None) or cfg.get("mode", "full")
+def _quad_config(cfg: dict) -> QuadratureConfig:
+    if "mode" in cfg:
+        # a run that asked for the windowed-vs-full cross-check must not
+        # silently get less
+        raise ValueError(
+            "config key 'mode' is no longer read: there is one quadrature "
+            "route, and the windowed-vs-full cross-check runs in the tests"
+        )
     return QuadratureConfig(
         rel_tol=float(cfg.get("rel_tol", 1e-11)),
         window_constant=float(cfg.get("C", 10.0)),
-        mode=mode,
     )
 
 
@@ -196,7 +200,7 @@ def cmd_converge(args) -> int:
     pot, case = _build_potential(cfg)
     if case not in ("case1", "case2"):
         raise ValueError("converge requires case1 or case2")
-    qcfg = _quad_config(cfg, args)
+    qcfg = _quad_config(cfg)
     schedule = [int(v) for v in _require(cfg, "n_schedule")]
     if any(b <= a for a, b in zip(schedule[:-1], schedule[1:])):
         raise ValueError("n_schedule must be strictly increasing")
@@ -321,7 +325,7 @@ def cmd_validate_potential(args) -> int:
 def cmd_sample(args) -> int:
     cfg = _load_config(args.config)
     pot, _case = _build_potential(cfg)
-    qcfg = _quad_config(cfg, args)
+    qcfg = _quad_config(cfg)
     n = args.n if args.n is not None else int(cfg.get("n", 0))
     if n < 2:
         raise ValueError("n must be >= 2 (set --n or config key 'n')")
@@ -344,7 +348,6 @@ _FLAGS = {
     "--config": dict(help="JSON experiment config"),
     "--out": dict(help="output directory"),
     "--seed": dict(type=int, help="RNG seed"),
-    "--quad-mode": dict(choices=("windowed", "full", "both"), help="quadrature mode override"),
 }
 
 
@@ -370,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_heine, seed=0)
 
     p = subs.add_parser("converge", help="finite-n vs limit convergence study")
-    _add_flags(p, "--config", "--out", "--quad-mode")
+    _add_flags(p, "--config", "--out")
     p.set_defaults(func=cmd_converge)
 
     p = subs.add_parser(

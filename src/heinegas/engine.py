@@ -9,38 +9,37 @@ accuracy,
 - ``region_probabilities`` and ``exact_count_law``: the per-index landing
   probabilities π_jk of disjoint radial regions and the resulting
   multivariate Poisson-binomial count law,
-- ``joint_mgf``: E[exp⟨s, N⟩] as a product over j. For hard regions each
-  factor is 1 + Σ_k π_jk (e^{s_k} − 1), from the same cached landing
-  matrix as the count law; for smooth statistics it is the ratio of
-  weighted to unweighted norms,
+- ``joint_mgf``: E[exp⟨s, N⟩] as a product over j of factors
+  1 + Σ_k Ψ_jk, Ψ_jk = E[e^{s_k h_k(r_j)} − 1]. For hard regions
+  Ψ_jk = π_jk (e^{s_k} − 1) from the same cached landing matrix as the
+  count law; for smooth statistics Ψ_jk is the share of π's density
+  weighted by e^{s_k h_k} − 1,
 - ``sample_moduli``: inverse-CDF Monte Carlo draws of all n moduli.
 
 Quadrature is deterministic Gauss-Legendre on graded panels: panels shrink
 like the local peak scale 1/sqrt(4 n ΔQ) around component edges and
 outposts, and every computed quantity is re-evaluated with all panels split
-in two until it is stable to cfg.rel_tol. Windowed mode instead integrates
+in two until it is stable to cfg.rel_tol. The sampler instead tabulates
 only a neighborhood of each significant peak of the integrand exponent
 (half-width max(sqrt(C log n / n), 8/sqrt(n ΔQ))), mirroring the droplet
-localization; mode="both" certifies the two routes against each other.
-The mode governs log norms and smooth statistics; the landing matrix π,
-and with it every hard-region count law and MGF, always comes from the
-full graded grid.
+localization, and records the mass it leaves out.
 
 π, the log norms and the sampler share one log-density kernel
 (``_log_weight``: (2j+1) ln x − n q(x)) and one Gauss-Legendre panel
 mapper (``_gl_panels``). Peak windows are merged by one helper, and every
 grid and sampler cell is split by one vectorised subdivider whose edges
-are bitwise those of np.linspace. π and the localization search read
-interval probabilities off one density array (``_interval_shares``): a
-region's share is the sum over its contiguous run of nodes divided by the
-row's total.
+are bitwise those of np.linspace. π, the smooth MGF factors and the
+localization search read interval sums off one density array
+(``_interval_shares``): a region's share is the (optionally weighted) sum
+over its contiguous run of nodes divided by the row's total.
 
-π is built only on the indices that can reach a region. Modulus j's
-density ratio to modulus j + 1 is monotone in r, so tail probabilities
-P_j(r > c) rise and P_j(r < c) fall with j; ``_localize`` uses this to
-drop the far indices of each region with a computed bound B ≤ 1e-15 on
-their total landing probability. The count law scales its table by 1 − B
-and the hard-region MGF adds B's effect to its remainder bound.
+π and Ψ are built only on the indices that can reach a region. Modulus
+j's density ratio to modulus j + 1 is monotone in r, so tail
+probabilities P_j(r > c) rise and P_j(r < c) fall with j; ``_localize``
+uses this to drop the far indices of each region with a computed bound
+B ≤ 1e-15 on their total landing probability. The count law scales its
+table by 1 − B and the MGF, hard or smooth, adds B's effect to its
+remainder bound.
 
 Grids, log norms, peak windows and landing matrices are memoized per
 potential and are freed with it (``per_potential_cache``).
@@ -54,7 +53,6 @@ gap-edge coordinate of the two-component ensemble is defined.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
@@ -104,15 +102,12 @@ class QuadratureError(RuntimeError):
 class QuadratureConfig:
     rel_tol: float = 1e-11
     window_constant: float = 10.0
-    mode: str = "full"
 
     def __post_init__(self) -> None:
         if self.rel_tol <= 0.0:
             raise ValueError("tolerances must be positive (rel_tol)")
         if self.window_constant < 1.0:
             raise ValueError("window constant C must be >= 1")
-        if self.mode not in ("windowed", "full", "both"):
-            raise ValueError("mode must be one of windowed, full, both")
 
 
 # ------------------------------------------------------------------- regions
@@ -242,20 +237,23 @@ class RegionSet:
             for e in self.entries
         )
 
+    def statistic(self, k: int, j: int, x: np.ndarray) -> np.ndarray:
+        """h_k(x) for index j: the indicator of a hard atom, or the value in
+        [0, 1] of a bump or shoulder."""
+        atom = self.resolve(k, j)
+        if isinstance(atom, HardRegion):
+            return (x > atom.lo) & (x < atom.hi)
+        if isinstance(atom, Shoulder):
+            return shoulder(atom, x)
+        return bump(atom, x)
+
     def exponent(self, j: int, s: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Σ_k s_k h_k(x) for index j (h = indicator or bump)."""
         out = np.zeros(x.shape)
         for k in range(self.m):
             sk = float(s[k])
-            if sk == 0.0:
-                continue
-            atom = self.resolve(k, j)
-            if isinstance(atom, HardRegion):
-                out += sk * ((x > atom.lo) & (x < atom.hi))
-            elif isinstance(atom, Shoulder):
-                out += sk * shoulder(atom, x)
-            else:
-                out += sk * bump(atom, x)
+            if sk != 0.0:
+                out += sk * self.statistic(k, j, x)
         return out
 
 
@@ -422,6 +420,10 @@ def _fill_edges(breaks: np.ndarray, h_fill: float) -> np.ndarray:
     return np.concatenate((breaks[:1], _subdivide(lo, hi, parts)[1]))
 
 
+# Gauss-Legendre nodes one full grid may hold
+_NODE_BUDGET = 400_000
+
+
 @per_potential_cache(maxsize=128)
 def _full_grid(pot: RadialPotential, n: int, extra_edges: Tuple[float, ...], splits: int):
     special, sigmas, h_bulk = _special_structure(pot, n)
@@ -432,31 +434,12 @@ def _full_grid(pot: RadialPotential, n: int, extra_edges: Tuple[float, ...], spl
         pts.update(_graded_offsets(r0, sg, lo, hi))
     breaks = _fill_edges(np.array(sorted(pts)), h_bulk)
     panels = _subdivide(breaks[:-1], breaks[1:], splits)
-    if panels[0].size * 32 >= 400_000:
-        raise QuadratureError("node budget exceeded; relax rel_tol")
-    x, w = _gl_panels(*panels, _GL32)
-    return x.ravel(), w.ravel()
-
-
-@per_potential_cache(maxsize=64)
-def _windowed_grid(
-    pot: RadialPotential,
-    n: int,
-    peaks_key: Tuple[Tuple[float, float], ...],  # (radius, half_width)
-    extra_edges: Tuple[float, ...],
-    splits: int,
-):
-    los, his = [], []
-    for a, b in _merge_windows(peaks_key, pot.r_max):
-        pts = {a, b}
-        pts.update(e for e in extra_edges if a < e < b)
-        for r0, h in peaks_key:
-            if a < r0 < b:
-                pts.update(_graded_offsets(r0, h / 32.0, a, b))
-        breaks = _fill_edges(np.array(sorted(pts)), max((b - a) / 8.0, 1e-6))
-        los.append(breaks[:-1])
-        his.append(breaks[1:])
-    panels = _subdivide(np.concatenate(los), np.concatenate(his), splits)
+    nodes = panels[0].size * 32
+    if nodes >= _NODE_BUDGET:
+        raise QuadratureError(
+            f"node budget exceeded at n={n}: {nodes:,} nodes on [1e-9, {hi:g}] "
+            f"at {splits} splits per panel, above the limit of {_NODE_BUDGET:,}"
+        )
     x, w = _gl_panels(*panels, _GL32)
     return x.ravel(), w.ravel()
 
@@ -503,14 +486,22 @@ def _log_rows(phi: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _interval_shares(
-    pot: RadialPotential, n: int, j_arr: np.ndarray, x: np.ndarray, w: np.ndarray, intervals
+    pot: RadialPotential,
+    n: int,
+    j_arr: np.ndarray,
+    x: np.ndarray,
+    w: np.ndarray,
+    intervals,
+    weight=None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(log Σ w e^phi per row, share of that mass in each (lo, hi) per row).
 
     The rows × nodes density w·e^(phi − row max) is formed once, in place.
     The nodes are sorted and every interval edge is a panel break, so an
     interval's nodes are one contiguous run and its share is the run's sum
-    over the row's total, with no difference of large logs.
+    over the row's total, with no difference of large logs. Given
+    ``weight``, the run of interval i is summed with the weights
+    weight(i, x) at its nodes x instead (a plain share is weight 1).
     """
     dens = _log_weight(pot, n, j_arr[:, None], x)
     top = dens.max(axis=1, keepdims=True)
@@ -521,7 +512,10 @@ def _interval_shares(
     shares = np.empty((len(j_arr), len(intervals)))
     for i, (lo, hi) in enumerate(intervals):
         a, b = np.searchsorted(x, (lo, hi))
-        shares[:, i] = dens[:, a:b].sum(axis=1) / total
+        run = dens[:, a:b]
+        if weight is not None:
+            run = run * weight(i, x[a:b])
+        shares[:, i] = run.sum(axis=1) / total
     return top[:, 0] + np.log(total), shares
 
 
@@ -532,6 +526,7 @@ _MAX_SUBDIVISIONS = 12
 def _converged_rows(make_rows, cfg: QuadratureConfig):
     """Run make_rows(splits) with panel splitting until stable to rel_tol."""
     prev = None
+    gap = math.inf
     splits = 1
     for _ in range(_MAX_SUBDIVISIONS):
         rows = make_rows(splits)
@@ -541,7 +536,11 @@ def _converged_rows(make_rows, cfg: QuadratureConfig):
             return rows
         prev = rows
         splits *= 2
-    raise QuadratureError("quadrature failed to converge; raise rel_tol")
+    raise QuadratureError(
+        f"quadrature failed to converge: the last refinement (to {splits // 2} "
+        f"splits per panel) moved the result by {gap:.3e}, above rel_tol "
+        f"{cfg.rel_tol:.3e}"
+    )
 
 
 def _tau(j: int, n: int) -> float:
@@ -587,18 +586,6 @@ def _s_key(s) -> Tuple[float, ...]:
     return tuple(float(v) for v in np.atleast_1d(np.asarray(s, dtype=float)))
 
 
-def _log_norm_rows(pot, n, j_arr, s, stats, cfg, grid) -> np.ndarray:
-    """log 2∫ per index j_arr[i] on the nodes grid(edges, splits), with
-    panel splitting until stable to cfg.rel_tol."""
-    edges = stats.edge_radii() if stats is not None else ()
-
-    def make(splits):
-        x, w = grid(edges, splits)
-        return _log_rows(_phi_matrix(pot, n, j_arr, x, s, stats), w)
-
-    return math.log(2.0) + _converged_rows(make, cfg)
-
-
 @per_potential_cache(maxsize=512)
 def _log_norm_rows_full(
     pot: RadialPotential,
@@ -608,25 +595,17 @@ def _log_norm_rows_full(
     stats: Optional[RegionSet],
     cfg: QuadratureConfig,
 ) -> Tuple[float, ...]:
+    """log 2∫ per index in j_key on the full grid, with panel splitting
+    until stable to cfg.rel_tol."""
     j_arr = np.asarray(j_key, dtype=float)
     s = np.asarray(s_key, dtype=float) if s_key else None
-    grid = functools.partial(_full_grid, pot, n)
-    return tuple(_log_norm_rows(pot, n, j_arr, s, stats, cfg, grid))
+    edges = stats.edge_radii() if stats is not None else ()
 
+    def make(splits):
+        x, w = _full_grid(pot, n, edges, splits)
+        return _log_rows(_phi_matrix(pot, n, j_arr, x, s, stats), w)
 
-def _log_norm_windowed(
-    pot: RadialPotential,
-    n: int,
-    j: int,
-    s,
-    stats: Optional[RegionSet],
-    cfg: QuadratureConfig,
-) -> float:
-    s_vec = np.asarray(_s_key(s), dtype=float) if s is not None else None
-    peaks_key = _windows_for_index(pot, n, j, cfg)
-    grid = functools.partial(_windowed_grid, pot, n, peaks_key)
-    j_arr = np.asarray([j], dtype=float)
-    return float(_log_norm_rows(pot, n, j_arr, s_vec, stats, cfg, grid)[0])
+    return tuple(math.log(2.0) + _converged_rows(make, cfg))
 
 
 def log_norm(
@@ -637,11 +616,12 @@ def log_norm(
     stats: Optional[RegionSet] = None,
     cfg: QuadratureConfig = QuadratureConfig(),
 ) -> float:
-    """log of 2 ∫_0^∞ r^(2j+1) e^(Σ_k s_k h_k(r)) e^(-n q(r)) dr.
+    """log of 2 ∫_0^∞ r^(2j+1) e^(Σ_k s_k h_k(r)) e^(-n q(r)) dr on the full
+    graded grid.
 
-    mode="full" integrates the whole range on the graded grid, "windowed"
-    only the significant-peak windows of the exponent, "both" computes the
-    two and raises QuadratureError if they disagree beyond 1e-8.
+    joint_mgf does not read it: log_norm(j, s) − log_norm(j, 0) is the log
+    of modulus j's MGF factor by a second route, the weighted-norm oracle
+    for hard and smooth statistics alike.
     """
     if not 0 <= j <= n - 1:
         raise ValueError("index j must satisfy 0 <= j <= n-1")
@@ -649,21 +629,7 @@ def log_norm(
         raise ValueError("s length must match the statistic count")
     if stats is None and s is not None and len(_s_key(s)) != 0:
         raise ValueError("s given without statistics")
-    s_key = _s_key(s)
-    if cfg.mode in ("full", "both"):
-        full_val = _log_norm_rows_full(pot, n, (int(j),), s_key, stats, cfg)[0]
-    if cfg.mode in ("windowed", "both"):
-        win_val = _log_norm_windowed(pot, n, int(j), s, stats, cfg)
-    if cfg.mode == "full":
-        return full_val
-    if cfg.mode == "windowed":
-        return win_val
-    if abs(win_val - full_val) > 1e-8 * max(1.0, abs(full_val)):
-        raise QuadratureError(
-            f"windowed and full quadrature disagree at j={j}: "
-            f"{win_val:.12f} vs {full_val:.12f}"
-        )
-    return full_val
+    return _log_norm_rows_full(pot, n, (int(j),), _s_key(s), stats, cfg)[0]
 
 
 # ------------------------------------------------------------------- the MGF
@@ -686,17 +652,17 @@ def joint_mgf(
     stats: RegionSet,
     cfg: QuadratureConfig = QuadratureConfig(),
 ) -> MgfResult:
-    """E[exp(Σ_k s_k N_k)] as a product over the indices j.
+    """E[exp(Σ_k s_k N_k)] as the product ∏_j (1 + Σ_k Ψ_jk) over the
+    indices j, with Ψ_jk = E[e^{s_k h_k(r_j)} − 1].
 
-    Hard regions give the Poisson-binomial product ∏_j (1 + Σ_k π_jk
-    (e^{s_k} − 1)) over the landing matrix π that exact_count_law uses;
-    like the count law, π comes from the full graded grid whatever
-    cfg.mode is, and only on the indices the localization keeps; the
-    others' certified log contribution B·M / (1 − B·M), with B the
-    localization bound and M = max_k |e^{s_k} − 1|, joins remainder_bound.
-    Smooth statistics give ∏_j exp(log_norm(j, s) − log_norm(j, 0)) by
-    weighted quadrature, on the grid cfg.mode selects ("both" checks the
-    windowed against the full grid); their remainder_bound is 0.
+    For hard regions Ψ_jk = π_jk (e^{s_k} − 1), the Poisson-binomial
+    factor over the landing matrix π that exact_count_law uses. For smooth
+    statistics Ψ_jk is the share of π's density on coordinate k's atom
+    weighted by e^{s_k h_k} − 1. Either way the product runs over the
+    indices the localization keeps. The atoms are disjoint and 0 ≤ h_k ≤ 1,
+    so a dropped index's factor is within M·P_j(some atom) of 1, with
+    M = max_k |e^{s_k} − 1|; those probabilities total at most the
+    localization bound B, and remainder_bound is B·M / (1 − B·M).
 
     Requires finite |s_k| ≤ log n.
     """
@@ -712,50 +678,13 @@ def joint_mgf(
 
     if stats.kind == "hard":
         lm = _landing_matrix(pot, n, stats, cfg)
-        log_value = float(np.log1p(lm.pi @ np.expm1(s_vec)).sum())
-        # a dropped index's factor is within M·Σ_k π_jk of 1, and those
-        # sums total at most the bound B: |Σ log| <= B·M / (1 − B·M)
-        spread = lm.bound * float(np.max(np.abs(np.expm1(s_vec))))
-        remainder = spread / (1.0 - spread)
+        psi_sum, bound = lm.pi @ np.expm1(s_vec), lm.bound
     else:
-        log_value = float(_smooth_log_factors(pot, n, s_vec, stats, cfg).sum())
-        remainder = 0.0
-    return MgfResult(math.exp(log_value), log_value, remainder)
-
-
-def _smooth_log_factors(
-    pot: RadialPotential,
-    n: int,
-    s_vec: np.ndarray,
-    stats: RegionSet,
-    cfg: QuadratureConfig,
-) -> np.ndarray:
-    """log_norm(j, s) − log_norm(j, 0) for every j, on cfg.mode's grid."""
-    all_j = tuple(range(n))
-    if cfg.mode in ("full", "both"):
-        base = np.asarray(_log_norm_rows_full(pot, n, all_j, (), None, cfg))
-        wtd = np.asarray(
-            _log_norm_rows_full(pot, n, all_j, tuple(s_vec), stats, cfg)
-        )
-    if cfg.mode in ("windowed", "both"):
-        base_w = np.asarray(
-            [_log_norm_windowed(pot, n, j, None, None, cfg) for j in range(n)]
-        )
-        wtd_w = np.asarray(
-            [_log_norm_windowed(pot, n, j, s_vec, stats, cfg) for j in range(n)]
-        )
-        if cfg.mode == "windowed":
-            base, wtd = base_w, wtd_w
-        else:
-            gap = max(
-                float(np.max(np.abs(base_w - base))),
-                float(np.max(np.abs(wtd_w - wtd))),
-            )
-            if gap > 1e-8 * max(1.0, float(np.max(np.abs(base)))):
-                raise QuadratureError(
-                    f"windowed and full quadrature disagree (gap {gap:.3e})"
-                )
-    return wtd - base
+        rows, bound = _localize(pot, n, stats)
+        psi_sum = _region_prob_matrix(pot, n, stats, cfg, rows, s_vec).sum(axis=1)
+    log_value = float(np.log1p(psi_sum).sum())
+    spread = bound * float(np.max(np.abs(np.expm1(s_vec))))
+    return MgfResult(math.exp(log_value), log_value, spread / (1.0 - spread))
 
 
 # -------------------------------------------------------------- count laws
@@ -774,22 +703,32 @@ def _region_prob_matrix(
     regions: RegionSet,
     cfg: QuadratureConfig,
     j_arr: np.ndarray,
+    s: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """pi[i, k] = P(modulus j_i lands in region k): the share of row i's
-    mass on the nodes of the interval entry k counts at index j_i.
+    mass on the nodes of the interval entry k counts at index j_i. Given
+    s, the share is weighted by e^{s_k h_k} − 1 on those nodes, which gives
+    Ψ[i, k] = E[e^{s_k h_k(r)} − 1] for modulus j_i.
 
-    Convergence is monitored on the probabilities themselves (linear scale)
+    Convergence is monitored on the shares themselves (linear scale)
     alongside the log norms, so regions carrying exponentially small mass
     do not stall the refinement with log-tail noise.
     """
+    n_rows = len(j_arr)
+    if n_rows == 0:
+        return np.zeros((0, regions.m))
     edges = regions.edge_radii()
     active = _active_intervals(regions, n)
     intervals = [(lo, hi) for _, lo, hi, _, _ in active]
-    n_rows = len(j_arr)
+    weight = None
+    if s is not None:
+        def weight(i, x):
+            k, _, _, a, _ = active[i]
+            return np.expm1(s[k] * regions.statistic(k, a, x))
 
     def make(splits):
         x, w = _full_grid(pot, n, edges, splits)
-        log_total, shares = _interval_shares(pot, n, j_arr, x, w, intervals)
+        log_total, shares = _interval_shares(pot, n, j_arr, x, w, intervals, weight)
         pi = np.zeros((n_rows, regions.m))
         for (k, _, _, a, b), share in zip(active, shares.T):
             on = (j_arr >= a) & (j_arr <= b)
@@ -798,7 +737,7 @@ def _region_prob_matrix(
 
     flat = _converged_rows(make, cfg)
     pi = flat[n_rows:].reshape(n_rows, regions.m)
-    return np.clip(pi, 0.0, 1.0)
+    return np.clip(pi, 0.0, 1.0) if s is None else pi
 
 
 @dataclass(frozen=True)
@@ -822,19 +761,20 @@ class LandingMatrix:
 
 
 def _active_intervals(regions: RegionSet, n: int):
-    """(k, lo, hi, a, b) per atomic interval (lo, hi) that entry k counts at
-    the indices a..b; a split entry's ``below`` is active on [0, m0 − 1] and
-    its ``above`` on [m0, n − 1]. Intervals with no active index are left
-    out."""
+    """(k, lo, hi, a, b) per atom (lo, hi) of entry k, counted at the
+    indices a..b; a split entry's ``below`` atom is active on [0, m0 − 1]
+    and its ``above`` atom on [m0, n − 1]. Atoms with no active index are
+    left out."""
     out = []
     for k, e in enumerate(regions.entries):
-        if isinstance(e, HardRegion):
-            out.append((k, e.lo, e.hi, 0, n - 1))
+        atoms = regions._atoms_of(e)
+        if len(atoms) == 1:
+            spans = [(0, n - 1)]
         else:
             m0 = min(max(e.m0, 0), n)
-            out.append((k, e.below.lo, e.below.hi, 0, m0 - 1))
-            out.append((k, e.above.lo, e.above.hi, m0, n - 1))
-    return [iv for iv in out if iv[3] <= iv[4]]
+            spans = [(0, m0 - 1), (m0, n - 1)]
+        out.extend((k, lo, hi, a, b) for (lo, hi), (a, b) in zip(atoms, spans) if a <= b)
+    return out
 
 
 class _TailSearch:
@@ -881,7 +821,9 @@ def _localize(pot: RadialPotential, n: int, regions: RegionSet) -> Tuple[np.ndar
     is skipped when lo = 0 or hi ≥ r_max). The products are monotone in j,
     so a batched search evaluating up to _SEARCH_ROWS candidate rows per
     side and pass, on π's own base grid, finds the ends. The kept indices
-    are the union of the [j_lo, j_hi], and B sums the products.
+    are the union of the [j_lo, j_hi], and B sums the products. Smooth
+    entries are localized on their atoms the same way; a shoulder's atom is
+    a half-line, like a split hard region's.
     """
     plan = [
         (
@@ -918,10 +860,7 @@ def _landing_matrix(
     """The read-only landing matrix on the kept indices (``_localize``),
     shared by exact_count_law and the hard-region joint_mgf."""
     rows, bound = _localize(pot, n, regions)
-    if rows.size:
-        pi = _region_prob_matrix(pot, n, regions, cfg, rows)
-    else:
-        pi = np.zeros((0, regions.m))
+    pi = _region_prob_matrix(pot, n, regions, cfg, rows)
     rows.flags.writeable = False
     pi.flags.writeable = False
     return LandingMatrix(rows, pi, bound)

@@ -1,12 +1,18 @@
-"""Shared fixtures: built potentials and their classifications.
+"""Shared fixtures: built potentials and their classifications, and the
+peak-windowed log norm that cross-checks the library's full-range one.
 
 Building and classifying the reference potentials costs a few seconds, so
 every test module shares one session-scoped copy.
 """
 
+import math
+
+import numpy as np
 import pytest
 
 import heinegas as hg
+from heinegas import engine
+from heinegas.engine import QuadratureConfig
 
 
 @pytest.fixture(scope="session")
@@ -52,3 +58,36 @@ def case2_bare_pot():
 @pytest.fixture(scope="session")
 def case2_bare_data(case2_bare_pot):
     return hg.droplet_data(case2_bare_pot)
+
+
+def _windowed_log_norm(pot, n, j, cfg=QuadratureConfig()):
+    """log 2∫ r^(2j+1) e^(-n q) dr over the significant-peak windows of
+    modulus j only: each window is graded around its peaks at h/32 and
+    filled to eighths, and panels are split until stable to cfg.rel_tol.
+    It shares the kernel and the peak windows with the library but none of
+    the full-range grid, so agreement checks the grading and the range."""
+    peaks = engine._windows_for_index(pot, n, j, cfg)
+    windows = engine._merge_windows(peaks, pot.r_max)
+    j_arr = np.asarray([j], dtype=float)
+
+    def make(splits):
+        los, his = [], []
+        for a, b in windows:
+            pts = {a, b}
+            for r0, h in peaks:
+                if a < r0 < b:
+                    pts.update(engine._graded_offsets(r0, h / 32.0, a, b))
+            breaks = engine._fill_edges(np.array(sorted(pts)), max((b - a) / 8.0, 1e-6))
+            los.append(breaks[:-1])
+            his.append(breaks[1:])
+        panels = engine._subdivide(np.concatenate(los), np.concatenate(his), splits)
+        x, w = engine._gl_panels(*panels, engine._GL32)
+        x, w = x.ravel(), w.ravel()
+        return engine._log_rows(engine._log_weight(pot, n, j_arr[:, None], x), w)
+
+    return float((math.log(2.0) + engine._converged_rows(make, cfg))[0])
+
+
+@pytest.fixture(scope="session")
+def windowed_log_norm():
+    return _windowed_log_norm

@@ -15,7 +15,6 @@ import pytest
 import heinegas as hg
 from heinegas import heine as hd
 from heinegas.engine import (
-    QuadratureConfig,
     exact_count_law,
     joint_mgf,
     log_norm,
@@ -132,7 +131,7 @@ def test_acceptance_3_moment_equivalence():
     assert elapsed < 5.0
 
 
-def test_acceptance_4_quadrature_oracle(ginibre_pot, case1_pot, case2_pot):
+def test_acceptance_4_quadrature_oracle(ginibre_pot, case1_pot, case2_pot, windowed_log_norm):
     t0 = time.monotonic()
     worst_gin = 0.0
     for n in (64, 256, 1024):
@@ -140,14 +139,12 @@ def test_acceptance_4_quadrature_oracle(ginibre_pot, case1_pot, case2_pot):
             val = log_norm(ginibre_pot, n, j)
             exact = math.lgamma(j + 1) - (j + 1) * math.log(n)
             worst_gin = max(worst_gin, abs(val - exact) / abs(exact))
-    cfg_full = QuadratureConfig(mode="full")
-    cfg_win = QuadratureConfig(mode="windowed")
     worst_modes = 0.0
     for pot in (case1_pot, case2_pot):
         for n in (128, 512):
             for j in range(n):
-                a = log_norm(pot, n, j, cfg=cfg_full)
-                b = log_norm(pot, n, j, cfg=cfg_win)
+                a = log_norm(pot, n, j)
+                b = windowed_log_norm(pot, n, j)
                 worst_modes = max(worst_modes, abs(a - b) / max(1.0, abs(a)))
     elapsed = time.monotonic() - t0
     ok = worst_gin <= 1e-10 and worst_modes <= 1e-8 and elapsed < 120.0

@@ -219,6 +219,18 @@ def test_unreadable_config_exits_2(tmp_path, capsys, command):
     assert "error: cannot read config" in err and "missing.json" in err
 
 
+@pytest.mark.parametrize("command", [["converge"], ["sample", "--n", "8"]])
+def test_config_quadrature_mode_exits_2(tmp_path, capsys, command):
+    # a run that asked for the windowed-vs-full cross-check must not be
+    # given less without a word
+    path = write_config(tmp_path, "c.json", dict(CASE1_CFG, n_schedule=[16], mode="both"))
+    rc = main(command + ["--config", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config key 'mode'" in err
+    assert not (tmp_path / "out").exists()
+
+
 # -------------------------------------------------------------------- sample
 
 
@@ -272,6 +284,7 @@ def test_sample_rejects_single_particle(tmp_path, capsys):
         (["validate-potential", "--config", "c.json"], ["--out", "results"]),
         (["validate-potential", "--config", "c.json"], ["--quad-mode", "full"]),
         (["sample", "--config", "c.json", "--n", "12"], ["--quad-mode", "both"]),
+        (["converge", "--config", "c.json"], ["--quad-mode", "full"]),
     ],
 )
 def test_subcommands_reject_flags_they_ignore(capsys, command, flag):

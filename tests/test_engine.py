@@ -52,26 +52,16 @@ def test_log_norm_rejects_bad_index(ginibre_pot):
         log_norm(ginibre_pot, 16, -1)
 
 
-def test_log_norm_windowed_matches_full(case1_pot, case2_pot):
-    cfg_full = QuadratureConfig(mode="full")
-    cfg_win = QuadratureConfig(mode="windowed")
+def test_log_norm_windowed_matches_full(case1_pot, case2_pot, windowed_log_norm):
     n = 128
     for pot in (case1_pot, case2_pot):
         for j in (0, 40, 63, 64, 100, 127):
-            a = log_norm(pot, n, j, cfg=cfg_full)
-            b = log_norm(pot, n, j, cfg=cfg_win)
+            a = log_norm(pot, n, j)
+            b = windowed_log_norm(pot, n, j)
             assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
 
 
-def test_log_norm_both_mode_cross_checks(case1_pot):
-    cfg = QuadratureConfig(mode="both")
-    val = log_norm(case1_pot, 64, 50, cfg=cfg)
-    assert val == pytest.approx(log_norm(case1_pot, 64, 50), rel=1e-12)
-
-
 def test_quadrature_config_validation():
-    with pytest.raises(ValueError, match="mode"):
-        QuadratureConfig(mode="fast")
     with pytest.raises(ValueError, match="tolerances"):
         QuadratureConfig(rel_tol=0.0)
     with pytest.raises(ValueError, match="window constant"):
@@ -101,6 +91,34 @@ def test_subdivide_matches_linspace_bitwise(panels, scalar_parts):
     ]
     assert got_lo.tobytes() == np.concatenate([g[:-1] for g in grids]).tobytes()
     assert got_hi.tobytes() == np.concatenate([g[1:] for g in grids]).tobytes()
+
+
+def test_full_grid_node_budget_names_its_size(ginibre_pot):
+    # the budget binds through the grid's span over n^(-1/2) panels, so the
+    # error names n and the node count, not the tolerance
+    n = 10**8
+    with pytest.raises(engine.QuadratureError) as err:
+        engine._full_grid(ginibre_pot, n, (), 1)
+    msg = str(err.value)
+    assert f"n={n}" in msg
+    assert "400,000" in msg
+    nodes = int(msg.split(": ")[1].split(" nodes")[0].replace(",", ""))
+    assert nodes >= 400_000
+    assert "rel_tol" not in msg
+
+
+def test_non_convergence_states_gap_and_tolerance(ginibre_pot, monkeypatch):
+    # two passes give one refinement gap; no positive gap meets rel_tol
+    # 1e-300, and at n = 64 the grid stays far inside the node budget
+    monkeypatch.setattr(engine, "_MAX_SUBDIVISIONS", 2)
+    regions = RegionSet.hard([HardRegion(0.9, 1.1)])
+    cfg = QuadratureConfig(rel_tol=1e-300)
+    with pytest.raises(engine.QuadratureError, match="failed to converge") as err:
+        exact_count_law(ginibre_pot, 64, regions, cfg=cfg)
+    msg = str(err.value)
+    assert "rel_tol 1.000e-300" in msg
+    gap = float(msg.split("moved the result by ")[1].split(",")[0])
+    assert 0.0 < gap < 1e-10
 
 
 # ------------------------------------------------------------------ regions
@@ -234,17 +252,22 @@ def test_region_probability_is_integral_ratio(ginibre_pot):
     assert pi[0] == pytest.approx(want, rel=1e-9)
 
 
+def _oracle_cuts(pot, pieces, extra):
+    """[1e-9, r_max] cut into ``pieces`` uniform pieces and at the bump
+    edges t ± w, the component edges and the radii ``extra``."""
+    data = hg.droplet_data(pot)
+    bumps = [t + s * w for t, w in zip(pot.params["t"], pot.params["w"]) for s in (-1, 1)]
+    edges = [*bumps, *(e for c in data.components for e in c), *extra]
+    lo, hi = 1e-9, pot.r_max
+    return sorted({*np.linspace(lo, hi, pieces + 1), *(e for e in edges if lo < e < hi)})
+
+
 def _oracle_landing_probabilities(pot, n, j, regions, pieces):
     """π_j by mpmath.quad at 30 digits of r^(2j+1) e^(-n q) on [1e-9, r_max],
-    cut into ``pieces`` uniform pieces and at the bump edges t ± w, the
-    component edges and the region edges."""
+    cut as ``_oracle_cuts`` does and at the region edges."""
     mpmath = pytest.importorskip("mpmath")
-    data = hg.droplet_data(pot)
     atoms = [regions.resolve(k, j) for k in range(regions.m)]
-    bumps = [t + s * w for t, w in zip(pot.params["t"], pot.params["w"]) for s in (-1, 1)]
-    edges = [*bumps, *(e for c in data.components for e in c), *(e for a in atoms for e in (a.lo, a.hi))]
-    lo, hi = 1e-9, pot.r_max
-    cuts = sorted({*np.linspace(lo, hi, pieces + 1), *(e for e in edges if lo < e < hi)})
+    cuts = _oracle_cuts(pot, pieces, [e for a in atoms for e in (a.lo, a.hi)])
     with mpmath.workdps(30):
         def density(r):
             return mpmath.exp((2 * j + 1) * mpmath.log(r) - n * mpmath.mpf(pot.q(float(r))))
@@ -564,11 +587,17 @@ def _quadrature_log_mgf(pot, n, s, stats, cfg):
     return float((np.asarray(wtd) - np.asarray(base)).sum())
 
 
-@pytest.mark.parametrize("case", ["case1", "case2"])
-def test_hard_joint_mgf_matches_quadrature_route(request, case):
+@pytest.mark.parametrize(
+    "case,smooth",
+    [("case1", False), ("case2", False), ("case1", True), ("case2", True)],
+    ids=["case1", "case2", "case1-smooth", "case2-smooth"],
+)
+def test_hard_joint_mgf_matches_quadrature_route(request, case, smooth):
+    # hard and smooth statistics share one MGF route, the landing kernel;
+    # the weighted log norms are its oracle for both
     n = 64
     pot = request.getfixturevalue(f"{case}_pot")
-    regions, _ = standard_regions(request.getfixturevalue(f"{case}_data"), n=n)
+    regions, _ = standard_regions(request.getfixturevalue(f"{case}_data"), n=n, smooth=smooth)
     cfg = QuadratureConfig()
     for s in itertools.product((-1.0, 0.0, 1.0), repeat=regions.m):
         want = _quadrature_log_mgf(pot, n, s, regions, cfg)
@@ -577,9 +606,83 @@ def test_hard_joint_mgf_matches_quadrature_route(request, case):
         assert res.remainder_bound == pytest.approx(0.0, abs=1e-12)
 
 
-def test_windowed_mgf_caches_peak_windows(monkeypatch):
-    # peak windows depend only on (potential, n, j, cfg): the base and the
-    # weighted rows of every s share one find_peaks per index
+def _mp_smoothstep(mpmath, u):
+    """η(u) / (η(u) + η(1 − u)) with η(u) = e^(−1/u) for u > 0, else 0."""
+    if u <= 0:
+        return mpmath.mpf(0)
+    if u >= 1:
+        return mpmath.mpf(1)
+    a, b = mpmath.exp(-1 / u), mpmath.exp(-1 / (1 - u))
+    return a / (a + b)
+
+
+def _oracle_tilted_share(pot, n, j, spec, sk, pieces):
+    """E[e^(s h(r)) − 1] for modulus j and one bump or shoulder ``spec`` by
+    mpmath.quad at 30 digits, with h written out from its definition.
+
+    h is C-infinity but not analytic at the ends of its roll bands, where
+    tanh-sinh converges slowly, so each band is cut into 64 pieces; the
+    rest is cut as ``_oracle_cuts`` does."""
+    mpmath = pytest.importorskip("mpmath")
+    if isinstance(spec, Shoulder):
+        bands = [(spec.lo, spec.hi)]
+        support = (0.0, spec.hi) if spec.keep_below else (spec.lo, math.inf)
+
+        def h(r):
+            up = _mp_smoothstep(mpmath, (r - spec.lo) / (spec.hi - spec.lo))
+            return 1 - up if spec.keep_below else up
+    else:
+        t, eps = spec.center, spec.half_width
+        bands = [(t - eps, t - eps / 2), (t + eps / 2, t + eps)]
+        support = (t - eps, t + eps)
+
+        def h(r):
+            rise = _mp_smoothstep(mpmath, (r - (t - eps)) / (eps / 2))
+            return rise * _mp_smoothstep(mpmath, ((t + eps) - r) / (eps / 2))
+
+    cuts = _oracle_cuts(pot, pieces, [c for a, b in bands for c in np.linspace(a, b, 65)])
+    pairs = list(zip(cuts[:-1], cuts[1:]))
+    with mpmath.workdps(30):
+        def density(r):
+            return mpmath.exp((2 * j + 1) * mpmath.log(r) - n * mpmath.mpf(pot.q(float(r))))
+
+        def tilted(r):
+            return density(r) * mpmath.expm1(sk * h(r))
+
+        total = mpmath.fsum(mpmath.quad(density, [a, b]) for a, b in pairs)
+        part = mpmath.fsum(
+            mpmath.quad(tilted, [a, b]) for a, b in pairs if support[0] <= a and b <= support[1]
+        )
+        return float(part / total)
+
+
+# one bump factor (case 1, the top index at the first outpost) and the
+# case-2 gap-edge shoulder on both sides of the index split m0 = 32
+@pytest.mark.parametrize(
+    "pot_name,j,k,sk,pieces",
+    [
+        ("case1_pot", 63, 0, 1.0, 800),
+        ("case2_pot", 31, 0, 1.0, 200),
+        ("case2_pot", 32, 0, -1.0, 200),
+    ],
+)
+def test_smooth_mgf_factor_matches_mpmath_oracle(request, pot_name, j, k, sk, pieces):
+    pot = request.getfixturevalue(pot_name)
+    n = 64
+    stats, _ = standard_regions(hg.droplet_data(pot), n=n, smooth=True)
+    s = np.zeros(stats.m)
+    s[k] = sk
+    want = _oracle_tilted_share(pot, n, j, stats.resolve(k, j), sk, pieces)
+    psi = engine._region_prob_matrix(pot, n, stats, QuadratureConfig(), np.array([j]), s)
+    assert np.count_nonzero(psi[0]) == 1
+    assert abs(want) > 0.05
+    # measured worst: 1.4e-13 (bump), 1.3e-14 (shoulder)
+    assert abs(psi[0, k] - want) <= 1e-10 * abs(want)
+
+
+def test_sampler_caches_peak_windows(monkeypatch):
+    # peak windows depend only on (potential, n, j, cfg): two samples of one
+    # potential share one find_peaks per index
     calls = []
     real = engine.find_peaks
 
@@ -588,21 +691,17 @@ def test_windowed_mgf_caches_peak_windows(monkeypatch):
         return real(*args, **kwargs)
 
     def fresh():
-        pot = hg.build_case1((1.5, 2.0), w=(0.2, 0.2))
-        return pot, standard_regions(hg.droplet_data(pot), n=64, smooth=True)[0]
+        return hg.build_case1((1.5, 2.0), w=(0.2, 0.2))
 
-    cfg = QuadratureConfig(mode="windowed")
-    s1, s2 = np.array([0.5, -0.5]), np.array([-1.0, 1.0])
-    pot, smooth = fresh()
+    n = 64
+    pot = fresh()
     monkeypatch.setattr(engine, "find_peaks", counting)
-    first = joint_mgf(pot, 64, s1, smooth, cfg)
-    second = joint_mgf(pot, 64, s2, smooth, cfg)
-    assert len(calls) <= 64
+    first = sample_moduli(pot, n, seed=1)
+    second = sample_moduli(pot, n, seed=2)
+    assert len(calls) <= n
     monkeypatch.setattr(engine, "find_peaks", real)
-    for s, got in ((s1, first), (s2, second)):
-        ref_pot, ref_smooth = fresh()
-        ref = joint_mgf(ref_pot, 64, s, ref_smooth, cfg)
-        assert (got.value, got.log_value) == (ref.value, ref.log_value)
+    for seed, got in ((1, first), (2, second)):
+        assert np.array_equal(sample_moduli(fresh(), n, seed=seed).radii, got.radii)
 
 
 def test_engine_caches_free_their_potential():
@@ -611,7 +710,7 @@ def test_engine_caches_free_their_potential():
     smooth = RegionSet.smooth([BumpSpec(1.0, 0.1)])
     exact_count_law(pot, 32, hard)
     joint_mgf(pot, 32, np.array([0.5]), hard)
-    joint_mgf(pot, 32, np.array([0.5]), smooth, QuadratureConfig(mode="both"))
+    joint_mgf(pot, 32, np.array([0.5]), smooth)
     ref = weakref.ref(pot)
     del pot
     gc.collect()
