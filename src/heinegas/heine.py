@@ -18,8 +18,9 @@ Conventions used throughout:
 - ``CountLaw.table`` is a dense float64 array over the box
   [0, cap_1] x ... x [0, cap_m]; its cells are pointwise *lower* bounds of
   the true pmf, and cells below ``_CELL_FLOOR`` are stored as 0. The
-  omitted mass (site truncation, per-coordinate cap overflow, dropped
-  subnormal cells) is accounted for in ``mass_deficit``, so that
+  omitted mass (per-coordinate cap overflow, the closing bounds of
+  infinite products, rounding, dropped subnormal cells) is accounted for
+  in ``mass_deficit``, so that
   sum(table) + mass_deficit == 1 up to one floating rounding.
   ``entries``, ``iter_entries`` and the JSON form are derived from the
   nonzero cells in lexicographic (C) order.
@@ -65,6 +66,13 @@ __all__ = [
 
 # cells below this are dropped into the deficit to avoid denormal pollution
 _CELL_FLOOR = 1e-300
+
+# the shift recursion runs in long double; the rounding bound of its cells
+# is stated in units of this type's roundoff (2^-64 on x86-64, where
+# long double is the 80-bit format; float64's 2^-53 where it is not)
+_LD = np.longdouble
+_U_LD = float(np.finfo(_LD).eps) / 2.0
+_U = 2.0**-53
 
 
 # ---------------------------------------------------------------- parameters
@@ -160,20 +168,32 @@ def _tail_bound(params: HeineParams, j_from: int) -> float:
     )
 
 
-def _log_zero_run(params: HeineParams, j_from: int) -> float:
-    """log prod_{j >= j_from} p_{j,0} = -sum log(1 + S_j), S_j = sum_k theta_k q_k^j."""
-    acc = 0.0
-    j = j_from
-    qs = np.asarray(params.qs)
-    th = np.asarray(params.thetas)
-    s = float((th * qs**j).sum()) if j >= 0 else math.inf
-    while s > 1e-20:
-        acc -= math.log1p(s)
-        j += 1
-        s = float((th * qs**j).sum())
-    # closing bound for the remaining sites
-    acc -= _tail_bound(params, j)
-    return acc
+def _log_zero_run(params: HeineParams) -> Tuple[np.longdouble, float]:
+    """log prod_{j >= 0} p_{j,0} = -log Z, Z = prod_j (1 + S_j), S_j = sum_k theta_k q_k^j,
+    and the closing bound it used.
+
+    Sites are summed while S_j > 1e-20; the rest are bounded by their
+    geometric tail (log1p(s) <= s), so the value is a lower bound of the
+    true one. The terms log1p(S_j) are formed in long double, split into
+    exact float pairs and summed by math.fsum; the result carries about
+    (m + 5) long-double roundings relative to log Z.
+    """
+    th = np.asarray(params.thetas, dtype=_LD)
+    qs = np.asarray(params.qs, dtype=_LD)
+    # S_j <= 1e-20 once every theta_k q_k^j <= 1e-20 / m; S_j decreases in j
+    floor = math.log(1e-20 / params.m)
+    last = max(
+        max(0, math.ceil((floor - math.log(t)) / math.log(q)))
+        for t, q in zip(params.thetas, params.qs)
+    )
+    s = (th * qs ** np.arange(last + 2, dtype=_LD)[:, None]).sum(axis=1)
+    sites = int(np.count_nonzero(s > 1e-20))
+    terms = np.log1p(s[:sites])
+    hi = terms.astype(float)
+    parts = list(chain(hi.tolist(), (terms - hi).astype(float).tolist()))
+    tail = _tail_bound(params, sites)
+    head = math.fsum(parts + [tail])
+    return -(_LD(head) + _LD(math.fsum(parts + [tail, -head]))), tail
 
 
 # ----------------------------------------------------------------- count law
@@ -225,7 +245,11 @@ class CountLaw:
 
     @property
     def total_mass(self) -> float:
-        return math.fsum(self.table.ravel().tolist())
+        # exact, and a block of cells at a time: a list of every cell would
+        # take four times the table
+        flat = self.table.ravel()
+        blocks = (flat[i : i + 65536].tolist() for i in range(0, flat.size, 65536))
+        return math.fsum(chain.from_iterable(blocks))
 
     def _support(self) -> Tuple[list, list]:
         """Count vectors and probabilities of the stored cells, in C order."""
@@ -420,8 +444,8 @@ def poisson_binomial_dp(
     return table, overflow
 
 
-def marginal_cap(success_probs: Sequence[float], tail_target: float) -> int:
-    """Smallest cap c with P(Bernoulli-sum > c) <= tail_target, by 1-D DP."""
+def _upper_tails(success_probs: Sequence[float]) -> np.ndarray:
+    """tails[c] = P(Bernoulli-sum > c) for c = 0..len, by 1-D DP."""
     p = np.asarray(success_probs, dtype=float)
     b = np.zeros(len(p) + 1)
     b[0] = 1.0
@@ -429,13 +453,12 @@ def marginal_cap(success_probs: Sequence[float], tail_target: float) -> int:
         nb = b * (1.0 - pj)
         nb[1:] += b[:-1] * pj
         b = nb
-    suffix = np.cumsum(b[::-1])[::-1]
-    # suffix[c+1] = P(X > c); find the first admissible cap
-    for c in range(len(b)):
-        above = suffix[c + 1] if c + 1 < len(b) else 0.0
-        if above <= tail_target:
-            return c
-    return len(p)
+    return np.append(np.cumsum(b[::-1])[::-1][1:], 0.0)
+
+
+def marginal_cap(success_probs: Sequence[float], tail_target: float) -> int:
+    """Smallest cap c with P(Bernoulli-sum > c) <= tail_target, by 1-D DP."""
+    return int(np.argmax(_upper_tails(success_probs) <= tail_target))
 
 
 def dp_count_law(
@@ -474,26 +497,136 @@ def dp_count_law(
 # ------------------------------------------------------------------ pmf table
 
 
+def _shift_recursion(
+    params: HeineParams, caps: Sequence[int]
+) -> Tuple[np.ndarray, float, float]:
+    """Heine pmf on the box [0, caps] from the shift recursion, as lower bounds.
+
+    With U(a) = theta^a T(a), the recursion
+
+        U(a) (1 - w(a)) = sum_k theta_k (w(a) / q_k) U(a - e_k),  w(a) = prod_k q_k^{a_k},
+
+    fills the box level by level in |a| from U(0) = 1, and P(a) = U(a) / Z.
+    Each level is carried in long double, scaled by a power of two to its
+    maximum; the exponents add up exactly, and the one inexact scale is
+    log Z from ``_log_zero_run``. Every cell is then moved down by the
+    level's first-order rounding bound and rounded down to float64, so it
+    is a lower bound of P(a).
+
+    Returns (cells, rounding, z_tail): the float64 table, a bound on the
+    mass the rounding took off the cells, and the closing bound of Z's
+    site product.
+    """
+    m = params.m
+    shape = tuple(int(c) + 1 for c in caps)
+    strides = [math.prod(shape[k + 1 :]) for k in range(m)]
+    # levels as a small unsigned array: an index array of m x cells is not
+    # made; the digits of each level's cells come from their flat indices
+    level = np.zeros(shape, dtype=np.min_scalar_type(sum(shape) - m))
+    for k, s in enumerate(shape):
+        level += np.arange(s, dtype=level.dtype).reshape((-1,) + (1,) * (m - 1 - k))
+    level = level.ravel()
+    qpow = [np.power(_LD(q), np.arange(s, dtype=_LD)) for q, s in zip(params.qs, shape)]
+    lnq = [np.arange(s, dtype=_LD) * np.log(_LD(q)) for q, s in zip(params.qs, shape)]
+    coeff = [_LD(t) / _LD(q) for t, q in zip(params.thetas, params.qs)]
+    log_p0, z_tail = _log_zero_run(params)
+    log_z, ln2 = -float(log_p0), np.log(_LD(2))
+    # first-order relative rounding in long-double units: (5m + 6) per level
+    # (w, 1 - w, their ratio, the m products and their sum); (m + 5) log Z,
+    # 3 |E ln 2|, the exponent's sum and 5 for exp, the shift and the
+    # products. The factor 2 covers second-order terms.
+    step = (5 * m + 6) * _U_LD
+
+    out = np.zeros(level.size)
+    # position of each cell within its level, to find a cell's sources
+    # among the previous level's values
+    pos = np.zeros(level.size, dtype=np.min_scalar_type(level.size))
+    idx, cur, exponent, rounding = np.zeros(1, dtype=np.intp), np.ones(1, dtype=_LD), 0, 0.0
+    for lvl in range(int(level[-1]) + 1):
+        if lvl:
+            prev = cur
+            idx = np.flatnonzero(level == lvl)
+            pos[idx] = np.arange(idx.size, dtype=pos.dtype)
+            digits, rem = [], idx
+            for stride in strides:
+                d, rem = np.divmod(rem, stride)
+                digits.append(d)
+            w, x = qpow[0][digits[0]], lnq[0][digits[0]]
+            for k in range(1, m):
+                w = w * qpow[k][digits[k]]
+                x = x + lnq[k][digits[k]]
+            cur = np.zeros(idx.size, dtype=_LD)
+            for k in range(m):
+                has = digits[k] > 0
+                cur[has] += coeff[k] * prev[pos[idx[has] - strides[k]]]
+            cur *= w / -np.expm1(x)
+            _, e = np.frexp(cur.max())
+            cur *= _LD(2.0) ** -int(e)
+            exponent += int(e)
+        scale = exponent * ln2 + log_p0
+        bound = 2.0 * _U_LD * (
+            (m + 5) * log_z + 3.0 * abs(exponent) * math.log(2.0) + abs(float(scale)) + 5.0
+        ) + 2.0 * lvl * step
+        cells = _lower(cur, scale, bound)
+        out[idx] = cells
+        rounding += (2.0 * _U + 2.0 * bound) * float(cells.sum())
+    return out.reshape(shape), rounding, z_tail
+
+
+def _lower(mantissa, scale, bound: float) -> np.ndarray:
+    """float64 lower bounds of mantissa * exp(scale) known to relative ``bound``:
+    the long-double product is moved down by the bound, then rounded down."""
+    v = mantissa * (np.exp(scale) * (1 - _LD(bound)))
+    y = np.asarray(v, dtype=float)
+    return np.where(y > v, np.nextafter(y, 0.0), y)
+
+
 def pmf_table(
     params: HeineParams,
     tail_tol: float = 1e-12,
     max_entries: int = 4_000_000,
     caps: Optional[Sequence[int]] = None,
 ) -> CountLaw:
-    """Joint pmf by dynamic programming over sites, with certified deficit.
+    """Joint pmf on a capped box from the shift recursion, with certified deficit.
 
-    Sites 0..J_max are folded in exactly; the remaining sites contribute the
-    factor prod_{j>J_max} p_{j,0} applied to every entry, so entries are
-    pointwise lower bounds and mass_deficit <= tail_tol. Raises ValueError
-    when the capped table would exceed ``max_entries`` cells.
+    Unless ``caps`` are given, coordinate k is capped at its marginal
+    quantile with tail 0.45 tail_tol / m, read off the sites 0..J past
+    which a success has probability at most 0.45 tail_tol (that share
+    stays in the cap overflow bound). The cells come from
+    ``_shift_recursion`` and are pointwise lower bounds, so the deficit
+    1 - sum(table) bounds
+    everything omitted: the mass beyond the caps, the closing bound of Z's
+    site product and the rounding taken off the cells. Raises ValueError
+    when the capped table would exceed ``max_entries`` cells, or when the
+    deficit exceeds ``tail_tol``; the message gives the three parts.
     """
     if not 0.0 < tail_tol < 1.0:
         raise ValueError("tail_tol must lie in (0, 1)")
-    # split the budget: 45% site truncation, 45% cap overflow, rest fp margin
     j_max = truncation_site_count(params, 0.45 * tail_tol)
     rows = _site_success_matrix(params, j_max + 1)
-    c_tail = math.exp(_log_zero_run(params, j_max + 1))
-    return dp_count_law(rows, tail_tol, caps, scale=c_tail, max_cells=max_entries)
+    if caps is None:
+        per = 0.45 * tail_tol / params.m
+        caps = tuple(marginal_cap(rows[:, k], per) for k in range(params.m))
+    else:
+        caps = tuple(int(c) for c in caps)
+    cells = math.prod(c + 1 for c in caps)
+    if cells > max_entries:
+        raise ValueError(
+            f"table would hold {cells} cells (budget {max_entries}); "
+            "raise tail_tol or pass smaller caps"
+        )
+    table, rounding, z_tail = _shift_recursion(params, caps)
+    law = CountLaw(table=table)
+    if law.mass_deficit > tail_tol:
+        overflow = _tail_bound(params, j_max + 1) + math.fsum(
+            float(_upper_tails(rows[:, k])[min(c, j_max + 1)]) for k, c in enumerate(caps)
+        )
+        raise ValueError(
+            f"pmf table deficit {law.mass_deficit:.3e} exceeds tail_tol {tail_tol:.3e}: "
+            f"cap overflow <= {overflow:.3e}, Z tail bound {z_tail:.3e}, "
+            f"rounding <= {rounding:.3e}"
+        )
+    return law
 
 
 # ------------------------------------------------------------------ pmf point
@@ -504,17 +637,11 @@ def pmf_point(
     alpha: Sequence[int],
     term_budget: int = 500_000,
 ) -> float:
-    """Point mass P(X = alpha) from the defining sum over disjoint site sets.
+    """Point mass P(X = alpha), a lower bound, read off the shift recursion.
 
-    The numerator sum over all families of disjoint site sets with
-    |J_k| = alpha_k is evaluated exactly by the shift recursion
-
-        T(a) (1 - prod_k q_k^{a_k}) = sum_k (prod_k q_k^{a_k})/q_k T(a - e_k),
-
-    with T(0) = 1, over the lattice below alpha. Only the normalizing
-    product over sites is truncated: its sites are summed until their
-    weight falls below 1e-20 and the rest are bounded by a geometric tail.
-    Raises ValueError when prod(alpha_k + 1) exceeds ``term_budget``.
+    ``_shift_recursion`` fills the lattice below alpha (the cells it needs)
+    and the cell at alpha is returned. Raises ValueError when
+    prod(alpha_k + 1) exceeds ``term_budget``.
     """
     a = tuple(int(v) for v in alpha)
     if len(a) != params.m or any(v < 0 for v in a):
@@ -525,30 +652,7 @@ def pmf_point(
             f"enumeration lattice holds {cells} nodes (budget {term_budget}); "
             "fall back to pmf_table"
         )
-    log_z = -_log_zero_run(params, 0)
-
-    lnq = np.log(np.asarray(params.qs))
-    shape = tuple(v + 1 for v in a)
-    t_tab = np.zeros(shape)
-    t_tab[(0,) * params.m] = 1.0
-    for idx in np.ndindex(*shape):
-        if all(v == 0 for v in idx):
-            continue
-        lw = float(np.asarray(idx) @ lnq)
-        w = math.exp(lw)
-        denom = -math.expm1(lw)  # 1 - prod q^idx, accurately
-        acc = 0.0
-        for k, v in enumerate(idx):
-            if v == 0:
-                continue
-            prev = idx[:k] + (v - 1,) + idx[k + 1 :]
-            acc += (w / params.qs[k]) * float(t_tab[prev])
-        t_tab[idx] = acc / denom
-    log_theta = math.fsum(v * math.log(t) for v, t in zip(a, params.thetas))
-    t_val = float(t_tab[a])
-    if t_val <= 0.0:
-        return 0.0
-    return math.exp(log_theta + math.log(t_val) - log_z)
+    return float(_shift_recursion(params, a)[0][a])
 
 
 # ------------------------------------------------------------------------ mgf
@@ -641,9 +745,10 @@ def sample(
 ) -> HeineSample:
     """Draw ``count`` independent count vectors.
 
-    Sites beyond the pmf_table truncation J_max are frozen at category 0,
-    which couples the sampler to the tabulated law within tail_tol total
-    variation (the bound is recorded in the result). Randomness comes from
+    Sites beyond J_max, past which a success has probability at most
+    tail_tol / 2, are frozen at category 0, which couples the sampler to
+    the law within that total variation (the bound is recorded in the
+    result). Randomness comes from
     one substream per site, SeedSequence(seed, spawn_key=(j,)), so output is
     bitwise reproducible for a fixed seed regardless of batching.
     """

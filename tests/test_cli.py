@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -53,6 +56,28 @@ def test_heine_rejects_bad_q(capsys):
     assert rc == 2
     assert "error:" in err
     assert "q" in err
+
+
+def test_heine_pmf_past_tail_tol_exits_2(capsys):
+    rc = main(["heine", "--theta", "3", "3", "--q", "0.9", "0.9", "--pmf", "--tol", "1e-17"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: pmf table deficit")
+    assert "cap overflow" in err and "Z tail bound" in err and "rounding" in err
+    assert "Traceback" not in err
+
+
+def test_module_entry_point_runs_the_cli():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    argv = [sys.executable, "-m", "heinegas", "heine", "--theta", "1", "--q", "0.5"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("heine law: m=1")
+    bad = subprocess.run(argv[:-1] + ["1.5"], env=env, capture_output=True, text=True, timeout=120)
+    assert bad.returncode == 2
+    assert bad.stderr.startswith("error:")
 
 
 def test_heine_sampling_deterministic(capsys):

@@ -104,9 +104,17 @@ def test_mgf_matches_table_sum(thetas, qs):
             math.exp(sum(si * ai for si, ai in zip(s, alpha))) * p
             for alpha, p in law.iter_entries()
         )
-        # the clipped tail can carry at most deficit * e^{sum s+}
-        slack = law.mass_deficit * math.exp(sum(max(si, 0.0) for si in s) * max(law.cap))
-        assert hg.mgf(params, s) == pytest.approx(direct, abs=1e-8 + slack)
+        full = hg.mgf(params, s)
+        # the cells are lower bounds, so the table misses the MGF only on
+        # the deficit measure; Hoelder bounds that by mgf(r s)^(1/r)
+        # deficit^(1 - 1/r) for every r > 1
+        tail = min(
+            hg.mgf(params, [r * si for si in s]) ** (1.0 / r)
+            * law.mass_deficit ** (1.0 - 1.0 / r)
+            for r in (2, 4, 8, 16)
+        )
+        assert direct <= full + 1e-12
+        assert full - direct <= tail + 1e-8
 
 
 def test_mgf_telescoping_oracle():
@@ -547,3 +555,139 @@ def test_random_params_basic_laws(m, data):
         assert hg.pmf_point(params, alpha) == pytest.approx(
             law.pmf(alpha), abs=1e-10
         )
+
+
+# ------------------------------------------------------- the shift recursion
+
+
+def site_dp_law(thetas, qs, caps, tail_tol=1e-12):
+    """The Heine pmf by folding site rows over the box: sites 0..J exactly,
+    the rest only through the factor P(they stay empty). Its cells are
+    lower bounds of the pmf that miss at most P(a site beyond J succeeds);
+    it shares no code with the shift recursion. Returns (table, the site
+    truncation bound, sites folded)."""
+    params = hg.validate_params(thetas, qs)
+    sites = truncation_site_count(params, 0.45 * tail_tol) + 1
+    th, q = np.asarray(thetas), np.asarray(qs)
+    x = th * q ** np.arange(sites)[:, None]
+    table, _ = poisson_binomial_dp(x / (1.0 + x.sum(axis=1, keepdims=True)), caps)
+    log_rest, j = 0.0, sites
+    while (s := float((th * q**j).sum())) > 1e-25:
+        log_rest -= math.log1p(s)
+        j += 1
+    truncation = math.fsum(t * v**sites / (1.0 - v) for t, v in zip(thetas, qs))
+    return table * math.exp(log_rest), truncation, sites
+
+
+@pytest.mark.parametrize("thetas,qs", GRID_2D + [((3.0,) * 4, (0.9,) * 4)])
+def test_pmf_table_bounded_below_by_site_dp(thetas, qs):
+    law = hg.pmf_table(hg.validate_params(thetas, qs))
+    dp, truncation, sites = site_dp_law(thetas, qs, law.cap)
+    # the DP's own first-order rounding: m + 3 roundings per folded site
+    # (p0, the m products, the sum) and the recursion's two ulps
+    rounding = ((len(thetas) + 3) * sites + 4) * 2.0**-53
+    stored = dp >= 1e-300
+    assert np.all(law.table[stored] >= dp[stored] * (1.0 - rounding))
+    gap = math.fsum((law.table - dp).ravel().tolist())
+    assert gap <= truncation + rounding
+
+
+def mpmath_heine_table(thetas, qs, caps):
+    """P(X = a) on the box at 40 digits: the shift recursion written out
+    cell by cell, over Z from its site product."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        th = [mpmath.mpf(t) for t in thetas]
+        q = [mpmath.mpf(v) for v in qs]
+        u = {}
+        for a in np.ndindex(*(c + 1 for c in caps)):
+            w = mpmath.fprod(v**ak for v, ak in zip(q, a))
+            terms = [
+                t * w / v * u[a[:k] + (ak - 1,) + a[k + 1 :]]
+                for k, (t, v, ak) in enumerate(zip(th, q, a))
+                if ak
+            ]
+            u[a] = mpmath.fsum(terms) / (1 - w) if terms else mpmath.mpf(1)
+        log_z, j = mpmath.mpf(0), 0
+        while (s := mpmath.fsum(t * v**j for t, v in zip(th, q))) > mpmath.mpf(10) ** -45:
+            log_z += mpmath.log1p(s)
+            j += 1
+        table = np.zeros(tuple(c + 1 for c in caps))
+        for a, v in u.items():
+            table[a] = float(v * mpmath.exp(-log_z))
+    return table
+
+
+@pytest.mark.parametrize(
+    "thetas,qs", GRID_2D[:2] + [((0.5, 2.0, 1.0), (0.3, 0.8, 0.5)), ((1e6,), (0.5,))]
+)
+def test_pmf_table_cells_are_lower_bounds(thetas, qs):
+    law = hg.pmf_table(hg.validate_params(thetas, qs))
+    exact = mpmath_heine_table(thetas, qs, law.cap)
+    stored = law.table > 0.0
+    assert np.all(law.table <= exact)
+    # two ulps for the rounding down, and the long-double bound on log Z
+    assert np.all(law.table[stored] >= exact[stored] * (1.0 - 4 * 2.0**-53))
+
+
+@pytest.mark.parametrize("thetas,qs", GRID_1D + [((1e6,), (0.5,))])
+def test_pmf_table_one_dim_matches_closed_form(thetas, qs):
+    law = hg.pmf_table(hg.validate_params(thetas, qs))
+    for a in range(law.cap[0] + 1):
+        closed = heine_pmf_1d(thetas[0], qs[0], a)
+        assert law.pmf((a,)) == pytest.approx(closed, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize(
+    "thetas,qs", [((50.0, 50.0), (0.99, 0.99)), ((200.0,) * 3, (0.9,) * 3)]
+)
+def test_pmf_table_large_parameters(thetas, qs):
+    params = hg.validate_params(thetas, qs)
+    law = hg.pmf_table(params)
+    assert np.all(np.isfinite(law.table))
+    assert law.total_mass <= 1.0
+    assert 0.0 < law.mass_deficit <= 1e-12
+    gap = np.abs(law.mean() - hg.mean_vector(params))
+    assert np.all(gap <= law.mass_deficit * max(law.cap))
+
+
+@pytest.mark.parametrize(
+    "thetas,qs", [((50.0, 50.0), (0.99, 0.99)), ((1e300,), (0.5,))]
+)
+def test_log_zero_run_matches_mpmath(thetas, qs):
+    mpmath = pytest.importorskip("mpmath")
+    params = hg.validate_params(thetas, qs)
+    with mpmath.workdps(30):
+        th = [mpmath.mpf(t) for t in thetas]
+        q = [mpmath.mpf(v) for v in qs]
+        exact, j = mpmath.mpf(0), 0
+        while (s := mpmath.fsum(t * v**j for t, v in zip(th, q))) > mpmath.mpf(10) ** -40:
+            exact += mpmath.log1p(s)
+            j += 1
+        log_p0, tail = hg.heine._log_zero_run(params)
+        err = float(-mpmath.mpf(str(log_p0)) - exact)
+        # an upper bound of log Z up to (m + 5) long-double roundings of log Z
+        rounding = 2 * (params.m + 5) * hg.heine._U_LD * float(exact)
+        assert -rounding <= err <= tail + rounding
+
+
+def test_pmf_table_raises_past_tail_tol():
+    params = hg.validate_params((0.5, 2.0), (0.3, 0.8))
+    with pytest.raises(ValueError, match=r"exceeds tail_tol.*cap overflow <= 8\.\d+e-01"):
+        hg.pmf_table(params, caps=(2, 3))
+    with pytest.raises(ValueError, match=r"Z tail bound .*rounding <= \d"):
+        hg.pmf_table(params, tail_tol=1e-17)
+
+
+def test_pmf_table_memory():
+    # the recursion keeps one level of long doubles and a position per
+    # cell besides the table; an m x cells index array would pass 4x alone
+    params = hg.validate_params((3.0,) * 4, (0.9,) * 4)
+    tracemalloc.start()
+    try:
+        law = hg.pmf_table(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert law.cap == (27, 27, 27, 27)
+    assert peak <= 4 * law.table.nbytes
