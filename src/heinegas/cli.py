@@ -47,6 +47,7 @@ from .potentials import (
     BuildValidationError,
     ClassificationError,
     GridResolutionError,
+    RootFindingError,
     build_case1,
     build_case2,
     droplet_data,
@@ -58,6 +59,7 @@ _USER_ERRORS = (ValueError, BuildValidationError, ClassificationError, KeyError)
 _ENGINE_ERRORS = (
     QuadratureError,
     GridResolutionError,
+    RootFindingError,
     FloatingPointError,
     OverflowError,
     ZeroDivisionError,

@@ -67,7 +67,7 @@ from .potentials import (
     Shoulder,
     bump,
     droplet_data,
-    find_peaks,
+    find_peaks_batch,
     laplacian,
     per_potential_cache,
     shoulder,
@@ -543,41 +543,53 @@ def _converged_rows(make_rows, cfg: QuadratureConfig):
     )
 
 
-def _tau(j: int, n: int) -> float:
-    return (j + 0.5) / n
+@per_potential_cache(maxsize=16)
+def _peak_window_table(
+    pot: RadialPotential, n: int, cfg: QuadratureConfig
+) -> Tuple[Tuple[Tuple[float, float], ...], ...]:
+    """Peak windows (r0, h) of every index j < n, from one batched peak
+    scan over the tilts τ_j = (j + 1/2)/n; an index without a significant
+    peak gets no windows."""
+    taus = (np.arange(n) + 0.5) / n
+    interval = (1e-6, pot.r_max)
+    analyses = list(find_peaks_batch(pot, taus, interval, n, cfg.window_constant))
+    # a tilt grazing the minimum of r q'(r) on a window roll band puts two
+    # crossings closer than the scan grid; rescan those indices finer
+    # before giving up
+    ppu = 4096
+    todo = [j for j, pa in enumerate(analyses) if pa is None]
+    while todo:
+        if ppu >= 262144:
+            raise GridResolutionError(
+                f"grid too coarse at {ppu} points per unit: adjacent sign "
+                f"changes unresolved (at index j={todo[0]})"
+            )
+        ppu *= 2
+        rescan = find_peaks_batch(
+            pot, taus[todo], interval, n, cfg.window_constant, points_per_unit=ppu
+        )
+        for j, pa in zip(todo, rescan):
+            analyses[j] = pa
+        todo = [j for j in todo if analyses[j] is None]
+    eps_n = math.sqrt(cfg.window_constant * math.log(n) / n)
+
+    def windows(pa):
+        # g_tau'' = 4 ΔQ at a stationary point
+        return tuple(
+            (p.r, max(eps_n, 8.0 / math.sqrt(n * (p.curvature / 4.0))))
+            for p in pa.significant_peaks
+        )
+
+    return tuple(windows(pa) for pa in analyses)
 
 
-@per_potential_cache(maxsize=8192)
 def _windows_for_index(
     pot: RadialPotential, n: int, j: int, cfg: QuadratureConfig
 ) -> Tuple[Tuple[float, float], ...]:
-    # a tilt grazing the minimum of r q'(r) on a window roll band puts two
-    # crossings closer than the scan grid; rescan finer before giving up
-    ppu = 4096
-    while True:
-        try:
-            pa = find_peaks(
-                pot,
-                _tau(j, n),
-                (1e-6, pot.r_max),
-                n,
-                cfg.window_constant,
-                points_per_unit=ppu,
-            )
-            break
-        except GridResolutionError as exc:
-            if ppu >= 262144:
-                raise GridResolutionError(f"{exc} (at index j={j})") from exc
-            ppu *= 2
-    sig = pa.significant_peaks
-    if not sig:
+    windows = _peak_window_table(pot, n, cfg)[j]
+    if not windows:
         raise QuadratureError(f"no peak found for index j={j}")
-    eps_n = math.sqrt(cfg.window_constant * math.log(n) / n)
-    out = []
-    for p in sig:
-        lap = p.curvature / 4.0  # g_tau'' = 4 ΔQ at a stationary point
-        out.append((p.r, max(eps_n, 8.0 / math.sqrt(n * lap))))
-    return tuple(out)
+    return windows
 
 
 def _s_key(s) -> Tuple[float, ...]:

@@ -129,13 +129,26 @@ def site_probabilities(params: HeineParams, j: int) -> SiteDistribution:
     return SiteDistribution(j, probs)
 
 
+def _log_site_weights(params: HeineParams, j) -> np.ndarray:
+    """log(theta_k q_k^j) for site indices j, along a new last axis.
+
+    Formed in logs: with theta_k near the float64 maximum, q_k^j underflows
+    to 0 while theta_k q_k^j is still far above the smallest float."""
+    j = np.asarray(j, dtype=float)[..., None]
+    return np.log(params.thetas) + j * np.log(params.qs)
+
+
 def _site_success_matrix(params: HeineParams, n_sites: int) -> np.ndarray:
-    """Rows j = 0..n_sites-1 of conditional success probabilities (p_{j,1..m})."""
+    """Rows j = 0..n_sites-1 of conditional success probabilities (p_{j,1..m}).
+
+    Each row is scaled by its largest weight (or 1) before the weights are
+    summed, so rows whose weights sum past the float64 maximum stay finite."""
     if n_sites <= 0:
         return np.zeros((0, params.m))
-    j = np.arange(n_sites)[:, None]
-    x = np.asarray(params.thetas) * np.asarray(params.qs) ** j
-    return x / (1.0 + x.sum(axis=1, keepdims=True))
+    lx = _log_site_weights(params, np.arange(n_sites))
+    top = np.maximum(lx.max(axis=1, keepdims=True), 0.0)
+    x = np.exp(lx - top)
+    return x / (np.exp(-top) + x.sum(axis=1, keepdims=True))
 
 
 def truncation_site_count(params: HeineParams, tail_tol: float) -> int:
@@ -143,19 +156,18 @@ def truncation_site_count(params: HeineParams, tail_tol: float) -> int:
 
     This bounds P(Y_j != 0 for some j > J). Returns -1 when even the empty
     site range satisfies the bound. The budget is split evenly over
-    coordinates, which can overshoot by at most a factor m.
+    coordinates, which can overshoot by at most a factor m. The bound is
+    compared in logs, so theta near the float64 maximum is counted right.
     """
     if not 0.0 < tail_tol < 1.0:
         raise ValueError("tail_tol must lie in (0, 1)")
-    per = tail_tol / params.m
+    log_per = math.log(tail_tol / params.m)
     best = -1
     for t, q in zip(params.thetas, params.qs):
-        e = 0
-        # q^e <= per (1-q)/theta, solved in logs then tightened
-        rhs = per * (1.0 - q) / t
-        if rhs < 1.0:
-            e = max(0, math.ceil(math.log(rhs) / math.log(q)))
-        while t * q**e / (1.0 - q) > per:
+        # log of theta q^e / (1 - q) <= log per, solved for e then tightened
+        log_head = math.log(t) - math.log1p(-q)
+        e = max(0, math.ceil((log_per - log_head) / math.log(q)))
+        while log_head + e * math.log(q) > log_per:
             e += 1
         best = max(best, e - 1)
     return best
@@ -163,9 +175,8 @@ def truncation_site_count(params: HeineParams, tail_tol: float) -> int:
 
 def _tail_bound(params: HeineParams, j_from: int) -> float:
     """Upper bound on sum_{j >= j_from} sum_k theta_k q_k^j."""
-    return math.fsum(
-        t * q**j_from / (1.0 - q) for t, q in zip(params.thetas, params.qs)
-    )
+    terms = np.exp(_log_site_weights(params, j_from)) / (1.0 - np.asarray(params.qs))
+    return math.fsum(terms.tolist())
 
 
 def _log_zero_run(params: HeineParams) -> Tuple[np.longdouble, float]:
@@ -444,21 +455,45 @@ def poisson_binomial_dp(
     return table, overflow
 
 
-def _upper_tails(success_probs: Sequence[float]) -> np.ndarray:
-    """tails[c] = P(Bernoulli-sum > c) for c = 0..len, by 1-D DP."""
-    p = np.asarray(success_probs, dtype=float)
-    b = np.zeros(len(p) + 1)
+def _capped_tail_dp(success_probs: np.ndarray, top: int) -> Tuple[np.ndarray, float]:
+    """(b, over) for S a sum of independent Bernoulli(p_j): b[c] = P(S = c)
+    for c = 0..top and over = P(S > top), by a 1-D DP clipped at top.
+
+    The mass that leaves the top is carried in ``over``, which is exact
+    because counts never decrease; the cost is sites x (top + 1)."""
+    b = np.zeros(top + 1)
     b[0] = 1.0
-    for pj in p:
+    over = 0.0
+    for pj in success_probs.tolist():
+        over += float(b[-1]) * pj
         nb = b * (1.0 - pj)
         nb[1:] += b[:-1] * pj
         b = nb
-    return np.append(np.cumsum(b[::-1])[::-1][1:], 0.0)
+    return b, over
 
 
 def marginal_cap(success_probs: Sequence[float], tail_target: float) -> int:
-    """Smallest cap c with P(Bernoulli-sum > c) <= tail_target, by 1-D DP."""
-    return int(np.argmax(_upper_tails(success_probs) <= tail_target))
+    """Smallest cap c with P(Bernoulli-sum > c) <= tail_target, by 1-D DP.
+
+    The DP is clipped at a top past which Bernstein's inequality leaves at
+    most tail_target (the top doubles in case rounding leaves more), so it
+    costs sites x top instead of sites^2.
+    """
+    p = np.asarray(success_probs, dtype=float)
+    top = p.size
+    if 0.0 < tail_target < 1.0:
+        # P(S - mu >= d) <= exp(-d^2 / (2 (var + d / 3))) = tail_target
+        log_inv = -math.log(tail_target)
+        var = float((p * (1.0 - p)).sum())
+        dev = log_inv / 3.0 + math.sqrt((log_inv / 3.0) ** 2 + 2.0 * var * log_inv)
+        top = min(p.size, math.ceil(float(p.sum()) + dev))
+    b, over = _capped_tail_dp(p, top)
+    while over > tail_target and top < p.size:
+        top = min(p.size, 2 * top)
+        b, over = _capped_tail_dp(p, top)
+    # tails[c] = P(S > c) for c = 0..top
+    tails = np.cumsum(np.concatenate(([over], b[:0:-1])))[::-1]
+    return int(np.argmax(tails <= tail_target))
 
 
 def dp_count_law(
@@ -619,7 +654,7 @@ def pmf_table(
     law = CountLaw(table=table)
     if law.mass_deficit > tail_tol:
         overflow = _tail_bound(params, j_max + 1) + math.fsum(
-            float(_upper_tails(rows[:, k])[min(c, j_max + 1)]) for k, c in enumerate(caps)
+            _capped_tail_dp(rows[:, k], min(c, j_max + 1))[1] for k, c in enumerate(caps)
         )
         raise ValueError(
             f"pmf table deficit {law.mass_deficit:.3e} exceeds tail_tol {tail_tol:.3e}: "

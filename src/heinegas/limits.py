@@ -35,6 +35,7 @@ from .heine import (
     CountLaw,
     HeineParams,
     convolve_mapped,
+    mgf,
     pmf_table,
     validate_params,
 )
@@ -255,25 +256,9 @@ def case2_predicted_law(lim: Case2Limit, tail_tol: float = 1e-12) -> CountLaw:
     return convolve_mapped(tilde_law, hat_law, lim.cmap)
 
 
-def _mgf_series(thetas, qs, s, tol: float = 1e-14) -> float:
-    """Site-product MGF summed directly (independent of the Heine module)."""
-    th = np.asarray(thetas, dtype=float)
-    q = np.asarray(qs, dtype=float)
-    es = np.exp(np.asarray(s, dtype=float))
-    coeff = np.abs(es - 1.0) * th / (1.0 - q)
-    log_acc = 0.0
-    qpow = np.ones_like(q)
-    while True:
-        x = th * qpow
-        log_acc += math.log1p(float((es * x).sum())) - math.log1p(float(x.sum()))
-        qpow = qpow * q
-        if float((coeff * qpow).sum()) < tol:
-            break
-    return math.exp(log_acc)
-
-
 def case2_predicted_mgf(lim: Case2Limit, s: Sequence[float]) -> float:
-    """E[exp(Σ_k s_k N_k)] of the combined law, s indexed by 0..m.
+    """E[exp(Σ_k s_k N_k)] of the combined law, s indexed by 0..m: the
+    product of the two families' ``heine.mgf``.
 
     The hat factor sees (s_1, ..., s_m, s_0): its extra coordinate m+1 is
     bound to s_0 through the fold-back map.
@@ -284,9 +269,7 @@ def case2_predicted_mgf(lim: Case2Limit, s: Sequence[float]) -> float:
     if np.any(np.abs(sv) > math.log(max(lim.n, 2)) + 1e-12):
         raise ValueError("s out of range (require |s_k| <= log n)")
     s_hat = np.concatenate((sv[1:], sv[:1]))
-    return _mgf_series(lim.tilde.thetas, lim.tilde.qs, sv) * _mgf_series(
-        lim.hat.thetas, lim.hat.qs, s_hat
-    )
+    return mgf(lim.tilde, sv) * mgf(lim.hat, s_hat)
 
 
 def _assignment_matrix(to: Tuple[int, ...], target: int) -> np.ndarray:

@@ -11,7 +11,9 @@ questions in radial form:
   over τ ∈ [0, 1], trace out the droplet; simultaneous minimizers at a
   branching value mark spectral gaps and outposts.
 - ``find_peaks`` locates the stationary points r q′(r) = 2τ with positive
-  curvature and flags those within C log n / n of the global minimum.
+  curvature and flags those within C log n / n of the global minimum;
+  ``find_peaks_batch`` does so for many τ from one scan, and ``tilt_roots``
+  is the bracketed Newton kernel both refine their roots with.
 - ``classify`` runs the sweep and reports components, outposts, cumulative
   masses, and a case tag.
 - ``build_case1`` / ``build_case2`` construct validated example potentials
@@ -30,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "RadialPotential",
@@ -41,17 +42,19 @@ __all__ = [
     "Shoulder",
     "BuildValidationError",
     "GridResolutionError",
+    "RootFindingError",
     "ClassificationError",
     "ValidationCheck",
     "laplacian",
     "g_tau",
-    "g_tau_curvature",
     "bump",
     "shoulder",
     "ginibre",
     "build_case1",
     "build_case2",
     "find_peaks",
+    "find_peaks_batch",
+    "tilt_roots",
     "classify",
     "droplet_data",
     "mass_between",
@@ -71,6 +74,10 @@ class BuildValidationError(ValueError):
 
 class GridResolutionError(RuntimeError):
     """Peak bracketing grid too coarse: adjacent sign changes unresolved."""
+
+
+class RootFindingError(RuntimeError):
+    """A tilt-root bracket stayed open through every Newton-bisection pass."""
 
 
 class ClassificationError(RuntimeError):
@@ -313,11 +320,6 @@ def g_tau(pot: RadialPotential, tau: float, r) -> np.ndarray:
         raise ValueError("g_tau requires r > 0")
     return _scalarize(r, np.asarray(pot.q(rr)) - 2.0 * tau * np.log(rr))
 
-
-def g_tau_curvature(pot: RadialPotential, tau: float, r) -> np.ndarray:
-    """g_τ″(r) = q″(r) + 2τ/r²; positive at local minimizers."""
-    rr = np.asarray(r, dtype=float)
-    return _scalarize(r, np.asarray(pot.ddq(rr)) + 2.0 * tau / rr**2)
 
 
 # ----------------------------------------------------------------- builders
@@ -570,6 +572,190 @@ def _dense_eval(pot: RadialPotential, lo: float, hi: float, pts: int):
     return r, q, dq
 
 
+# a tilt root is returned once its Newton step or its bracket is at most
+# _ROOT_XTOL; bisection alone closes a bracket of width 6 to it in 46 passes
+_ROOT_XTOL = 1e-13
+_ROOT_PASSES = 100
+# (tilt × radius) arrays of the peak scan and the classification sweep are
+# formed at most this many elements at a time
+_SWEEP_CELLS = 1_000_000
+
+
+def tilt_roots(pot: RadialPotential, tau, lo, hi, f_lo, f_hi) -> np.ndarray:
+    """Roots of f(r) = r q′(r) − 2τ, one in each bracket [lo_i, hi_i] with
+    its own τ_i; f_lo and f_hi are f at the bracket ends, of opposite signs
+    (or zero, making that end the root).
+
+    Safeguarded Newton on the brackets still open, starting from each
+    bracket's false-position point. A pass reads q′ and q″ from one order-2
+    ``terms`` call, takes f′ = q′ + r q″, and moves the bracket end whose
+    sign f shares to the iterate; a Newton step that is not finite or
+    leaves the bracket becomes bisection. A root is returned once its
+    Newton step or its bracket is at most 1e-13. Raises RootFindingError
+    when a bracket is still open after _ROOT_PASSES passes.
+    """
+    tau = np.asarray(tau, dtype=float)
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    f_lo = np.array(f_lo, dtype=float)
+    f_hi = np.asarray(f_hi, dtype=float)
+    root = np.where(f_lo == 0.0, lo, hi)
+    act = np.flatnonzero((f_lo != 0.0) & (f_hi != 0.0))
+    if np.any(np.signbit(f_lo[act]) == np.signbit(f_hi[act])):
+        raise ValueError("every bracket must hold a sign change of r q'(r) - 2 tau")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
+    for _ in range(_ROOT_PASSES):
+        if act.size == 0:
+            return root
+        xa = x[act]
+        _, d1, d2 = pot.terms(xa, 2)
+        f = xa * d1 - 2.0 * tau[act]
+        left = np.signbit(f) == np.signbit(f_lo[act])
+        a = np.where(left, xa, lo[act])
+        b = np.where(left, hi[act], xa)
+        lo[act], hi[act] = a, b
+        f_lo[act] = np.where(left, f, f_lo[act])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = f / (d1 + xa * d2)
+        nxt = xa - step
+        # a step below the tolerance is final even when it rounds onto the
+        # bracket end the iterate just became
+        small = np.abs(step) <= _ROOT_XTOL
+        bisect = ~(small | ((nxt > a) & (nxt < b)))
+        nxt[bisect] = 0.5 * (a[bisect] + b[bisect])
+        done = small | (b - a <= _ROOT_XTOL)
+        root[act[done]] = nxt[done]
+        x[act] = nxt
+        act = act[~done]
+    if act.size == 0:
+        return root
+    raise RootFindingError(
+        f"{act.size} tilt-root brackets still {float(np.max(hi[act] - lo[act])):.3e} "
+        f"wide after {_ROOT_PASSES} passes, above the {_ROOT_XTOL:.0e} tolerance"
+    )
+
+
+def _sign_brackets(r_dq: np.ndarray, two_tau: np.ndarray):
+    """(f, row, start, end): the rows f = r q′ − 2τ, one per entry of
+    two_tau, and every sign change of them, ordered by row and then by
+    start, read between consecutive nodes where f is definitely nonzero.
+
+    A stretch of near-zero values means r q′(r) = 2τ identically there up
+    to roundoff (a degenerate plateau), and its noise must not be mistaken
+    for crossings: nodes with |f| <= 1e-11 max(1, max |f|) are skipped, so
+    a sign change either joins two adjacent nodes or spans one such
+    stretch. A row's largest |f| sits where r q′ is largest or smallest.
+    """
+    f = r_dq[None, :] - two_tau[:, None]
+    reach = np.maximum(np.abs(r_dq.max() - two_tau), np.abs(r_dq.min() - two_tau))
+    atol = 1e-11 * np.maximum(1.0, reach)
+    neg = np.signbit(f)
+    # two comparisons rather than |f|, whose float temporary would double
+    # the scan's memory
+    definite = (f > atol[:, None]) | (f < -atol[:, None])
+    # flat indices: np.nonzero on a 2-D mask costs ten times as much
+    cols = f.shape[1]
+    row, start = np.divmod(
+        np.flatnonzero((neg[:, 1:] != neg[:, :-1]) & definite[:, 1:] & definite[:, :-1]),
+        cols - 1,
+    )
+    end = start + 1
+    # each run of skipped nodes: the definite nodes either side of it
+    # bracket a crossing when their signs differ
+    blank_row, blank_col = np.divmod(np.flatnonzero(~definite), cols)
+    if blank_row.size:
+        first = np.r_[
+            True, (blank_row[1:] != blank_row[:-1]) | (blank_col[1:] != blank_col[:-1] + 1)
+        ]
+        last = np.r_[first[1:], True]
+        s_row, s_start, s_end = blank_row[first], blank_col[first] - 1, blank_col[last] + 1
+        inside = (s_start >= 0) & (s_end < cols)
+        s_row, s_start, s_end = s_row[inside], s_start[inside], s_end[inside]
+        flip = neg[s_row, s_start] != neg[s_row, s_end]
+        row = np.concatenate((row, s_row[flip]))
+        start = np.concatenate((start, s_start[flip]))
+        end = np.concatenate((end, s_end[flip]))
+        order = np.lexsort((start, row))
+        row, start, end = row[order], start[order], end[order]
+    return f, row, start, end
+
+
+def find_peaks_batch(
+    pot: RadialPotential,
+    taus,
+    interval: Tuple[float, float],
+    n: int,
+    C: float,
+    points_per_unit: int = 4096,
+) -> Tuple[Optional[PeakAnalysis], ...]:
+    """``find_peaks`` for every tilt in ``taus`` from one scan of r q′(r).
+
+    Entry i is the PeakAnalysis of taus[i], or None when its scan finds
+    adjacent sign changes the grid cannot resolve (where ``find_peaks``
+    raises GridResolutionError). The (tilt × grid) sign scan of
+    ``_sign_brackets`` runs _SWEEP_CELLS elements at a time, every bracket
+    is refined by one ``tilt_roots`` call, and g_τ and g_τ″ at the roots
+    and at both interval ends come from one order-2 ``terms`` call. Each
+    tilt's result is the one ``find_peaks`` returns for it alone.
+    """
+    lo, hi = float(interval[0]), float(interval[1])
+    if not 0.0 < lo < hi:
+        raise ValueError("interval must satisfy 0 < lo < hi")
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    if C <= 0.0:
+        raise ValueError("C must be positive")
+    taus = np.asarray(taus, dtype=float).reshape(-1)
+    pts = max(64, int(points_per_unit * (hi - lo)) + 1)
+    r, _, dqv = _dense_eval(pot, lo, hi, pts)
+    r_dq = r * dqv
+    unresolved = np.zeros(taus.size, dtype=bool)
+    rows, starts, ends, f_starts, f_ends = [], [], [], [], []
+    chunk = max(1, _SWEEP_CELLS // pts)
+    for first in range(0, taus.size, chunk):
+        f, row, start, end = _sign_brackets(r_dq, 2.0 * taus[first : first + chunk])
+        close = (row[1:] == row[:-1]) & (end[1:] - start[:-1] <= 2)
+        unresolved[first + row[1:][close]] = True
+        rows.append(first + row)
+        starts.append(start)
+        ends.append(end)
+        f_starts.append(f[row, start])
+        f_ends.append(f[row, end])
+    row, start, end = np.concatenate(rows), np.concatenate(starts), np.concatenate(ends)
+    keep = ~unresolved[row]
+    row, start, end = row[keep], start[keep], end[keep]
+    tau = taus[row]
+    roots = tilt_roots(
+        pot, tau, r[start], r[end],
+        np.concatenate(f_starts)[keep], np.concatenate(f_ends)[keep],
+    )
+    q, _, d2 = pot.terms(np.concatenate((roots, [lo, hi])), 2)
+    g = q[:-2] - 2.0 * tau * np.log(roots)
+    # g_τ″ = q″ + 2τ/r², positive at local minimizers
+    curv = d2[:-2] + 2.0 * tau / roots**2
+    g_lo = q[-2] - 2.0 * taus * np.log(lo)
+    g_hi = q[-1] - 2.0 * taus * np.log(hi)
+    delta_n = C * math.log(n) / n
+    bounds = np.searchsorted(row, np.arange(taus.size + 1))
+    out = []
+    for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if unresolved[i]:
+            out.append(None)
+            continue
+        peaks = [
+            (float(rr), float(gg), float(cc))
+            for rr, gg, cc in zip(roots[a:b], g[a:b], curv[a:b]) if cc > 0.0
+        ]
+        b_tau = min([p[1] for p in peaks] + [float(g_lo[i]), float(g_hi[i])])
+        records = tuple(
+            PeakPoint(rr, gg, cc, gg < b_tau + delta_n) for rr, gg, cc in peaks
+        )
+        out.append(PeakAnalysis(float(taus[i]), records, b_tau, delta_n))
+    return tuple(out)
+
+
 def find_peaks(
     pot: RadialPotential,
     tau: float,
@@ -581,58 +767,20 @@ def find_peaks(
     """Stationary minimizer candidates of g_τ on the interval.
 
     Roots of r q′(r) = 2τ are bracketed by sign changes on a dense grid and
-    refined by Brent's method to 1e-13 absolute; only roots with positive
-    g_τ″ are kept. B_τ is the minimum of g_τ over the kept peaks and the
-    interval endpoints, and a peak is significant when its g_τ value is
-    within δ_n = C log n / n of B_τ.
+    refined by the safeguarded Newton kernel ``tilt_roots`` to 1e-13; only
+    roots with positive g_τ″ are kept. B_τ is the minimum of g_τ over the
+    kept peaks and the interval endpoints, and a peak is significant when
+    its g_τ value is within δ_n = C log n / n of B_τ. This is
+    ``find_peaks_batch`` at one τ; raises GridResolutionError when the grid
+    cannot resolve adjacent sign changes.
     """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not 0.0 < lo < hi:
-        raise ValueError("interval must satisfy 0 < lo < hi")
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if C <= 0.0:
-        raise ValueError("C must be positive")
-    pts = max(64, int(points_per_unit * (hi - lo)) + 1)
-    r, _, dqv = _dense_eval(pot, lo, hi, pts)
-    f = r * dqv - 2.0 * tau
-    # signs are read only at nodes where f is definitely nonzero; a stretch
-    # of near-zero values means r q'(r) = 2τ identically there up to
-    # roundoff (a degenerate plateau), and its noise must not be mistaken
-    # for crossings
-    atol = 1e-11 * max(1.0, float(np.max(np.abs(f))))
-    idx = np.nonzero(np.abs(f) > atol)[0]
-    neg = np.signbit(f[idx])
-    change = np.nonzero(neg[:-1] != neg[1:])[0]
-    starts = idx[change]
-    ends = idx[change + 1]
-    if change.size >= 2 and int(np.min(ends[1:] - starts[:-1])) <= 2:
+    (pa,) = find_peaks_batch(pot, [tau], interval, n, C, points_per_unit)
+    if pa is None:
         raise GridResolutionError(
             "grid too coarse: adjacent sign changes unresolved; "
             "increase points_per_unit"
         )
-    roots = []
-    for a, b in zip(r[starts], r[ends]):
-        root = brentq(
-            lambda x: float(x * pot.dq(x)) - 2.0 * tau,
-            a, b, xtol=1e-13, rtol=8.9e-16,
-        )
-        roots.append(float(root))
-    peaks = []
-    for root in roots:
-        curv = float(g_tau_curvature(pot, tau, root))
-        if curv <= 0.0:
-            continue
-        peaks.append((root, float(g_tau(pot, tau, root)), curv))
-    candidates = [p[1] for p in peaks]
-    candidates.append(float(g_tau(pot, tau, lo)))
-    candidates.append(float(g_tau(pot, tau, hi)))
-    b_tau = min(candidates)
-    delta_n = C * math.log(n) / n
-    records = tuple(
-        PeakPoint(rr, gg, cc, gg < b_tau + delta_n) for rr, gg, cc in peaks
-    )
-    return PeakAnalysis(float(tau), records, b_tau, delta_n)
+    return pa
 
 
 # ------------------------------------------------------------ classification
@@ -711,7 +859,7 @@ def classify(pot: RadialPotential, n_probe: int = 801, tol: float = 1e-9) -> Dro
     # chunked argmin sweep of g_tau over the dense radius grid
     r_min = np.empty(n_probe)
     log_r = np.log(grid_r)
-    chunk = max(1, int(1e6 // pts))
+    chunk = max(1, _SWEEP_CELLS // pts)
     for start in range(0, n_probe, chunk):
         block = taus[start : start + chunk]
         g = grid_q[None, :] - 2.0 * block[:, None] * log_r[None, :]
@@ -767,7 +915,7 @@ def classify(pot: RadialPotential, n_probe: int = 801, tol: float = 1e-9) -> Dro
                     break
             else:
                 raise ClassificationError("component edge root not bracketed")
-        return float(brentq(fn, a, b, xtol=1e-13, rtol=8.9e-16))
+        return float(tilt_roots(pot, [tau_star], [a], [b], [fa], [fb])[0])
 
     # refine each branching value: bisection on the basin predicate, then
     # Newton on the envelope equation g_tau(r1) = g_tau(r2) (whose tau

@@ -1,5 +1,6 @@
-"""Shared fixtures: built potentials and their classifications, and the
-peak-windowed log norm that cross-checks the library's full-range one.
+"""Shared fixtures: built potentials and their classifications, the
+peak-windowed log norm that cross-checks the library's full-range one, and
+a plain-float site-product MGF that cross-checks the Heine module's.
 
 Building and classifying the reference potentials costs a few seconds, so
 every test module shares one session-scoped copy.
@@ -91,3 +92,24 @@ def _windowed_log_norm(pot, n, j, cfg=QuadratureConfig()):
 @pytest.fixture(scope="session")
 def windowed_log_norm():
     return _windowed_log_norm
+
+
+def _site_product_mgf(thetas, qs, s, tol=1e-16):
+    """E[exp(<s, X>)] of the Heine law with parameters (thetas, qs) as its
+    site product prod_j (1 + Σ_k θ_k e^(s_k) q_k^j) / (1 + Σ_k θ_k q_k^j),
+    in plain python floats, summed in logs until the bound Σ_k |e^(s_k) − 1|
+    θ_k q_k^j / (1 − q_k) on the remaining log-tail is below tol."""
+    es = [math.exp(v) for v in s]
+    log_acc, j = 0.0, 0
+    while True:
+        x = [t * q**j for t, q in zip(thetas, qs)]
+        log_acc += math.log1p(math.fsum(e * xk for e, xk in zip(es, x))) - math.log1p(math.fsum(x))
+        j += 1
+        tail = math.fsum(abs(e - 1.0) * t * q**j / (1.0 - q) for e, t, q in zip(es, thetas, qs))
+        if tail < tol:
+            return math.exp(log_acc)
+
+
+@pytest.fixture(scope="session")
+def site_product_mgf():
+    return _site_product_mgf

@@ -295,12 +295,14 @@ def test_acceptance_7_monte_carlo(case1_pot, case1_data):
     assert elapsed < 300.0
 
 
-def test_acceptance_8_independence_decomposition(case2_pot, case2_data):
+def test_acceptance_8_independence_decomposition(case2_pot, case2_data, site_product_mgf):
     lim = case2(case2_data, case2_pot, 256)
     worst = 0.0
     for s in itertools.product((-1.0, -0.5, 0.0, 0.5, 1.0), repeat=3):
         lhs = case2_predicted_mgf(lim, s)
-        rhs = hg.mgf(lim.tilde, s) * hg.mgf(lim.hat, (s[1], s[2], s[0]))
+        rhs = site_product_mgf(lim.tilde.thetas, lim.tilde.qs, s) * site_product_mgf(
+            lim.hat.thetas, lim.hat.qs, (s[1], s[2], s[0])
+        )
         worst = max(worst, abs(lhs - rhs))
     a_mat = np.zeros((3, 3))
     b_mat = np.zeros((3, 3))

@@ -80,6 +80,19 @@ def test_module_entry_point_runs_the_cli():
     assert bad.stderr.startswith("error:")
 
 
+def test_import_leaves_scipy_out():
+    # scipy is a test-only dependency: the package itself must not load it
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = "import sys, heinegas, heinegas.cli; print('scipy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def test_heine_sampling_deterministic(capsys):
     argv = ["heine", "--theta", "0.5", "--q", "0.4", "--sample", "5", "--seed", "3"]
     main(argv)

@@ -681,13 +681,13 @@ def test_smooth_mgf_factor_matches_mpmath_oracle(request, pot_name, j, k, sk, pi
 
 
 def test_sampler_caches_peak_windows(monkeypatch):
-    # peak windows depend only on (potential, n, j, cfg): two samples of one
-    # potential share one find_peaks per index
+    # peak windows depend only on (potential, n, cfg): two samples of one
+    # potential share one batched peak scan over every index
     calls = []
-    real = engine.find_peaks
+    real = engine.find_peaks_batch
 
     def counting(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(len(args[1]))
         return real(*args, **kwargs)
 
     def fresh():
@@ -695,13 +695,57 @@ def test_sampler_caches_peak_windows(monkeypatch):
 
     n = 64
     pot = fresh()
-    monkeypatch.setattr(engine, "find_peaks", counting)
+    monkeypatch.setattr(engine, "find_peaks_batch", counting)
     first = sample_moduli(pot, n, seed=1)
     second = sample_moduli(pot, n, seed=2)
-    assert len(calls) <= n
-    monkeypatch.setattr(engine, "find_peaks", real)
+    assert calls == [n]
+    monkeypatch.setattr(engine, "find_peaks_batch", real)
     for seed, got in ((1, first), (2, second)):
         assert np.array_equal(sample_moduli(fresh(), n, seed=seed).radii, got.radii)
+
+
+def _one_tilt_windows(pot, n, j, cfg=QuadratureConfig()):
+    """Index j's peak windows from the one-tilt find_peaks, rescanned at
+    doubled grid density while the grid is unresolved; returns the windows
+    and the density that resolved them."""
+    ppu = 4096
+    while True:
+        try:
+            pa = hg.find_peaks(
+                pot, (j + 0.5) / n, (1e-6, pot.r_max), n, cfg.window_constant,
+                points_per_unit=ppu,
+            )
+            break
+        except hg.GridResolutionError:
+            ppu *= 2
+    eps_n = math.sqrt(cfg.window_constant * math.log(n) / n)
+    windows = tuple(
+        (p.r, max(eps_n, 8.0 / math.sqrt(n * p.curvature / 4.0)))
+        for p in pa.significant_peaks
+    )
+    return windows, ppu
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("pot_name", ["ginibre_pot", "case1_pot", "case2_pot"])
+def test_batched_windows_equal_one_tilt_path(request, pot_name, n):
+    pot = request.getfixturevalue(pot_name)
+    for j in range(n):
+        want, _ = _one_tilt_windows(pot, n, j)
+        assert engine._windows_for_index(pot, n, j, QuadratureConfig()) == want
+
+
+def test_unresolved_index_gets_windows_from_the_rescan(case2_pot):
+    # at n = 64 the tilt of j = 33 grazes a minimum of r q'(r): its two
+    # crossings are closer than the 4096-per-unit scan resolves
+    n, j = 64, 33
+    with pytest.raises(hg.GridResolutionError):
+        hg.find_peaks(case2_pot, (j + 0.5) / n, (1e-6, case2_pot.r_max), n, 10.0)
+    want, ppu = _one_tilt_windows(case2_pot, n, j)
+    assert ppu > 4096
+    got = engine._windows_for_index(case2_pot, n, j, QuadratureConfig())
+    assert got == want
+    assert len(got) >= 1
 
 
 def test_engine_caches_free_their_potential():

@@ -8,7 +8,10 @@ near machine precision.
 
 import json
 import math
+import re
 import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -649,6 +652,82 @@ def test_pmf_table_large_parameters(thetas, qs):
     assert 0.0 < law.mass_deficit <= 1e-12
     gap = np.abs(law.mean() - hg.mean_vector(params))
     assert np.all(gap <= law.mass_deficit * max(law.cap))
+
+
+@pytest.mark.parametrize("tail_tol", [1e-12, 1e-14])
+def test_pmf_table_near_float_max_theta(tail_tol):
+    # theta_k q_k^j summed directly overflowed there, zeroing the success
+    # rows the caps and the cap-overflow bound are read from
+    params = hg.validate_params((1.7e308, 1.7e308), (0.3, 0.2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            law = hg.pmf_table(params, tail_tol=tail_tol)
+        except ValueError as exc:
+            deficit, _tol, overflow, z_tail, rounding = (
+                float(v) for v in re.findall(r"\d\.\d{3}e[+-]\d+", str(exc))
+            )
+            assert z_tail > 0.0
+            # the parts, printed to 4 digits, bound the deficit they split
+            assert deficit <= (overflow + z_tail + rounding) * (1.0 + 1e-3)
+            return
+    assert 0.0 < law.mass_deficit <= tail_tol
+    gap = np.abs(law.mean() - hg.mean_vector(params))
+    assert np.all(gap <= law.mass_deficit * max(law.cap))
+
+
+def test_site_counts_in_logs_near_float_max_theta():
+    # q^j underflows to 0 long before theta q^j does at theta = 1.7e308
+    params = hg.validate_params((1.7e308,), (0.2,))
+
+    def exact_tail(j):
+        return Fraction(1.7e308) * Fraction(0.2) ** j / (1 - Fraction(0.2))
+
+    sites = truncation_site_count(params, 1e-12)
+    assert exact_tail(sites + 1) <= Fraction(1e-12) < exact_tail(sites)
+    # 0.2^470 is below the smallest subnormal; the tail is 7.9e-21
+    want = float(exact_tail(470))
+    assert abs(hg.heine._tail_bound(params, 470) - want) <= 1e-12 * want
+
+
+def _full_tail_dp(probs):
+    """P(sum > c) for c = 0..len(probs) by the unclipped 1-D DP."""
+    b = np.zeros(len(probs) + 1)
+    b[0] = 1.0
+    for p in probs:
+        nb = b * (1.0 - p)
+        nb[1:] += b[:-1] * p
+        b = nb
+    return np.append(np.cumsum(b[::-1])[::-1][1:], 0.0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_marginal_cap_matches_unclipped_dp(seed):
+    rng = np.random.default_rng(seed)
+    probs = rng.uniform(0.0, 1.0, 200) ** rng.uniform(0.5, 4.0)
+    for target in (1e-3, 1e-9, 1e-13):
+        want = int(np.argmax(_full_tail_dp(probs) <= target))
+        assert marginal_cap(probs, target) == want
+
+
+def test_marginal_cap_work_is_sites_times_cap(monkeypatch):
+    # theta = 1, q = 0.999 needs 35,320 sites and caps at 857. The DP
+    # clipped at its Bernstein top does sites x (top + 1) cell updates;
+    # grown to every site it did sites^2 / 2 = 6.2e8.
+    params = hg.validate_params((1.0,), (0.999,))
+    sites = truncation_site_count(params, 0.45e-12) + 1
+    rows = hg.heine._site_success_matrix(params, sites)
+    work = []
+    real = hg.heine._capped_tail_dp
+
+    def counting(probs, top):
+        work.append(probs.size * (top + 1))
+        return real(probs, top)
+
+    monkeypatch.setattr(hg.heine, "_capped_tail_dp", counting)
+    assert marginal_cap(rows[:, 0], 0.45e-12) == 857
+    assert sum(work) <= 2 * sites * (857 + 1)
+    assert hg.pmf_table(params).cap == (857,)
 
 
 @pytest.mark.parametrize(

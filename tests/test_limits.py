@@ -197,7 +197,7 @@ def test_case2_predicted_law_mass(case2_pot, case2_data):
     assert law.mass_deficit <= 1e-12
 
 
-def test_case2_mgf_factorizes(case2_pot, case2_data):
+def test_case2_mgf_factorizes(case2_pot, case2_data, site_product_mgf):
     # combined MGF with s_0 shared is the product of the tilde MGF and the
     # hat MGF with its last coordinate read at s_0
     lim = case2(case2_data, case2_pot, 256)
@@ -205,7 +205,9 @@ def test_case2_mgf_factorizes(case2_pot, case2_data):
     for _ in range(5):
         s = rng.uniform(-1.0, 1.0, size=3)
         lhs = case2_predicted_mgf(lim, s)
-        rhs = hg.mgf(lim.tilde, s) * hg.mgf(lim.hat, (s[1], s[2], s[0]))
+        rhs = site_product_mgf(lim.tilde.thetas, lim.tilde.qs, s) * site_product_mgf(
+            lim.hat.thetas, lim.hat.qs, (s[1], s[2], s[0])
+        )
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 

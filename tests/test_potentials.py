@@ -16,6 +16,7 @@ from heinegas.potentials import (
     derivative_consistency,
     find_peaks,
     mass_between,
+    tilt_roots,
 )
 
 
@@ -285,6 +286,121 @@ def test_find_peaks_dead_band_at_branch_value(case2_pot):
     radii = sorted(p.r for p in pa.peaks)
     for t in (1.2, 1.4):
         assert any(abs(r - t) < 1e-6 for r in radii)
+
+
+# ------------------------------------------------------------ tilt roots
+
+
+def _tilts(n):
+    return (np.arange(n) + 0.5) / n
+
+
+def test_tilt_roots_ginibre_closed_form(ginibre_pot):
+    # r q'(r) = 2 r^2 = 2 tau has the one root sqrt(tau); measured worst
+    # 1.6e-16 relative (Brent's method to 1e-13 missed by 1.4e-13)
+    for n in (64, 128, 1000):
+        taus = _tilts(n)
+        analyses = hg.find_peaks_batch(ginibre_pot, taus, (1e-6, 6.0), n, 10.0)
+        for tau, pa in zip(taus, analyses):
+            (peak,) = pa.peaks
+            assert abs(peak.r - math.sqrt(tau)) <= 1e-15 * math.sqrt(tau)
+
+
+def _zeta_mp(mp, u):
+    return mp.exp(1 - 1 / (1 - u * u)) if abs(u) < 1 else mp.mpf(0)
+
+
+def _step_mp(mp, x):
+    if x <= 0:
+        return mp.mpf(0)
+    if x >= 1:
+        return mp.mpf(1)
+    a, b = mp.exp(-1 / x), mp.exp(-1 / (1 - x))
+    return a / (a + b)
+
+
+def _case1_q_mp(mp, pot):
+    """q of ``build_case1`` in mpmath arithmetic, written from its formula."""
+    ts, ws = pot.params["t"], pot.params["w"]
+
+    def q(r):
+        s = sum(_zeta_mp(mp, (r - t) / w) for t, w in zip(ts, ws))
+        return r * r - (r * r - 1 - 2 * mp.log(r)) * s
+
+    return q
+
+
+def _case2_q_mp(mp, pot):
+    """q of ``build_case2`` in mpmath arithmetic, written from its formula."""
+    p = pot.params
+    (_, b0), (a1, b1) = p["components"]
+    m0, c0, c1, ts, ws = p["M0"], p["c0"], p["c1"], p["t"], p["w"]
+    gap = a1 - b0
+    k_bridge = (c0 + c1) * gap**2 / 2
+    q_a1 = m0 + 2 * m0 * mp.log(mp.mpf(a1) / b0)
+    d_out = m0 - c1 * a1**2
+
+    def q(r):
+        if r <= b0:
+            return c0 * r * r
+        if r >= a1:
+            return q_a1 + c1 * (r * r - a1**2) + 2 * d_out * mp.log(r / a1)
+        u = (r - b0) / gap
+        qc = m0 + 2 * m0 * mp.log(r / b0)
+        bar = (
+            (1 - _step_mp(mp, (u - mp.mpf("0.30")) / mp.mpf("0.15"))) * (c0 * r * r - qc)
+            + _step_mp(mp, (u - mp.mpf("0.55")) / mp.mpf("0.15"))
+            * (c1 * (r * r - a1**2) - 2 * c1 * a1**2 * mp.log(r / a1))
+            + k_bridge * _step_mp(mp, (u - mp.mpf("0.15")) / mp.mpf("0.10"))
+            * _step_mp(mp, (mp.mpf("0.85") - u) / mp.mpf("0.10"))
+        )
+        return qc + bar * (1 - sum(_zeta_mp(mp, (r - t) / w) for t, w in zip(ts, ws)))
+
+    return q
+
+
+@pytest.mark.parametrize("pot_name,q_mp", [("case1_pot", _case1_q_mp), ("case2_pot", _case2_q_mp)])
+def test_tilt_roots_match_mpmath(request, pot_name, q_mp):
+    # every peak radius at every eighth tilt of n = 128 against a 30-digit
+    # root of r q'(r) = 2 tau, with q' differentiated by mpmath from an
+    # independent transcription of the builder's formula; measured worst
+    # 1.6e-16 (case 1, 48 peaks) and 1.9e-16 (case 2, 65 peaks)
+    mp = pytest.importorskip("mpmath")
+    pot = request.getfixturevalue(pot_name)
+    n = 128
+    taus = _tilts(n)[::8]
+    analyses = hg.find_peaks_batch(pot, taus, (1e-6, pot.r_max), n, 10.0)
+    with mp.workdps(30):
+        q = q_mp(mp, pot)
+        worst, count = 0.0, 0
+        for tau, pa in zip(taus, analyses):
+            tau_mp = mp.mpf(float(tau))
+            for peak in pa.peaks:
+                x = mp.mpf(peak.r)
+                want = mp.findroot(
+                    lambda r: r * mp.diff(q, r) - 2 * tau_mp,
+                    (x - mp.mpf("1e-9"), x + mp.mpf("1e-9")), solver="anderson",
+                )
+                worst = max(worst, abs(float(want - x)))
+                count += 1
+    assert count >= len(taus)
+    assert worst <= 1e-13
+
+
+def test_tilt_roots_zero_end_and_bad_bracket(ginibre_pot):
+    # an end where r q' - 2 tau vanishes is its own root
+    got = tilt_roots(
+        ginibre_pot, [0.25, 0.25], [0.5, 0.1], [0.9, 0.5], [0.0, -0.48], [1.12, 0.0]
+    )
+    assert list(got) == [0.5, 0.5]
+    with pytest.raises(ValueError, match="sign change"):
+        tilt_roots(ginibre_pot, [0.25], [0.6], [0.9], [0.22], [1.12])
+
+
+def test_tilt_roots_raise_when_passes_run_out(ginibre_pot, monkeypatch):
+    monkeypatch.setattr(hg.potentials, "_ROOT_PASSES", 2)
+    with pytest.raises(hg.RootFindingError, match="tolerance"):
+        tilt_roots(ginibre_pot, [0.3], [0.01], [5.0], [2e-4 - 0.6], [49.4])
 
 
 # ------------------------------------------------------------ cutoff shapes
