@@ -23,7 +23,6 @@ import argparse
 import csv
 import itertools
 import json
-import math
 import os
 import sys
 import time
@@ -42,7 +41,7 @@ from .engine import (
     sample_moduli,
     standard_regions,
 )
-from .limits import case1, case1_moments, case2, case2_predicted_law, case2_predicted_mgf
+from .limits import case1, case2, case2_predicted_law, case2_predicted_mgf
 from .potentials import (
     BuildValidationError,
     ClassificationError,

@@ -5,7 +5,8 @@ factorizes everything over the index j = 0..n-1: modulus j carries the law
 ∝ r^(2j+1) exp(-n q(r)) on (0, ∞). This module computes, to quadrature
 accuracy,
 
-- ``log_norm``: the log of the weighted norm 2∫ r^(2j+1) e^(Σ s_k h_k) e^(-nq) dr,
+- ``log_norm``: the log of the norm 2∫ r^(2j+1) e^(-nq) dr, read as a row
+  total of the landing kernel below,
 - ``region_probabilities`` and ``exact_count_law``: the per-index landing
   probabilities π_jk of disjoint radial regions and the resulting
   multivariate Poisson-binomial count law,
@@ -31,7 +32,8 @@ grid and sampler cell is split by one vectorised subdivider whose edges
 are bitwise those of np.linspace. π, the smooth MGF factors and the
 localization search read interval sums off one density array
 (``_interval_shares``): a region's share is the (optionally weighted) sum
-over its contiguous run of nodes divided by the row's total.
+over its contiguous run of nodes divided by the row's total, and the log
+norms and the sampler's truncation reference are those row totals.
 
 π and Ψ are built only on the indices that can reach a region. Modulus
 j's density ratio to modulus j + 1 is monotone in r, so tail
@@ -231,12 +233,6 @@ class RegionSet:
             return e.above if j >= e.m0 else e.below
         return e
 
-    def group_key(self, j: int) -> Tuple[bool, ...]:
-        return tuple(
-            j >= e.m0 if isinstance(e, (SplitRegion, SplitBump)) else True
-            for e in self.entries
-        )
-
     def statistic(self, k: int, j: int, x: np.ndarray) -> np.ndarray:
         """h_k(x) for index j: the indicator of a hard atom, or the value in
         [0, 1] of a bump or shoulder."""
@@ -246,15 +242,6 @@ class RegionSet:
         if isinstance(atom, Shoulder):
             return shoulder(atom, x)
         return bump(atom, x)
-
-    def exponent(self, j: int, s: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Σ_k s_k h_k(x) for index j (h = indicator or bump)."""
-        out = np.zeros(x.shape)
-        for k in range(self.m):
-            sk = float(s[k])
-            if sk != 0.0:
-                out += sk * self.statistic(k, j, x)
-        return out
 
 
 def standard_regions(
@@ -454,37 +441,6 @@ def _log_weight(pot: RadialPotential, n: int, j, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _phi_matrix(
-    pot: RadialPotential,
-    n: int,
-    j_arr: np.ndarray,
-    x: np.ndarray,
-    s: Optional[np.ndarray],
-    stats: Optional[RegionSet],
-) -> np.ndarray:
-    """phi[i, :] = (2 j_i + 1) ln x - n q(x) + Σ_k s_k h_k(x) (index-aware)."""
-    phi = _log_weight(pot, n, j_arr[:, None], x)
-    if stats is not None and s is not None and np.any(s != 0.0):
-        groups = {}
-        for row, j in enumerate(j_arr):
-            groups.setdefault(stats.group_key(int(j)), []).append(row)
-        for key, rows in groups.items():
-            extra = stats.exponent(int(j_arr[rows[0]]), s, x)
-            phi[rows, :] += extra[None, :]
-    return phi
-
-
-def _log_rows(phi: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """log ∫ per row: log Σ w e^phi over the columns."""
-    m = phi.max(axis=1)
-    out = np.where(np.isfinite(m), m, -np.inf).astype(float)
-    safe = np.isfinite(m)
-    if safe.any():
-        acc = (w[None, :] * np.exp(phi[safe] - m[safe, None])).sum(axis=1)
-        out[safe] = m[safe] + np.log(acc)
-    return out
-
-
 def _interval_shares(
     pot: RadialPotential,
     n: int,
@@ -592,56 +548,31 @@ def _windows_for_index(
     return windows
 
 
-def _s_key(s) -> Tuple[float, ...]:
-    if s is None:
-        return ()
-    return tuple(float(v) for v in np.atleast_1d(np.asarray(s, dtype=float)))
-
-
 @per_potential_cache(maxsize=512)
 def _log_norm_rows_full(
-    pot: RadialPotential,
-    n: int,
-    j_key: Tuple[int, ...],
-    s_key: Tuple[float, ...],
-    stats: Optional[RegionSet],
-    cfg: QuadratureConfig,
+    pot: RadialPotential, n: int, j_key: Tuple[int, ...], cfg: QuadratureConfig
 ) -> Tuple[float, ...]:
-    """log 2∫ per index in j_key on the full grid, with panel splitting
-    until stable to cfg.rel_tol."""
+    """log 2∫ r^(2j+1) e^(−n q) dr per index in j_key: the row totals of
+    the landing kernel on the full grid, with panel splitting until stable
+    to cfg.rel_tol."""
     j_arr = np.asarray(j_key, dtype=float)
-    s = np.asarray(s_key, dtype=float) if s_key else None
-    edges = stats.edge_radii() if stats is not None else ()
 
     def make(splits):
-        x, w = _full_grid(pot, n, edges, splits)
-        return _log_rows(_phi_matrix(pot, n, j_arr, x, s, stats), w)
+        x, w = _full_grid(pot, n, (), splits)
+        return _interval_shares(pot, n, j_arr, x, w, ())[0]
 
     return tuple(math.log(2.0) + _converged_rows(make, cfg))
 
 
 def log_norm(
-    pot: RadialPotential,
-    n: int,
-    j: int,
-    s=None,
-    stats: Optional[RegionSet] = None,
-    cfg: QuadratureConfig = QuadratureConfig(),
+    pot: RadialPotential, n: int, j: int, cfg: QuadratureConfig = QuadratureConfig()
 ) -> float:
-    """log of 2 ∫_0^∞ r^(2j+1) e^(Σ_k s_k h_k(r)) e^(-n q(r)) dr on the full
-    graded grid.
-
-    joint_mgf does not read it: log_norm(j, s) − log_norm(j, 0) is the log
-    of modulus j's MGF factor by a second route, the weighted-norm oracle
-    for hard and smooth statistics alike.
-    """
+    """log of 2 ∫_0^∞ r^(2j+1) e^(-n q(r)) dr on the full graded grid: the
+    row total of the landing kernel (``_interval_shares``) that π and the
+    MGF factors are shares of."""
     if not 0 <= j <= n - 1:
         raise ValueError("index j must satisfy 0 <= j <= n-1")
-    if stats is not None and s is not None and len(_s_key(s)) != stats.m:
-        raise ValueError("s length must match the statistic count")
-    if stats is None and s is not None and len(_s_key(s)) != 0:
-        raise ValueError("s given without statistics")
-    return _log_norm_rows_full(pot, n, (int(j),), _s_key(s), stats, cfg)[0]
+    return _log_norm_rows_full(pot, n, (int(j),), cfg)[0]
 
 
 # ------------------------------------------------------------------- the MGF
@@ -1074,7 +1005,7 @@ def sample_moduli(
     radii = np.empty((reps, n))
     worst_trunc = 0.0
     base_rows = np.asarray(
-        _log_norm_rows_full(pot, n, tuple(range(n)), (), None, cfg)
+        _log_norm_rows_full(pot, n, tuple(range(n)), cfg)
     )
     for j in range(n):
         cell_lo, cell_hi, cell_mass, phi_max = _cells_for_index(pot, n, j, cfg)

@@ -120,13 +120,11 @@ class SiteDistribution:
 
 
 def site_probabilities(params: HeineParams, j: int) -> SiteDistribution:
-    """Exact categorical distribution of Y_j."""
+    """Exact categorical distribution of Y_j, read off ``_site_law``."""
     if j < 0:
         raise ValueError("site index must be nonnegative")
-    x = [t * v**j for t, v in zip(params.thetas, params.qs)]
-    denom = 1.0 + math.fsum(x)
-    probs = (1.0 / denom,) + tuple(xi / denom for xi in x)
-    return SiteDistribution(j, probs)
+    success, log_p0 = _site_law(params, j)
+    return SiteDistribution(j, (math.exp(log_p0),) + tuple(success.tolist()))
 
 
 def _log_site_weights(params: HeineParams, j) -> np.ndarray:
@@ -138,17 +136,24 @@ def _log_site_weights(params: HeineParams, j) -> np.ndarray:
     return np.log(params.thetas) + j * np.log(params.qs)
 
 
-def _site_success_matrix(params: HeineParams, n_sites: int) -> np.ndarray:
-    """Rows j = 0..n_sites-1 of conditional success probabilities (p_{j,1..m}).
+def _site_law(params: HeineParams, j) -> Tuple[np.ndarray, np.ndarray]:
+    """(p_{j,1..m} along a new last axis, log p_{j,0}) for site indices j.
 
-    Each row is scaled by its largest weight (or 1) before the weights are
-    summed, so rows whose weights sum past the float64 maximum stay finite."""
+    Each site's weights are scaled by the largest of them (or 1) before
+    they are summed, so sites whose weights sum past the float64 maximum
+    stay finite, and p_{j,0} is formed in logs."""
+    lx = _log_site_weights(params, j)
+    top = np.maximum(lx.max(axis=-1, keepdims=True), 0.0)
+    x = np.exp(lx - top)
+    den = np.exp(-top) + x.sum(axis=-1, keepdims=True)
+    return x / den, -(top + np.log(den))[..., 0]
+
+
+def _site_success_matrix(params: HeineParams, n_sites: int) -> np.ndarray:
+    """Rows j = 0..n_sites-1 of conditional success probabilities (p_{j,1..m})."""
     if n_sites <= 0:
         return np.zeros((0, params.m))
-    lx = _log_site_weights(params, np.arange(n_sites))
-    top = np.maximum(lx.max(axis=1, keepdims=True), 0.0)
-    x = np.exp(lx - top)
-    return x / (np.exp(-top) + x.sum(axis=1, keepdims=True))
+    return _site_law(params, np.arange(n_sites))[0]
 
 
 def truncation_site_count(params: HeineParams, tail_tol: float) -> int:
@@ -496,6 +501,28 @@ def marginal_cap(success_probs: Sequence[float], tail_target: float) -> int:
     return int(np.argmax(tails <= tail_target))
 
 
+def _budgeted_caps(
+    rows: np.ndarray, tail_tol: float, caps: Optional[Sequence[int]], max_cells: int
+) -> Tuple[int, ...]:
+    """The caps of a count law over the (sites, m) success ``rows``: the
+    given ones as ints, or else each coordinate's marginal quantile with
+    tail 0.45 tail_tol / m. Raises ValueError when the capped table would
+    hold more than ``max_cells`` cells."""
+    m = rows.shape[1]
+    if caps is None:
+        per = 0.45 * tail_tol / m
+        caps = tuple(marginal_cap(rows[:, k], per) for k in range(m))
+    else:
+        caps = tuple(int(c) for c in caps)
+    cells = math.prod(c + 1 for c in caps)
+    if cells > max_cells:
+        raise ValueError(
+            f"table would hold {cells} cells (budget {max_cells}); "
+            "raise tail_tol or pass smaller caps"
+        )
+    return caps
+
+
 def dp_count_law(
     rows: np.ndarray,
     tail_tol: float,
@@ -513,18 +540,7 @@ def dp_count_law(
     ValueError when the capped table would exceed ``max_cells`` cells.
     """
     rows = np.asarray(rows, dtype=float)
-    m = rows.shape[1]
-    if caps is None:
-        per = 0.45 * tail_tol / m
-        caps = tuple(marginal_cap(rows[:, k], per) for k in range(m))
-    else:
-        caps = tuple(int(c) for c in caps)
-    cells = math.prod(c + 1 for c in caps)
-    if cells > max_cells:
-        raise ValueError(
-            f"table would hold {cells} cells (budget {max_cells}); "
-            "raise tail_tol or pass smaller caps"
-        )
+    caps = _budgeted_caps(rows, tail_tol, caps, max_cells)
     table, _overflow = poisson_binomial_dp(rows, caps)
     return CountLaw(table=table * scale)
 
@@ -639,17 +655,7 @@ def pmf_table(
         raise ValueError("tail_tol must lie in (0, 1)")
     j_max = truncation_site_count(params, 0.45 * tail_tol)
     rows = _site_success_matrix(params, j_max + 1)
-    if caps is None:
-        per = 0.45 * tail_tol / params.m
-        caps = tuple(marginal_cap(rows[:, k], per) for k in range(params.m))
-    else:
-        caps = tuple(int(c) for c in caps)
-    cells = math.prod(c + 1 for c in caps)
-    if cells > max_entries:
-        raise ValueError(
-            f"table would hold {cells} cells (budget {max_entries}); "
-            "raise tail_tol or pass smaller caps"
-        )
+    caps = _budgeted_caps(rows, tail_tol, caps, max_entries)
     table, rounding, z_tail = _shift_recursion(params, caps)
     law = CountLaw(table=table)
     if law.mass_deficit > tail_tol:
@@ -696,9 +702,13 @@ def pmf_point(
 def mgf(params: HeineParams, s: Sequence[float]) -> float:
     """Moment generating function E[exp(<s, X>)], computed in log space.
 
-    Truncates the site product once the remaining log-tail is below 1e-14.
-    Rejects s_k > 700 (the exponential would overflow); arbitrarily negative
-    s is fine.
+    The sites are independent categoricals, so log E[exp(<s, X>)] is
+    sum_j log1p(sum_k p_{j,k} (e^{s_k} - 1)) over the rows of
+    ``_site_success_matrix``: the formula ``engine.joint_mgf`` applies to
+    its landing matrix. Sites j <= J enter, with J from
+    ``truncation_site_count`` at 1e-14 / max_k |e^{s_k} - 1|, so the
+    log-tail left out is below 1e-14. Rejects s_k > 700 (the exponential
+    would overflow); arbitrarily negative s is fine.
     """
     sv = np.asarray(s, dtype=float)
     if sv.shape != (params.m,):
@@ -707,23 +717,13 @@ def mgf(params: HeineParams, s: Sequence[float]) -> float:
         raise ValueError("s must be finite")
     if np.any(sv > 700.0):
         raise ValueError("s out of range (overflow guard: require s_k <= 700)")
-    th = np.asarray(params.thetas)
-    q = np.asarray(params.qs)
-    es = np.exp(sv)
-    coeff = np.abs(es - 1.0) * th / (1.0 - q)
-    log_acc = 0.0
-    qpow = np.ones_like(q)
-    j = 0
-    while True:
-        x = th * qpow
-        log_acc += math.log1p(float((es * x).sum())) - math.log1p(float(x.sum()))
-        qpow = qpow * q
-        j += 1
-        if float((coeff * qpow).sum()) < 1e-14:
-            break
-        if j > 10_000_000:
-            raise RuntimeError("mgf site loop failed to converge")
-    return math.exp(log_acc)
+    tilt = np.expm1(sv)
+    spread = float(np.max(np.abs(tilt)))
+    if spread == 0.0:
+        return 1.0
+    j_max = truncation_site_count(params, min(1e-14 / spread, 0.5))
+    rows = _site_success_matrix(params, j_max + 1)
+    return math.exp(float(np.log1p(rows @ tilt).sum()))
 
 
 # -------------------------------------------------------------------- moments

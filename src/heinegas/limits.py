@@ -16,10 +16,11 @@ with parameters oscillating through x_n = M0·n − ⌊M0·n⌋. Coordinate 0 is
 the index-split gap-edge statistic; the hat family's extra coordinate
 m+1 folds back into it, which is what the CoordinateMap encodes.
 
-Moment series are summed directly from the ϑ, ρ parameterization so they
-can be cross-checked against the site-probability moments of the Heine
-module; the two routes agree to floating precision by construction of the
-parameters, not by shared code.
+Moments, MGFs and tables of the limit laws come from the Heine module:
+``case2_moments`` and ``case2_predicted_mgf`` push each family's Heine
+moments or MGF through the coordinate map. The case-1 moments are the
+Heine moments of ``Case1Limit.heine``. The tests check them against the
+site series summed directly in the (ϑ, ρ) parameterization.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .heine import (
     CountLaw,
     HeineParams,
     convolve_mapped,
+    covariance_matrix,
+    mean_vector,
     mgf,
     pmf_table,
     validate_params,
@@ -45,7 +48,6 @@ __all__ = [
     "Case1Limit",
     "Case2Limit",
     "case1",
-    "case1_moments",
     "case2",
     "case2_moments",
     "case2_predicted_law",
@@ -102,39 +104,6 @@ def case1(data: DropletData, pot: RadialPotential) -> Case1Limit:
         [v * r for v, r in zip(vartheta, rho)], [r * r for r in rho]
     )
     return Case1Limit(m=len(ts), vartheta=vartheta, rho=rho, heine=heine)
-
-
-def _series_moments(vartheta, rho, tol: float = 1e-15):
-    """Mean, variance, and covariance matrix of the Heine limit by direct
-    summation of the site series in the (ϑ, ρ) parameterization.
-
-    Site j contributes terms ϑ_k ρ_k^(2j+1); the series is cut once the
-    geometric remainder of the mean falls below tol.
-    """
-    v = np.asarray(vartheta, dtype=float)
-    r = np.asarray(rho, dtype=float)
-    m = len(v)
-    mean = np.zeros(m)
-    var = np.zeros(m)
-    cov = np.zeros((m, m))
-    rpow = r.copy()  # ρ^(2j+1) at j = 0
-    r2_max = float((r * r).max())
-    while True:
-        term = v * rpow
-        den = 1.0 + float(term.sum())
-        mean += term / den
-        var += term * (den - term) / den**2
-        cov -= np.outer(term, term) / den**2
-        rpow = rpow * r * r
-        if float((v * rpow).sum()) / (1.0 - r2_max) < tol:
-            break
-    np.fill_diagonal(cov, var)
-    return mean, var, cov
-
-
-def case1_moments(lim: Case1Limit):
-    """(mean, variance, covariance matrix) of the case-1 limit law."""
-    return _series_moments(lim.vartheta, lim.rho)
 
 
 # -------------------------------------------------------------------- case 2
@@ -282,14 +251,12 @@ def _assignment_matrix(to: Tuple[int, ...], target: int) -> np.ndarray:
 def case2_moments(lim: Case2Limit):
     """(mean, variance, covariance matrix) of the combined law.
 
-    Each side's series is summed in its own (ϑ, ρ) parameterization and
+    Each side's Heine moments (``mean_vector``, ``covariance_matrix``) are
     pushed through the coordinate map; independence makes every mixed
     tilde/hat covariance exactly zero, so the mapped matrices just add.
     """
-    t_mean, _t_var, t_cov = _series_moments(lim.tilde_vartheta, lim.tilde_rho)
-    h_mean, _h_var, h_cov = _series_moments(lim.hat_vartheta, lim.hat_rho)
     a = _assignment_matrix(lim.cmap.a_to, lim.cmap.target)
     b = _assignment_matrix(lim.cmap.b_to, lim.cmap.target)
-    mean = a @ t_mean + b @ h_mean
-    cov = a @ t_cov @ a.T + b @ h_cov @ b.T
+    mean = a @ mean_vector(lim.tilde) + b @ mean_vector(lim.hat)
+    cov = a @ covariance_matrix(lim.tilde) @ a.T + b @ covariance_matrix(lim.hat) @ b.T
     return mean, np.diag(cov).copy(), cov

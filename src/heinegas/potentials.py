@@ -166,10 +166,7 @@ def bump(spec: BumpSpec, r) -> np.ndarray:
     t, eps = spec.center, spec.half_width
     (up,) = _smoothstep((rr - (t - eps)) / (eps / 2.0), 0)
     (down,) = _smoothstep(((t + eps) - rr) / (eps / 2.0), 0)
-    out = up * down
-    if np.ndim(r) == 0:
-        return float(out)
-    return out
+    return _scalarize(r, up * down)
 
 
 @dataclass(frozen=True)
@@ -190,10 +187,7 @@ def shoulder(spec: Shoulder, r) -> np.ndarray:
     """Evaluate the one-sided cutoff h(r) of ``spec`` (values in [0, 1])."""
     rr = np.asarray(r, dtype=float)
     (up,) = _smoothstep((rr - spec.lo) / (spec.hi - spec.lo), 0)
-    out = 1.0 - up if spec.keep_below else up
-    if np.ndim(r) == 0:
-        return float(out)
-    return out
+    return _scalarize(r, 1.0 - up if spec.keep_below else up)
 
 
 # ------------------------------------------------------------ potential type

@@ -1,6 +1,12 @@
-"""Shared fixtures: built potentials and their classifications, the
-peak-windowed log norm that cross-checks the library's full-range one, and
-a plain-float site-product MGF that cross-checks the Heine module's.
+"""Shared fixtures: built potentials and their classifications, and the
+oracles that check the library without sharing its code:
+
+- the peak-windowed log norm, against the library's full-range one;
+- the weighted log norms, with the statistics put into the quadrature
+  exponent, against the landing kernel's joint MGF;
+- 30-digit mpmath transcriptions of the case-1 and case-2 builders;
+- a plain-float site-product MGF, against the Heine module's;
+- the Heine moments summed as series in the (ϑ, ρ) parameterization.
 
 Building and classifying the reference potentials costs a few seconds, so
 every test module shares one session-scoped copy.
@@ -61,6 +67,12 @@ def case2_bare_data(case2_bare_pot):
     return hg.droplet_data(case2_bare_pot)
 
 
+def _log_sum_exp_rows(phi, w):
+    """log Σ_i w_i e^(phi[r, i]) per row r, shifted by the row maximum."""
+    top = phi.max(axis=1)
+    return top + np.log((w * np.exp(phi - top[:, None])).sum(axis=1))
+
+
 def _windowed_log_norm(pot, n, j, cfg=QuadratureConfig()):
     """log 2∫ r^(2j+1) e^(-n q) dr over the significant-peak windows of
     modulus j only: each window is graded around its peaks at h/32 and
@@ -84,7 +96,7 @@ def _windowed_log_norm(pot, n, j, cfg=QuadratureConfig()):
         panels = engine._subdivide(np.concatenate(los), np.concatenate(his), splits)
         x, w = engine._gl_panels(*panels, engine._GL32)
         x, w = x.ravel(), w.ravel()
-        return engine._log_rows(engine._log_weight(pot, n, j_arr[:, None], x), w)
+        return _log_sum_exp_rows(engine._log_weight(pot, n, j_arr[:, None], x), w)
 
     return float((math.log(2.0) + engine._converged_rows(make, cfg))[0])
 
@@ -92,6 +104,40 @@ def _windowed_log_norm(pot, n, j, cfg=QuadratureConfig()):
 @pytest.fixture(scope="session")
 def windowed_log_norm():
     return _windowed_log_norm
+
+
+def _weighted_log_norms(pot, n, s=None, stats=None, cfg=QuadratureConfig()):
+    """log 2∫ r^(2j+1) e^(Σ_k s_k h_k(r)) e^(-n q) dr for every index j < n,
+    with the statistics' values h_k put into the quadrature exponent, on the
+    full grid cut at the statistics' edges and split until stable to
+    cfg.rel_tol. Differences with s = 0 give the log MGF factors by a route
+    that forms no landing probability."""
+    j_arr = np.arange(n, dtype=float)
+    edges = stats.edge_radii() if stats is not None else ()
+    s = np.zeros(0) if s is None else np.asarray(s, dtype=float)
+    # indices on the same side of every split share one exponent
+    groups = {}
+    if np.any(s != 0.0):
+        for j in range(n):
+            key = tuple(stats.resolve(k, j) for k in range(stats.m))
+            groups.setdefault(key, []).append(j)
+
+    def make(splits):
+        x, w = engine._full_grid(pot, n, edges, splits)
+        phi = engine._log_weight(pot, n, j_arr[:, None], x)
+        for rows in groups.values():
+            extra = np.zeros(x.shape)
+            for k in np.flatnonzero(s != 0.0):
+                extra += s[k] * stats.statistic(k, rows[0], x)
+            phi[rows, :] += extra
+        return _log_sum_exp_rows(phi, w)
+
+    return math.log(2.0) + engine._converged_rows(make, cfg)
+
+
+@pytest.fixture(scope="session")
+def weighted_log_norms():
+    return _weighted_log_norms
 
 
 def _site_product_mgf(thetas, qs, s, tol=1e-16):
@@ -113,3 +159,88 @@ def _site_product_mgf(thetas, qs, s, tol=1e-16):
 @pytest.fixture(scope="session")
 def site_product_mgf():
     return _site_product_mgf
+
+
+def _series_moments(vartheta, rho, tol=1e-15):
+    """Mean, variance and covariance matrix of the Heine law with
+    θ_k = ϑ_k ρ_k and q_k = ρ_k², by direct summation of the site series in
+    the (ϑ, ρ) parameterization: site j contributes terms ϑ_k ρ_k^(2j+1),
+    and the series is cut once the geometric remainder of the mean falls
+    below tol."""
+    v = np.asarray(vartheta, dtype=float)
+    r = np.asarray(rho, dtype=float)
+    m = len(v)
+    mean = np.zeros(m)
+    var = np.zeros(m)
+    cov = np.zeros((m, m))
+    rpow = r.copy()  # ρ^(2j+1) at j = 0
+    r2_max = float((r * r).max())
+    while True:
+        term = v * rpow
+        den = 1.0 + float(term.sum())
+        mean += term / den
+        var += term * (den - term) / den**2
+        cov -= np.outer(term, term) / den**2
+        rpow = rpow * r * r
+        if float((v * rpow).sum()) / (1.0 - r2_max) < tol:
+            break
+    np.fill_diagonal(cov, var)
+    return mean, var, cov
+
+
+@pytest.fixture(scope="session")
+def series_moments():
+    return _series_moments
+
+
+def _zeta_mp(mp, u):
+    return mp.exp(1 - 1 / (1 - u * u)) if abs(u) < 1 else mp.mpf(0)
+
+
+def _step_mp(mp, x):
+    if x <= 0:
+        return mp.mpf(0)
+    if x >= 1:
+        return mp.mpf(1)
+    a, b = mp.exp(-1 / x), mp.exp(-1 / (1 - x))
+    return a / (a + b)
+
+
+def _case1_q_mp(mp, pot):
+    """q of ``build_case1`` in mpmath arithmetic, written from its formula."""
+    ts, ws = pot.params["t"], pot.params["w"]
+
+    def q(r):
+        s = sum(_zeta_mp(mp, (r - t) / w) for t, w in zip(ts, ws))
+        return r * r - (r * r - 1 - 2 * mp.log(r)) * s
+
+    return q
+
+
+def _case2_q_mp(mp, pot):
+    """q of ``build_case2`` in mpmath arithmetic, written from its formula."""
+    p = pot.params
+    (_, b0), (a1, b1) = p["components"]
+    m0, c0, c1, ts, ws = p["M0"], p["c0"], p["c1"], p["t"], p["w"]
+    gap = a1 - b0
+    k_bridge = (c0 + c1) * gap**2 / 2
+    q_a1 = m0 + 2 * m0 * mp.log(mp.mpf(a1) / b0)
+    d_out = m0 - c1 * a1**2
+
+    def q(r):
+        if r <= b0:
+            return c0 * r * r
+        if r >= a1:
+            return q_a1 + c1 * (r * r - a1**2) + 2 * d_out * mp.log(r / a1)
+        u = (r - b0) / gap
+        qc = m0 + 2 * m0 * mp.log(r / b0)
+        bar = (
+            (1 - _step_mp(mp, (u - mp.mpf("0.30")) / mp.mpf("0.15"))) * (c0 * r * r - qc)
+            + _step_mp(mp, (u - mp.mpf("0.55")) / mp.mpf("0.15"))
+            * (c1 * (r * r - a1**2) - 2 * c1 * a1**2 * mp.log(r / a1))
+            + k_bridge * _step_mp(mp, (u - mp.mpf("0.15")) / mp.mpf("0.10"))
+            * _step_mp(mp, (mp.mpf("0.85") - u) / mp.mpf("0.10"))
+        )
+        return qc + bar * (1 - sum(_zeta_mp(mp, (r - t) / w) for t, w in zip(ts, ws)))
+
+    return q

@@ -22,9 +22,7 @@ from heinegas.engine import (
     standard_regions,
 )
 from heinegas.limits import (
-    Case1Limit,
     case1,
-    case1_moments,
     case2,
     case2_moments,
     case2_predicted_law,
@@ -86,7 +84,7 @@ def test_acceptance_2_mgf_exactness():
     assert elapsed < 1.0
 
 
-def test_acceptance_3_moment_equivalence():
+def test_acceptance_3_moment_equivalence(series_moments):
     t0 = time.monotonic()
     worst_series = 0.0
     worst_table = 0.0
@@ -95,13 +93,14 @@ def test_acceptance_3_moment_equivalence():
         rho = tuple(math.sqrt(q) for q in qs)
         vartheta = tuple(t / r for t, r in zip(thetas, rho))
         params = hg.validate_params(thetas, qs)
-        lim = Case1Limit(m=params.m, vartheta=vartheta, rho=rho, heine=params)
-        mean, var, cov = case1_moments(lim)
+        mean = hg.mean_vector(params)
+        cov = hg.covariance_matrix(params)
+        s_mean, s_var, s_cov = series_moments(vartheta, rho)
         worst_series = max(
             worst_series,
-            float(np.max(np.abs(mean - hg.mean_vector(params)))),
-            float(np.max(np.abs(var - hg.variance_vector(params)))),
-            float(np.max(np.abs(cov - hg.covariance_matrix(params)))),
+            float(np.max(np.abs(mean - s_mean))),
+            float(np.max(np.abs(hg.variance_vector(params) - s_var))),
+            float(np.max(np.abs(cov - s_cov))),
         )
         law = hg.pmf_table(params, tail_tol=1e-13)
         worst_table = max(
@@ -295,7 +294,9 @@ def test_acceptance_7_monte_carlo(case1_pot, case1_data):
     assert elapsed < 300.0
 
 
-def test_acceptance_8_independence_decomposition(case2_pot, case2_data, site_product_mgf):
+def test_acceptance_8_independence_decomposition(
+    case2_pot, case2_data, site_product_mgf, series_moments
+):
     lim = case2(case2_data, case2_pot, 256)
     worst = 0.0
     for s in itertools.product((-1.0, -0.5, 0.0, 0.5, 1.0), repeat=3):
@@ -310,14 +311,14 @@ def test_acceptance_8_independence_decomposition(case2_pot, case2_data, site_pro
         a_mat[dst, src] = 1.0
     for src, dst in enumerate(lim.cmap.b_to):
         b_mat[dst, src] = 1.0
-    mapped = (
-        a_mat @ hg.covariance_matrix(lim.tilde) @ a_mat.T
-        + b_mat @ hg.covariance_matrix(lim.hat) @ b_mat.T
-    )
+    # each side's covariance from its (ϑ, ρ) site series
+    t_cov = series_moments(lim.tilde_vartheta, lim.tilde_rho)[2]
+    h_cov = series_moments(lim.hat_vartheta, lim.hat_rho)[2]
+    mapped = a_mat @ t_cov @ a_mat.T + b_mat @ h_cov @ b_mat.T
     _, _, cov = case2_moments(lim)
     mixed_series = float(np.max(np.abs(cov - mapped)))
     table_cov = case2_predicted_law(lim, tail_tol=1e-13).covariance_matrix()
-    mixed_table = float(np.max(np.abs(table_cov - mapped)))
+    mixed_table = float(np.max(np.abs(table_cov - cov)))
     ok = worst <= 1e-10 and mixed_series <= 1e-14 and mixed_table <= 1e-8
     report(
         8,

@@ -32,6 +32,8 @@ from heinegas.engine import (
 )
 from heinegas.potentials import BumpSpec, Shoulder
 
+from conftest import _case1_q_mp, _case2_q_mp
+
 
 # ---------------------------------------------------------------- log norms
 
@@ -59,6 +61,53 @@ def test_log_norm_windowed_matches_full(case1_pot, case2_pot, windowed_log_norm)
             a = log_norm(pot, n, j)
             b = windowed_log_norm(pot, n, j)
             assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
+
+
+def _log_norm_mp(mp, pot, q, n, j):
+    """log 2∫ r^(2j+1) e^(-n q(r)) dr by mpmath.quad at the working precision,
+    with q an mpmath transcription of the builder, on [0, r_max] cut at the
+    potential's special radii: component edges, outposts, the ends of their
+    windows and, in case 2, the ends of the gap barrier's blends. The
+    integrand is scaled by its largest value on a coarse scan, since quad's
+    convergence test is absolute."""
+    data = hg.droplet_data(pot)
+    special = [e for c in data.components for e in c]
+    special += [t + a * w for t, w in zip(pot.params["t"], pot.params["w"]) for a in (-1, 0, 1)]
+    if data.case_tag == "case2":
+        b0, a1 = data.components[0][1], data.components[1][0]
+        special += [b0 + u * (a1 - b0) for u in (0.15, 0.25, 0.3, 0.45, 0.55, 0.7, 0.75, 0.85)]
+    cuts = sorted({0.0, pot.r_max, *(e for e in special if 0.0 < e < pot.r_max)})
+
+    def log_density(r):
+        return (2 * j + 1) * mp.log(r) - n * q(r)
+
+    top = max(log_density(mp.mpf(r)) for r in np.linspace(0.05, pot.r_max, 240))
+    mass = mp.quad(lambda r: mp.exp(log_density(r) - top) if r > 0 else mp.mpf(0), cuts)
+    return mp.log(2 * mass) + top
+
+
+@pytest.mark.parametrize(
+    "pot_name,q_mp,j",
+    [
+        ("case1_pot", _case1_q_mp, 127),
+        ("case1_pot", _case1_q_mp, 96),
+        ("case2_pot", _case2_q_mp, 63),
+        ("case2_pot", _case2_q_mp, 64),
+        ("case2_pot", _case2_q_mp, 62),
+    ],
+    ids=["case1-edge", "case1-outpost", "case2-below-split", "case2-split", "case2-two-peak"],
+)
+def test_log_norm_matches_mpmath(request, pot_name, q_mp, j):
+    # n = 128: case 1's droplet-edge index and its first index with a
+    # window at the outer outpost; case 2's gap-edge indices m0 - 1 and
+    # m0 and the two-peak index m0 - 2 next to the branching tilt 1/2.
+    # Measured worst 7.5e-15 on the log (case 2, j = 63)
+    mp = pytest.importorskip("mpmath")
+    pot = request.getfixturevalue(pot_name)
+    n = 128
+    with mp.workdps(30):
+        want = _log_norm_mp(mp, pot, q_mp(mp, pot), n, j)
+    assert abs(log_norm(pot, n, j) - float(want)) <= 7.5e-14
 
 
 def test_quadrature_config_validation():
@@ -155,8 +204,6 @@ def test_split_region_resolve():
     rs = RegionSet.hard([entry])
     assert rs.resolve(0, 4) is entry.below
     assert rs.resolve(0, 5) is entry.above
-    assert rs.group_key(4) == (False,)
-    assert rs.group_key(5) == (True,)
 
 
 def test_standard_regions_case1(case1_data):
@@ -578,29 +625,22 @@ def test_hard_joint_mgf_ginibre_closed_form(ginibre_pot, n):
         assert res.remainder_bound == pytest.approx(0.0, abs=1e-13)
 
 
-def _quadrature_log_mgf(pot, n, s, stats, cfg):
-    # Σ_j [log_norm(j, s) − log_norm(j, 0)] with the hard indicators put
-    # into the quadrature exponent, the route the landing matrix replaces
-    j_all = tuple(range(n))
-    wtd = engine._log_norm_rows_full(pot, n, j_all, tuple(s), stats, cfg)
-    base = engine._log_norm_rows_full(pot, n, j_all, (), None, cfg)
-    return float((np.asarray(wtd) - np.asarray(base)).sum())
-
-
 @pytest.mark.parametrize(
     "case,smooth",
     [("case1", False), ("case2", False), ("case1", True), ("case2", True)],
     ids=["case1", "case2", "case1-smooth", "case2-smooth"],
 )
-def test_hard_joint_mgf_matches_quadrature_route(request, case, smooth):
+def test_hard_joint_mgf_matches_quadrature_route(request, weighted_log_norms, case, smooth):
     # hard and smooth statistics share one MGF route, the landing kernel;
-    # the weighted log norms are its oracle for both
+    # its oracle is Σ_j [log_norm(j, s) − log_norm(j, 0)] with the
+    # statistics put into the quadrature exponent
     n = 64
     pot = request.getfixturevalue(f"{case}_pot")
     regions, _ = standard_regions(request.getfixturevalue(f"{case}_data"), n=n, smooth=smooth)
     cfg = QuadratureConfig()
+    base = weighted_log_norms(pot, n, cfg=cfg)
     for s in itertools.product((-1.0, 0.0, 1.0), repeat=regions.m):
-        want = _quadrature_log_mgf(pot, n, s, regions, cfg)
+        want = float((weighted_log_norms(pot, n, s, regions, cfg) - base).sum())
         res = joint_mgf(pot, n, np.array(s), regions, cfg)
         assert res.value == pytest.approx(math.exp(want), rel=1e-10)
         assert res.remainder_bound == pytest.approx(0.0, abs=1e-12)

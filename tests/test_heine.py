@@ -690,6 +690,38 @@ def test_site_counts_in_logs_near_float_max_theta():
     assert abs(hg.heine._tail_bound(params, 470) - want) <= 1e-12 * want
 
 
+def test_mgf_near_float_max_theta():
+    # the site product summed theta_k q_k^j directly and overflowed to nan
+    # there; against a 30-digit mpmath site product (measured 1.4e-14)
+    mp = pytest.importorskip("mpmath")
+    thetas, qs, s = (1.7e308, 1.7e308), (0.3, 0.2), (0.1, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = hg.mgf(hg.validate_params(thetas, qs), s)
+    with mp.workdps(30):
+        log_acc, j = mp.mpf(0), 0
+        while True:
+            x = [mp.mpf(t) * mp.mpf(q) ** j for t, q in zip(thetas, qs)]
+            es = [mp.exp(mp.mpf(v)) for v in s]
+            log_acc += mp.log1p(mp.fsum(e * xk for e, xk in zip(es, x))) - mp.log1p(mp.fsum(x))
+            if mp.fsum(x) < mp.mpf("1e-40"):
+                break
+            j += 1
+        want = float(mp.exp(log_acc))
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("j", [0, 600, 2000])
+def test_site_probabilities_near_float_max_theta(j):
+    # 1 + fsum(theta_k q_k^j) overflowed at j = 0
+    params = hg.validate_params((1.7e308, 1.7e308), (0.3, 0.2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        probs = site_probabilities(params, j).probs
+    assert all(math.isfinite(p) and p >= 0.0 for p in probs)
+    assert abs(math.fsum(probs) - 1.0) <= 1e-15
+
+
 def _full_tail_dp(probs):
     """P(sum > c) for c = 0..len(probs) by the unclipped 1-D DP."""
     b = np.zeros(len(probs) + 1)

@@ -1,0 +1,84 @@
+"""Source hygiene of the package, read with the standard library's ast only:
+every import is used, and every exported name is defined where it is
+imported from."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "heinegas"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _exports(tree):
+    """The string names listed in a top-level ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def _top_level_names(tree):
+    """Names bound by the module's top-level statements."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+def _used_names(tree):
+    """Every name the module reads, including those inside string annotations."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        for hint in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(hint, ast.Constant) and isinstance(hint.value, str):
+                used |= _used_names(ast.parse(hint.value, mode="eval"))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_uses_every_import(path):
+    tree = _tree(path)
+    used = _used_names(tree) | set(_exports(tree))
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = (alias.asname or alias.name).split(".")[0]
+                if bound not in used:
+                    unused.append(f"line {node.lineno}: {bound}")
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_exports_resolve(path):
+    # a name in __all__ must be bound in the module, and a name imported
+    # from a sibling module must be bound there
+    trees = {p.stem: _tree(p) for p in MODULES}
+    tree = trees[path.stem]
+    missing = [name for name in _exports(tree) if name not in _top_level_names(tree)]
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in trees:
+            source = _top_level_names(trees[node.module])
+            missing += [
+                f"{node.module}.{a.name}" for a in node.names if a.name not in source
+            ]
+    assert not missing, f"{path.name} exports or imports undefined names: {missing}"

@@ -9,7 +9,6 @@ import heinegas as hg
 from heinegas.engine import HardRegion, RegionSet, SplitRegion, exact_count_law, standard_regions
 from heinegas.limits import (
     case1,
-    case1_moments,
     case2,
     case2_moments,
     case2_predicted_law,
@@ -49,22 +48,22 @@ def test_case1_substitution(case1_pot, case1_data):
         assert lim.heine.qs[k] == pytest.approx(lim.rho[k] ** 2, abs=1e-14)
 
 
-def test_case1_moments_match_series(case1_pot, case1_data):
-    # closed-form series against the generic heine moment machinery
+def test_case1_moments_match_series(case1_pot, case1_data, series_moments):
+    # the heine moment machinery against the site series summed in the
+    # (ϑ, ρ) parameterization
     lim = case1(case1_data, case1_pot)
-    mean, var, cov = case1_moments(lim)
-    assert np.allclose(mean, hg.mean_vector(lim.heine), atol=1e-12)
-    assert np.allclose(var, hg.variance_vector(lim.heine), atol=1e-12)
-    assert np.allclose(cov, hg.covariance_matrix(lim.heine), atol=1e-12)
-    assert cov[0, 1] < 0.0
+    mean, var, cov = series_moments(lim.vartheta, lim.rho)
+    assert np.allclose(hg.mean_vector(lim.heine), mean, atol=1e-12)
+    assert np.allclose(hg.variance_vector(lim.heine), var, atol=1e-12)
+    assert np.allclose(hg.covariance_matrix(lim.heine), cov, atol=1e-12)
+    assert hg.covariance_matrix(lim.heine)[0, 1] < 0.0
 
 
 def test_case1_moments_match_table(case1_pot, case1_data):
     lim = case1(case1_data, case1_pot)
-    mean, var, cov = case1_moments(lim)
     law = hg.pmf_table(lim.heine, tail_tol=1e-13)
-    assert np.allclose(mean, law.mean(), atol=1e-8)
-    assert np.allclose(cov, law.covariance_matrix(), atol=1e-8)
+    assert np.allclose(hg.mean_vector(lim.heine), law.mean(), atol=1e-8)
+    assert np.allclose(hg.covariance_matrix(lim.heine), law.covariance_matrix(), atol=1e-8)
 
 
 def test_case1_rejects_wrong_tag(case2_pot, case2_data):
@@ -221,9 +220,10 @@ def test_case2_predicted_mgf_matches_law(case2_pot, case2_data):
     assert case2_predicted_mgf(lim, s) == pytest.approx(direct, rel=1e-8)
 
 
-def test_case2_moments_are_mapped_sums(case2_pot, case2_data):
+def test_case2_moments_are_mapped_sums(case2_pot, case2_data, series_moments):
     # combined covariance = A cov_tilde A^T + B cov_hat B^T with the
-    # assignment matrices of the coordinate map; no mixed terms appear
+    # assignment matrices of the coordinate map; no mixed terms appear.
+    # Each side's moments here are the (ϑ, ρ) site series
     lim = case2(case2_data, case2_pot, 256)
     mean, var, cov = case2_moments(lim)
     a_mat = np.zeros((3, 3))
@@ -232,11 +232,10 @@ def test_case2_moments_are_mapped_sums(case2_pot, case2_data):
     b_mat = np.zeros((3, 3))
     for src, dst in enumerate(lim.cmap.b_to):
         b_mat[dst, src] = 1.0
-    want_mean = a_mat @ hg.mean_vector(lim.tilde) + b_mat @ hg.mean_vector(lim.hat)
-    want_cov = (
-        a_mat @ hg.covariance_matrix(lim.tilde) @ a_mat.T
-        + b_mat @ hg.covariance_matrix(lim.hat) @ b_mat.T
-    )
+    t_mean, _, t_cov = series_moments(lim.tilde_vartheta, lim.tilde_rho)
+    h_mean, _, h_cov = series_moments(lim.hat_vartheta, lim.hat_rho)
+    want_mean = a_mat @ t_mean + b_mat @ h_mean
+    want_cov = a_mat @ t_cov @ a_mat.T + b_mat @ h_cov @ b_mat.T
     assert np.allclose(mean, want_mean, atol=1e-12)
     assert np.allclose(cov, want_cov, atol=1e-12)
     assert np.allclose(var, np.diag(cov), atol=1e-12)

@@ -19,6 +19,8 @@ from heinegas.potentials import (
     tilt_roots,
 )
 
+from conftest import _case1_q_mp, _case2_q_mp
+
 
 def wiggle_potential(a=0.03, c=1.2, s=0.05):
     """Quadratic well with a narrow Gaussian ripple: creates a close pair
@@ -304,59 +306,6 @@ def test_tilt_roots_ginibre_closed_form(ginibre_pot):
         for tau, pa in zip(taus, analyses):
             (peak,) = pa.peaks
             assert abs(peak.r - math.sqrt(tau)) <= 1e-15 * math.sqrt(tau)
-
-
-def _zeta_mp(mp, u):
-    return mp.exp(1 - 1 / (1 - u * u)) if abs(u) < 1 else mp.mpf(0)
-
-
-def _step_mp(mp, x):
-    if x <= 0:
-        return mp.mpf(0)
-    if x >= 1:
-        return mp.mpf(1)
-    a, b = mp.exp(-1 / x), mp.exp(-1 / (1 - x))
-    return a / (a + b)
-
-
-def _case1_q_mp(mp, pot):
-    """q of ``build_case1`` in mpmath arithmetic, written from its formula."""
-    ts, ws = pot.params["t"], pot.params["w"]
-
-    def q(r):
-        s = sum(_zeta_mp(mp, (r - t) / w) for t, w in zip(ts, ws))
-        return r * r - (r * r - 1 - 2 * mp.log(r)) * s
-
-    return q
-
-
-def _case2_q_mp(mp, pot):
-    """q of ``build_case2`` in mpmath arithmetic, written from its formula."""
-    p = pot.params
-    (_, b0), (a1, b1) = p["components"]
-    m0, c0, c1, ts, ws = p["M0"], p["c0"], p["c1"], p["t"], p["w"]
-    gap = a1 - b0
-    k_bridge = (c0 + c1) * gap**2 / 2
-    q_a1 = m0 + 2 * m0 * mp.log(mp.mpf(a1) / b0)
-    d_out = m0 - c1 * a1**2
-
-    def q(r):
-        if r <= b0:
-            return c0 * r * r
-        if r >= a1:
-            return q_a1 + c1 * (r * r - a1**2) + 2 * d_out * mp.log(r / a1)
-        u = (r - b0) / gap
-        qc = m0 + 2 * m0 * mp.log(r / b0)
-        bar = (
-            (1 - _step_mp(mp, (u - mp.mpf("0.30")) / mp.mpf("0.15"))) * (c0 * r * r - qc)
-            + _step_mp(mp, (u - mp.mpf("0.55")) / mp.mpf("0.15"))
-            * (c1 * (r * r - a1**2) - 2 * c1 * a1**2 * mp.log(r / a1))
-            + k_bridge * _step_mp(mp, (u - mp.mpf("0.15")) / mp.mpf("0.10"))
-            * _step_mp(mp, (mp.mpf("0.85") - u) / mp.mpf("0.10"))
-        )
-        return qc + bar * (1 - sum(_zeta_mp(mp, (r - t) / w) for t, w in zip(ts, ws)))
-
-    return q
 
 
 @pytest.mark.parametrize("pot_name,q_mp", [("case1_pot", _case1_q_mp), ("case2_pot", _case2_q_mp)])
