@@ -15,8 +15,8 @@ regions, eps = standard_regions(data)
 n, reps = 128, 5000
 sample = sample_moduli(pot, n, seed=42, reps=reps)
 print(
-    f"{reps} configurations of n={n} moduli "
-    f"(law truncation bound {sample.law_truncation:.2e})"
+    f"{reps} configurations of n={n} moduli, each drawn from its law on the "
+    "engine's full-range quadrature grid"
 )
 
 # count how many moduli land in each outpost annulus, per configuration

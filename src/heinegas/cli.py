@@ -78,18 +78,20 @@ def _load_config(path: Optional[str]) -> dict:
     return cfg
 
 
+# quadrature keys of earlier versions: the quadrature mode and the peak
+# window constant C. A run that set one must not silently get something else.
+_RETIRED_KEYS = ("mode", "C")
+
+
 def _quad_config(cfg: dict) -> QuadratureConfig:
-    if "mode" in cfg:
-        # a run that asked for the windowed-vs-full cross-check must not
-        # silently get less
-        raise ValueError(
-            "config key 'mode' is no longer read: there is one quadrature "
-            "route, and the windowed-vs-full cross-check runs in the tests"
-        )
-    return QuadratureConfig(
-        rel_tol=float(cfg.get("rel_tol", 1e-11)),
-        window_constant=float(cfg.get("C", 10.0)),
-    )
+    for key in _RETIRED_KEYS:
+        if key in cfg:
+            raise ValueError(
+                f"config key '{key}' is no longer read: every engine quantity, "
+                "the sampler included, reads one full-range quadrature grid, "
+                "and peak windows are used only by the tests' cross-check"
+            )
+    return QuadratureConfig(rel_tol=float(cfg.get("rel_tol", 1e-11)))
 
 
 def _require(cfg: dict, key: str):
@@ -202,7 +204,12 @@ def cmd_converge(args) -> int:
     if case not in ("case1", "case2"):
         raise ValueError("converge requires case1 or case2")
     qcfg = _quad_config(cfg)
-    schedule = [int(v) for v in _require(cfg, "n_schedule")]
+    schedule = _require(cfg, "n_schedule")
+    if not isinstance(schedule, list):
+        raise ValueError("n_schedule must be a list of integers >= 2")
+    for v in schedule:
+        if isinstance(v, bool) or not isinstance(v, int) or v < 2:
+            raise ValueError(f"n_schedule entry {v!r} is not an integer >= 2")
     if any(b <= a for a, b in zip(schedule[:-1], schedule[1:])):
         raise ValueError("n_schedule must be strictly increasing")
     data = droplet_data(pot)

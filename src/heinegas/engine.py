@@ -20,20 +20,21 @@ accuracy,
 Quadrature is deterministic Gauss-Legendre on graded panels: panels shrink
 like the local peak scale 1/sqrt(4 n ΔQ) around component edges and
 outposts, and every computed quantity is re-evaluated with all panels split
-in two until it is stable to cfg.rel_tol. The sampler instead tabulates
-only a neighborhood of each significant peak of the integrand exponent
-(half-width max(sqrt(C log n / n), 8/sqrt(n ΔQ))), mirroring the droplet
-localization, and records the mass it leaves out.
+in two until it is stable to cfg.rel_tol. The grid spans [1e-9, r_max]
+for every index, the sampler's included: its cells are the panels at the
+splits where the log norms of all indices converged, cut into eighths, so
+the sampled law is the grid law with no window cut.
 
 π, the log norms and the sampler share one log-density kernel
-(``_log_weight``: (2j+1) ln x − n q(x)) and one Gauss-Legendre panel
-mapper (``_gl_panels``). Peak windows are merged by one helper, and every
-grid and sampler cell is split by one vectorised subdivider whose edges
-are bitwise those of np.linspace. π, the smooth MGF factors and the
-localization search read interval sums off one density array
-(``_interval_shares``): a region's share is the (optionally weighted) sum
-over its contiguous run of nodes divided by the row's total, and the log
-norms and the sampler's truncation reference are those row totals.
+(``_log_weight``: (2j+1) ln x − n q(x)), one rows × nodes density
+(``_row_density``: w·e^(phi − row max)) and one Gauss-Legendre panel
+mapper (``_gl_panels``). Every grid panel and sampler cell is split by one
+vectorised subdivider whose edges are bitwise those of np.linspace. π, the
+smooth MGF factors and the localization search read interval sums off the
+density (``_interval_shares``): a region's share is the (optionally
+weighted) sum over its contiguous run of nodes divided by the row's total,
+and the log norms are those row totals. The sampler's cell masses are the
+sums over each cell's 32 nodes.
 
 π and Ψ are built only on the indices that can reach a region. Modulus
 j's density ratio to modulus j + 1 is monotone in r, so tail
@@ -43,8 +44,8 @@ B ≤ 1e-15 on their total landing probability. The count law scales its
 table by 1 − B and the MGF, hard or smooth, adds B's effect to its
 remainder bound.
 
-Grids, log norms, peak windows and landing matrices are memoized per
-potential and are freed with it (``per_potential_cache``).
+Grids, log norms, the sampler's cell tables and landing matrices are
+memoized per potential and are freed with it (``per_potential_cache``).
 
 Statistics are described by a RegionSet whose entries are either hard
 radial intervals or smooth plateau bumps. An entry may be index-split: it
@@ -64,12 +65,10 @@ import numpy as np
 from .heine import CountLaw, dp_count_law
 from .potentials import (
     BumpSpec,
-    GridResolutionError,
     RadialPotential,
     Shoulder,
     bump,
     droplet_data,
-    find_peaks_batch,
     laplacian,
     per_potential_cache,
     shoulder,
@@ -103,13 +102,10 @@ class QuadratureError(RuntimeError):
 @dataclass(frozen=True)
 class QuadratureConfig:
     rel_tol: float = 1e-11
-    window_constant: float = 10.0
 
     def __post_init__(self) -> None:
         if self.rel_tol <= 0.0:
             raise ValueError("tolerances must be positive (rel_tol)")
-        if self.window_constant < 1.0:
-            raise ValueError("window constant C must be >= 1")
 
 
 # ------------------------------------------------------------------- regions
@@ -327,7 +323,6 @@ def standard_regions(
 
 
 _GL32 = np.polynomial.legendre.leggauss(32)
-_GL16 = np.polynomial.legendre.leggauss(16)
 _GL8 = np.polynomial.legendre.leggauss(8)
 _GL2 = np.polynomial.legendre.leggauss(2)
 
@@ -354,19 +349,6 @@ def _subdivide(lo: np.ndarray, hi: np.ndarray, parts) -> Tuple[np.ndarray, np.nd
     new_hi = (i + 1) * step + start
     new_hi[ends - 1] = hi
     return i * step + start, new_hi
-
-
-def _merge_windows(peaks, r_max: float):
-    """Union of the windows [r0 - h, r0 + h] ∩ [1e-9, r_max], as sorted
-    disjoint (a, b) pairs."""
-    windows = []
-    for r0, h in sorted(peaks):
-        a, b = max(1e-9, r0 - h), min(r_max, r0 + h)
-        if windows and a <= windows[-1][1]:
-            windows[-1] = (windows[-1][0], max(windows[-1][1], b))
-        else:
-            windows.append((a, b))
-    return windows
 
 
 def _graded_offsets(center: float, sigma: float, lo: float, hi: float):
@@ -411,8 +393,11 @@ def _fill_edges(breaks: np.ndarray, h_fill: float) -> np.ndarray:
 _NODE_BUDGET = 400_000
 
 
-@per_potential_cache(maxsize=128)
-def _full_grid(pot: RadialPotential, n: int, extra_edges: Tuple[float, ...], splits: int):
+def _grid_panels(
+    pot: RadialPotential, n: int, extra_edges: Tuple[float, ...], splits: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Panels (lo, hi) of the full graded grid on [1e-9, r_max], each base
+    panel split into ``splits`` equal parts."""
     special, sigmas, h_bulk = _special_structure(pot, n)
     lo, hi = 1e-9, pot.r_max
     pts = {lo, hi}
@@ -420,11 +405,16 @@ def _full_grid(pot: RadialPotential, n: int, extra_edges: Tuple[float, ...], spl
     for r0, sg in zip(special, sigmas):
         pts.update(_graded_offsets(r0, sg, lo, hi))
     breaks = _fill_edges(np.array(sorted(pts)), h_bulk)
-    panels = _subdivide(breaks[:-1], breaks[1:], splits)
+    return _subdivide(breaks[:-1], breaks[1:], splits)
+
+
+@per_potential_cache(maxsize=128)
+def _full_grid(pot: RadialPotential, n: int, extra_edges: Tuple[float, ...], splits: int):
+    panels = _grid_panels(pot, n, extra_edges, splits)
     nodes = panels[0].size * 32
     if nodes >= _NODE_BUDGET:
         raise QuadratureError(
-            f"node budget exceeded at n={n}: {nodes:,} nodes on [1e-9, {hi:g}] "
+            f"node budget exceeded at n={n}: {nodes:,} nodes on [1e-9, {pot.r_max:g}] "
             f"at {splits} splits per panel, above the limit of {_NODE_BUDGET:,}"
         )
     x, w = _gl_panels(*panels, _GL32)
@@ -441,6 +431,19 @@ def _log_weight(pot: RadialPotential, n: int, j, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_density(
+    pot: RadialPotential, n: int, j_arr: np.ndarray, x: np.ndarray, w: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(phi's maximum per row, w·e^(phi − row max)) on rows j_arr × nodes x,
+    the density array formed once, in place."""
+    dens = _log_weight(pot, n, j_arr[:, None], x)
+    top = dens.max(axis=1, keepdims=True)
+    dens -= top
+    np.exp(dens, out=dens)
+    dens *= w
+    return top[:, 0], dens
+
+
 def _interval_shares(
     pot: RadialPotential,
     n: int,
@@ -452,18 +455,14 @@ def _interval_shares(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(log Σ w e^phi per row, share of that mass in each (lo, hi) per row).
 
-    The rows × nodes density w·e^(phi − row max) is formed once, in place.
-    The nodes are sorted and every interval edge is a panel break, so an
-    interval's nodes are one contiguous run and its share is the run's sum
-    over the row's total, with no difference of large logs. Given
+    The rows × nodes density of ``_row_density`` is formed once. The nodes
+    are sorted and every interval edge is a panel break, so an interval's
+    nodes are one contiguous run and its share is the run's sum over the
+    row's total, with no difference of large logs. Given
     ``weight``, the run of interval i is summed with the weights
     weight(i, x) at its nodes x instead (a plain share is weight 1).
     """
-    dens = _log_weight(pot, n, j_arr[:, None], x)
-    top = dens.max(axis=1, keepdims=True)
-    dens -= top
-    np.exp(dens, out=dens)
-    dens *= w
+    top, dens = _row_density(pot, n, j_arr, x, w)
     total = dens.sum(axis=1)
     shares = np.empty((len(j_arr), len(intervals)))
     for i, (lo, hi) in enumerate(intervals):
@@ -472,7 +471,7 @@ def _interval_shares(
         if weight is not None:
             run = run * weight(i, x[a:b])
         shares[:, i] = run.sum(axis=1) / total
-    return top[:, 0] + np.log(total), shares
+    return top + np.log(total), shares
 
 
 # panel-splitting passes before a quadrature is declared non-convergent
@@ -480,7 +479,8 @@ _MAX_SUBDIVISIONS = 12
 
 
 def _converged_rows(make_rows, cfg: QuadratureConfig):
-    """Run make_rows(splits) with panel splitting until stable to rel_tol."""
+    """Run make_rows(splits) with panel splitting until stable to rel_tol;
+    returns the rows and the splits per panel they were made with."""
     prev = None
     gap = math.inf
     splits = 1
@@ -489,7 +489,7 @@ def _converged_rows(make_rows, cfg: QuadratureConfig):
         if prev is not None:
             gap = np.max(np.abs(np.where(np.isfinite(rows) | np.isfinite(prev), rows - prev, 0.0)))
         if prev is not None and gap <= cfg.rel_tol:
-            return rows
+            return rows, splits
         prev = rows
         splits *= 2
     raise QuadratureError(
@@ -499,69 +499,21 @@ def _converged_rows(make_rows, cfg: QuadratureConfig):
     )
 
 
-@per_potential_cache(maxsize=16)
-def _peak_window_table(
-    pot: RadialPotential, n: int, cfg: QuadratureConfig
-) -> Tuple[Tuple[Tuple[float, float], ...], ...]:
-    """Peak windows (r0, h) of every index j < n, from one batched peak
-    scan over the tilts τ_j = (j + 1/2)/n; an index without a significant
-    peak gets no windows."""
-    taus = (np.arange(n) + 0.5) / n
-    interval = (1e-6, pot.r_max)
-    analyses = list(find_peaks_batch(pot, taus, interval, n, cfg.window_constant))
-    # a tilt grazing the minimum of r q'(r) on a window roll band puts two
-    # crossings closer than the scan grid; rescan those indices finer
-    # before giving up
-    ppu = 4096
-    todo = [j for j, pa in enumerate(analyses) if pa is None]
-    while todo:
-        if ppu >= 262144:
-            raise GridResolutionError(
-                f"grid too coarse at {ppu} points per unit: adjacent sign "
-                f"changes unresolved (at index j={todo[0]})"
-            )
-        ppu *= 2
-        rescan = find_peaks_batch(
-            pot, taus[todo], interval, n, cfg.window_constant, points_per_unit=ppu
-        )
-        for j, pa in zip(todo, rescan):
-            analyses[j] = pa
-        todo = [j for j in todo if analyses[j] is None]
-    eps_n = math.sqrt(cfg.window_constant * math.log(n) / n)
-
-    def windows(pa):
-        # g_tau'' = 4 ΔQ at a stationary point
-        return tuple(
-            (p.r, max(eps_n, 8.0 / math.sqrt(n * (p.curvature / 4.0))))
-            for p in pa.significant_peaks
-        )
-
-    return tuple(windows(pa) for pa in analyses)
-
-
-def _windows_for_index(
-    pot: RadialPotential, n: int, j: int, cfg: QuadratureConfig
-) -> Tuple[Tuple[float, float], ...]:
-    windows = _peak_window_table(pot, n, cfg)[j]
-    if not windows:
-        raise QuadratureError(f"no peak found for index j={j}")
-    return windows
-
-
 @per_potential_cache(maxsize=512)
 def _log_norm_rows_full(
     pot: RadialPotential, n: int, j_key: Tuple[int, ...], cfg: QuadratureConfig
-) -> Tuple[float, ...]:
-    """log 2∫ r^(2j+1) e^(−n q) dr per index in j_key: the row totals of
-    the landing kernel on the full grid, with panel splitting until stable
-    to cfg.rel_tol."""
+) -> Tuple[Tuple[float, ...], int]:
+    """(log 2∫ r^(2j+1) e^(−n q) dr per index in j_key, splits per panel):
+    the row totals of the landing kernel on the full grid, with panel
+    splitting until stable to cfg.rel_tol, and the splits that reached it."""
     j_arr = np.asarray(j_key, dtype=float)
 
     def make(splits):
         x, w = _full_grid(pot, n, (), splits)
         return _interval_shares(pot, n, j_arr, x, w, ())[0]
 
-    return tuple(math.log(2.0) + _converged_rows(make, cfg))
+    rows, splits = _converged_rows(make, cfg)
+    return tuple(math.log(2.0) + rows), splits
 
 
 def log_norm(
@@ -572,7 +524,7 @@ def log_norm(
     MGF factors are shares of."""
     if not 0 <= j <= n - 1:
         raise ValueError("index j must satisfy 0 <= j <= n-1")
-    return _log_norm_rows_full(pot, n, (int(j),), cfg)[0]
+    return _log_norm_rows_full(pot, n, (int(j),), cfg)[0][0]
 
 
 # ------------------------------------------------------------------- the MGF
@@ -678,7 +630,7 @@ def _region_prob_matrix(
             pi[on, k] = share[on]
         return np.concatenate((log_total, pi.ravel()))
 
-    flat = _converged_rows(make, cfg)
+    flat, _ = _converged_rows(make, cfg)
     pi = flat[n_rows:].reshape(n_rows, regions.m)
     return np.clip(pi, 0.0, 1.0) if s is None else pi
 
@@ -873,8 +825,9 @@ def exact_count_law(
 
 @dataclass(frozen=True)
 class ModuliSample:
-    """radii[..., j] is modulus j; law_truncation bounds the total-variation
-    gap to the untruncated law from sampling only the peak windows."""
+    """radii[..., j] is modulus j. law_truncation is 0.0: each modulus is
+    drawn from its law on the full-range grid that the log norms and π
+    read, so no window cuts mass from the sampled law."""
 
     n: int
     radii: np.ndarray
@@ -882,61 +835,74 @@ class ModuliSample:
     law_truncation: float
 
 
-def _cells_for_index(pot, n, j, cfg, target_frac=1e-3):
-    """(cell_lo, cell_hi, cell_mass, phi_max) with each cell below the
-    target mass fraction; cells tile the peak windows only."""
-    peaks = _windows_for_index(pot, n, j, cfg)
-    windows = np.array(_merge_windows([(r0, 1.25 * h) for r0, h in peaks], pot.r_max))
-    lo, hi = _subdivide(windows[:, 0], windows[:, 1], 64)
-
-    def masses_of(a, b):
-        x, w = _gl_panels(a, b, _GL16)
-        phi = _log_weight(pot, n, j, x)
-        phi_max = float(phi.max())
-        return (w * np.exp(phi - phi_max)).sum(axis=1), phi_max
-
-    cell_mass, phi_max = masses_of(lo, hi)
-    for _ in range(24):
-        total = cell_mass.sum()
-        too_big = cell_mass > target_frac * total
-        if not too_big.any():
-            break
-        parts = np.where(
-            too_big,
-            np.minimum(
-                64, np.ceil(cell_mass / (target_frac * total)).astype(int) + 1
-            ),
-            1,
-        )
-        lo, hi = _subdivide(lo, hi, parts)
-        cell_mass, phi_max = masses_of(lo, hi)
-    return lo, hi, cell_mass, phi_max
+# equal cells each panel of the converged full grid is cut into
+_CELL_PARTS = 8
+# elements of one (rows × nodes) density block while the cell table is built
+_BLOCK_ELEMENTS = 1 << 18
 
 
-_CDF_TOL = 1e-10  # inverse-CDF residual gate, as a share of the window mass
+@dataclass(frozen=True)
+class _CellTable:
+    """Cell i is [edges[i], edges[i + 1]] for every index; ``mass[j]``
+    holds the cells' masses of w·e^(phi_j − phi_max[j]) for index j."""
+
+    edges: np.ndarray
+    mass: np.ndarray
+    phi_max: np.ndarray
+
+
+@per_potential_cache(maxsize=4)
+def _cell_table(pot: RadialPotential, n: int, cfg: QuadratureConfig) -> _CellTable:
+    """The sampler's cells: the panels of the full grid at the splits where
+    the log norms of all n indices converged, each cut into _CELL_PARTS
+    equal cells, with the 32-point Gauss-Legendre masses that π sums. The
+    density is formed for a block of rows at a time, never for all n."""
+    splits = _log_norm_rows_full(pot, n, tuple(range(n)), cfg)[1]
+    lo, hi = _subdivide(*_grid_panels(pot, n, (), splits), _CELL_PARTS)
+    # the cells tile the grid: each one starts where the one before ends
+    edges = np.append(lo, hi[-1])
+    x, w = _gl_panels(lo, hi, _GL32)
+    x, w = x.ravel(), w.ravel()
+    mass = np.empty((n, lo.size))
+    phi_max = np.empty(n)
+    block = max(1, _BLOCK_ELEMENTS // x.size)
+    for first in range(0, n, block):
+        rows = np.arange(first, min(n, first + block), dtype=float)
+        part = slice(first, first + rows.size)
+        phi_max[part], dens = _row_density(pot, n, rows, x, w)
+        mass[part] = dens.reshape(rows.size, lo.size, -1).sum(axis=2)
+    for arr in (edges, mass, phi_max):
+        arr.flags.writeable = False
+    return _CellTable(edges, mass, phi_max)
+
+
+_CDF_TOL = 1e-10  # inverse-CDF residual gate, as a share of the row's mass
 _NEWTON_STEPS = 8
 _BISECTIONS = 60
 
 
-def _invert_cdf(pot, n, j, cell_lo, cell_hi, cell_mass, phi_max, targets):
-    """Solve F(x) = target (in window-mass units) per draw, vectorized.
+def _invert_cdf(pot, n, j, table: _CellTable, targets):
+    """Solve F(x) = target (a share of modulus j's mass) per draw, vectorized.
 
-    Each pass evaluates the residual F(x) − target only at the draws still
-    above the gate; a draw that passes leaves with that point, or with its
-    Newton polish when the polished residual, checked over the step, is
-    smaller. The others take a Newton step, or the bracket midpoint when
-    the step leaves the bracket, and after 8 steps are bisected. A draw
-    still above the gate after 60 bisections raises QuadratureError.
+    A draw picks its cell by binary search on the cumulative cell masses
+    and starts where the quadratic CDF through the cell's mass and its two
+    end densities reaches the target. Each pass evaluates the residual
+    F(x) − target only at the draws still above the gate; a draw that
+    passes leaves with that point, or with its Newton polish when the
+    polished residual, checked over the step, is smaller. The others take
+    a Newton step, or the bracket midpoint when the step leaves the
+    bracket, and after 8 steps are bisected. A draw still above the gate
+    after 60 bisections raises QuadratureError.
     """
+    cell_mass, phi_max = table.mass[j], table.phi_max[j]
     cdf = np.cumsum(cell_mass)
     total = cdf[-1]
     tol = _CDF_TOL * total
     u = targets * total
     idx = np.minimum(np.searchsorted(cdf, u, side="right"), len(cell_mass) - 1)
-    lo = cell_lo[idx]
-    blo, bhi = lo.copy(), cell_hi[idx].copy()
+    lo = table.edges[idx]
+    blo, bhi = lo.copy(), table.edges[idx + 1]
     want = u - np.where(idx > 0, cdf[idx - 1], 0.0)  # mass to accumulate inside the cell
-    x = lo + (bhi - lo) * (want / np.maximum(cell_mass[idx], 1e-300))
 
     def seg_mass(a, b, rule):
         nodes, w = _gl_panels(a, b, rule)
@@ -944,6 +910,15 @@ def _invert_cdf(pot, n, j, cell_lo, cell_hi, cell_mass, phi_max, targets):
 
     def dens(x):
         return np.maximum(np.exp(_log_weight(pot, n, j, x) - phi_max), 1e-300)
+
+    # the density linear between the end densities fa, fb, scaled to the
+    # cell's mass, accumulates the share rho at the root t of
+    # (fb − fa) t²/2 + fa t = rho (fa + fb)/2, taken in its stable form
+    # (hypot keeps tiny densities from underflowing; dens > 0 keeps root > 0)
+    rho = np.clip(want / np.maximum(cell_mass[idx], 1e-300), 0.0, 1.0)
+    fa, fb = dens(lo), dens(bhi)
+    root = fa + np.hypot(fa * np.sqrt(1.0 - rho), fb * np.sqrt(rho))
+    x = lo + (bhi - lo) * (rho * (fa + fb) / root)
 
     act = np.arange(x.size)  # draws still above the gate
     last = _NEWTON_STEPS + _BISECTIONS
@@ -972,7 +947,7 @@ def _invert_cdf(pot, n, j, cell_lo, cell_hi, cell_mass, phi_max, targets):
         x[act] = x_next
     raise QuadratureError(
         f"inverse CDF of modulus j={j}: {act.size} draws stop at residual "
-        f"{float(np.abs(resid).max() / total):.2e} of the window mass, above "
+        f"{float(np.abs(resid).max() / total):.2e} of the row mass, above "
         f"the {_CDF_TOL:.0e} gate"
     )
 
@@ -986,40 +961,34 @@ def sample_moduli(
 ) -> ModuliSample:
     """Draw the n independent moduli, modulus j ∝ r^(2j+1) e^(-n q(r)).
 
-    Inverse CDF per index: the peak windows are tabulated into cells of at
-    most 1e-3 of the window mass, and a draw picks its cell by binary
-    search. Within the cell, bracketed Newton runs on the active set: each
-    pass evaluates only the draws whose cumulative-probability residual is
-    still above 1e-10 of the window mass, and a draw leaves with a point
+    Inverse CDF per index on the full-range grid that the log norms and π
+    converge on: its panels at the converged splits, cut into 8 cells
+    each, carry 32-point Gauss-Legendre cell masses, tabulated once per
+    (potential, n, cfg). A draw picks its cell by binary search and starts
+    from the quadratic CDF through the cell's mass and end densities.
+    Within the cell, bracketed Newton runs on the active set: each pass
+    evaluates only the draws whose cumulative-probability residual is
+    still above 1e-10 of the row's mass, and a draw leaves with a point
     whose residual was checked. Draws Newton cannot finish in 8 steps are
     bisected; one still above the gate after that raises QuadratureError.
     Randomness is one substream per index j, so results are reproducible
-    and independent of reps batching; the law truncation from ignoring
-    mass outside the windows is recorded. Requires n >= 2: the windows
-    scale with sqrt(log n / n), which leaves none at n = 1.
+    and independent of reps batching. The sampled law is the grid law of
+    every other engine quantity, with no window cut, so law_truncation is
+    0.0. Requires n >= 2.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     if reps < 1:
         raise ValueError("reps must be >= 1")
     radii = np.empty((reps, n))
-    worst_trunc = 0.0
-    base_rows = np.asarray(
-        _log_norm_rows_full(pot, n, tuple(range(n)), cfg)
-    )
+    table = _cell_table(pot, n, cfg)
     for j in range(n):
-        cell_lo, cell_hi, cell_mass, phi_max = _cells_for_index(pot, n, j, cfg)
-        log_win = math.log(2.0) + phi_max + math.log(float(cell_mass.sum()))
-        worst_trunc = max(worst_trunc, -math.expm1(min(0.0, log_win - base_rows[j])))
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(j,)))
         )
-        u = rng.random(reps)
-        radii[:, j] = _invert_cdf(
-            pot, n, j, cell_lo, cell_hi, cell_mass, phi_max, u
-        )
+        radii[:, j] = _invert_cdf(pot, n, j, table, rng.random(reps))
     out = radii[0] if reps == 1 else radii
-    return ModuliSample(n=n, radii=out, seed=int(seed), law_truncation=float(worst_trunc))
+    return ModuliSample(n=n, radii=out, seed=int(seed), law_truncation=0.0)
 
 
 def moduli_to_csv(sample: ModuliSample, path: str) -> None:

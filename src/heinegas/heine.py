@@ -501,23 +501,30 @@ def marginal_cap(success_probs: Sequence[float], tail_target: float) -> int:
     return int(np.argmax(tails <= tail_target))
 
 
+# cells one count-law table may hold
+_MAX_CELLS = 4_000_000
+
+
 def _budgeted_caps(
-    rows: np.ndarray, tail_tol: float, caps: Optional[Sequence[int]], max_cells: int
+    rows: np.ndarray, tail_tol: float, caps: Optional[Sequence[int]]
 ) -> Tuple[int, ...]:
     """The caps of a count law over the (sites, m) success ``rows``: the
     given ones as ints, or else each coordinate's marginal quantile with
-    tail 0.45 tail_tol / m. Raises ValueError when the capped table would
-    hold more than ``max_cells`` cells."""
+    tail 0.45 tail_tol / m. Raises ValueError when given caps are not m
+    nonnegative integers, or when the capped table would hold more than
+    _MAX_CELLS cells."""
     m = rows.shape[1]
     if caps is None:
         per = 0.45 * tail_tol / m
         caps = tuple(marginal_cap(rows[:, k], per) for k in range(m))
     else:
         caps = tuple(int(c) for c in caps)
+        if len(caps) != m or any(c < 0 for c in caps):
+            raise ValueError(f"caps must be {m} nonnegative integers, got {caps}")
     cells = math.prod(c + 1 for c in caps)
-    if cells > max_cells:
+    if cells > _MAX_CELLS:
         raise ValueError(
-            f"table would hold {cells} cells (budget {max_cells}); "
+            f"table would hold {cells} cells (budget {_MAX_CELLS}); "
             "raise tail_tol or pass smaller caps"
         )
     return caps
@@ -528,7 +535,6 @@ def dp_count_law(
     tail_tol: float,
     caps: Optional[Sequence[int]] = None,
     scale: float = 1.0,
-    max_cells: int = 4_000_000,
 ) -> CountLaw:
     """Count law of independent categorical sites from their success rows.
 
@@ -537,10 +543,11 @@ def dp_count_law(
     with tail 0.45 tail_tol / m. The DP table is multiplied by ``scale`` (a
     factor common to every cell, such as the probability that omitted sites
     stay empty); the deficit is the mass the law does not store. Raises
-    ValueError when the capped table would exceed ``max_cells`` cells.
+    ValueError when given caps are not m nonnegative integers, or when the
+    capped table would exceed 4,000,000 cells.
     """
     rows = np.asarray(rows, dtype=float)
-    caps = _budgeted_caps(rows, tail_tol, caps, max_cells)
+    caps = _budgeted_caps(rows, tail_tol, caps)
     table, _overflow = poisson_binomial_dp(rows, caps)
     return CountLaw(table=table * scale)
 
@@ -635,7 +642,6 @@ def _lower(mantissa, scale, bound: float) -> np.ndarray:
 def pmf_table(
     params: HeineParams,
     tail_tol: float = 1e-12,
-    max_entries: int = 4_000_000,
     caps: Optional[Sequence[int]] = None,
 ) -> CountLaw:
     """Joint pmf on a capped box from the shift recursion, with certified deficit.
@@ -648,14 +654,15 @@ def pmf_table(
     1 - sum(table) bounds
     everything omitted: the mass beyond the caps, the closing bound of Z's
     site product and the rounding taken off the cells. Raises ValueError
-    when the capped table would exceed ``max_entries`` cells, or when the
-    deficit exceeds ``tail_tol``; the message gives the three parts.
+    when given caps are not m nonnegative integers, when the capped table
+    would exceed 4,000,000 cells, or when the deficit exceeds
+    ``tail_tol``; the message gives the three parts.
     """
     if not 0.0 < tail_tol < 1.0:
         raise ValueError("tail_tol must lie in (0, 1)")
     j_max = truncation_site_count(params, 0.45 * tail_tol)
     rows = _site_success_matrix(params, j_max + 1)
-    caps = _budgeted_caps(rows, tail_tol, caps, max_entries)
+    caps = _budgeted_caps(rows, tail_tol, caps)
     table, rounding, z_tail = _shift_recursion(params, caps)
     law = CountLaw(table=table)
     if law.mass_deficit > tail_tol:
@@ -673,24 +680,24 @@ def pmf_table(
 # ------------------------------------------------------------------ pmf point
 
 
-def pmf_point(
-    params: HeineParams,
-    alpha: Sequence[int],
-    term_budget: int = 500_000,
-) -> float:
+# lattice cells one pmf_point call may fill
+_POINT_BUDGET = 500_000
+
+
+def pmf_point(params: HeineParams, alpha: Sequence[int]) -> float:
     """Point mass P(X = alpha), a lower bound, read off the shift recursion.
 
     ``_shift_recursion`` fills the lattice below alpha (the cells it needs)
     and the cell at alpha is returned. Raises ValueError when
-    prod(alpha_k + 1) exceeds ``term_budget``.
+    prod(alpha_k + 1) exceeds 500,000.
     """
     a = tuple(int(v) for v in alpha)
     if len(a) != params.m or any(v < 0 for v in a):
         raise ValueError("alpha must be a nonnegative multi-index of length m")
     cells = math.prod(v + 1 for v in a)
-    if cells > term_budget:
+    if cells > _POINT_BUDGET:
         raise ValueError(
-            f"enumeration lattice holds {cells} nodes (budget {term_budget}); "
+            f"enumeration lattice holds {cells} nodes (budget {_POINT_BUDGET}); "
             "fall back to pmf_table"
         )
     return float(_shift_recursion(params, a)[0][a])

@@ -353,7 +353,6 @@ def build_case1(
     w: Sequence[float],
     margin: float = 0.02,
     r_max: float = 6.0,
-    validate: bool = True,
 ) -> RadialPotential:
     """Potential with droplet [0,1] and outposts at the radii t inside (1,3).
 
@@ -401,8 +400,7 @@ def build_case1(
         _terms, smooth_window=(0.0, r_max), r_max=r_max,
         label="case1", params={"t": ts, "w": ws, "margin": margin},
     )
-    if validate:
-        _validate_case1(pot)
+    _validate_case1(pot)
     return pot
 
 
@@ -413,7 +411,6 @@ def build_case2(
     w: Sequence[float] = (),
     margin: float = 0.02,
     r_max: float = 6.0,
-    validate: bool = True,
 ) -> RadialPotential:
     """Two-component droplet with optional outposts inside the spectral gap.
 
@@ -531,8 +528,7 @@ def build_case2(
             "t": ts, "w": ws, "margin": margin, "c0": c0, "c1": c1,
         },
     )
-    if validate:
-        _validate_case2(pot)
+    _validate_case2(pot)
     return pot
 
 

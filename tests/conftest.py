@@ -1,7 +1,8 @@
 """Shared fixtures: built potentials and their classifications, and the
 oracles that check the library without sharing its code:
 
-- the peak-windowed log norm, against the library's full-range one;
+- the peak-windowed log norm, against the library's full-range one, with
+  the significant-peak windows of every index from one batched peak scan;
 - the weighted log norms, with the statistics put into the quadrature
   exponent, against the landing kernel's joint MGF;
 - 30-digit mpmath transcriptions of the case-1 and case-2 builders;
@@ -20,6 +21,7 @@ import pytest
 import heinegas as hg
 from heinegas import engine
 from heinegas.engine import QuadratureConfig
+from heinegas.potentials import per_potential_cache
 
 
 @pytest.fixture(scope="session")
@@ -73,14 +75,83 @@ def _log_sum_exp_rows(phi, w):
     return top + np.log((w * np.exp(phi - top[:, None])).sum(axis=1))
 
 
+# the significance constant C of δ_n = C log n / n and the window floor
+# sqrt(C log n / n)
+WINDOW_C = 10.0
+
+
+@per_potential_cache(maxsize=16)
+def _peak_window_table(pot, n):
+    """Peak windows (r0, h) of every index j < n, from one batched peak
+    scan over the tilts τ_j = (j + 1/2)/n; an index without a significant
+    peak gets no windows."""
+    taus = (np.arange(n) + 0.5) / n
+    interval = (1e-6, pot.r_max)
+    analyses = list(hg.find_peaks_batch(pot, taus, interval, n, WINDOW_C))
+    # a tilt grazing the minimum of r q'(r) on a window roll band puts two
+    # crossings closer than the scan grid; rescan those indices finer
+    # before giving up
+    ppu = 4096
+    todo = [j for j, pa in enumerate(analyses) if pa is None]
+    while todo:
+        if ppu >= 262144:
+            raise hg.GridResolutionError(
+                f"grid too coarse at {ppu} points per unit: adjacent sign "
+                f"changes unresolved (at index j={todo[0]})"
+            )
+        ppu *= 2
+        rescan = hg.find_peaks_batch(
+            pot, taus[todo], interval, n, WINDOW_C, points_per_unit=ppu
+        )
+        for j, pa in zip(todo, rescan):
+            analyses[j] = pa
+        todo = [j for j in todo if analyses[j] is None]
+    eps_n = math.sqrt(WINDOW_C * math.log(n) / n)
+
+    def windows(pa):
+        # g_tau'' = 4 ΔQ at a stationary point
+        return tuple(
+            (p.r, max(eps_n, 8.0 / math.sqrt(n * (p.curvature / 4.0))))
+            for p in pa.significant_peaks
+        )
+
+    return tuple(windows(pa) for pa in analyses)
+
+
+def _peak_windows(pot, n, j):
+    """The peak windows (r0, h) of index j; raises when it has none."""
+    windows = _peak_window_table(pot, n)[j]
+    if not windows:
+        raise engine.QuadratureError(f"no peak found for index j={j}")
+    return windows
+
+
+@pytest.fixture(scope="session")
+def peak_windows():
+    return _peak_windows
+
+
+def _merge_windows(peaks, r_max):
+    """Union of the windows [r0 - h, r0 + h] ∩ [1e-9, r_max], as sorted
+    disjoint (a, b) pairs."""
+    windows = []
+    for r0, h in sorted(peaks):
+        a, b = max(1e-9, r0 - h), min(r_max, r0 + h)
+        if windows and a <= windows[-1][1]:
+            windows[-1] = (windows[-1][0], max(windows[-1][1], b))
+        else:
+            windows.append((a, b))
+    return windows
+
+
 def _windowed_log_norm(pot, n, j, cfg=QuadratureConfig()):
     """log 2∫ r^(2j+1) e^(-n q) dr over the significant-peak windows of
     modulus j only: each window is graded around its peaks at h/32 and
     filled to eighths, and panels are split until stable to cfg.rel_tol.
-    It shares the kernel and the peak windows with the library but none of
-    the full-range grid, so agreement checks the grading and the range."""
-    peaks = engine._windows_for_index(pot, n, j, cfg)
-    windows = engine._merge_windows(peaks, pot.r_max)
+    It shares the kernel with the library but none of the full-range grid,
+    so agreement checks the grading and the range."""
+    peaks = _peak_windows(pot, n, j)
+    windows = _merge_windows(peaks, pot.r_max)
     j_arr = np.asarray([j], dtype=float)
 
     def make(splits):
@@ -98,7 +169,7 @@ def _windowed_log_norm(pot, n, j, cfg=QuadratureConfig()):
         x, w = x.ravel(), w.ravel()
         return _log_sum_exp_rows(engine._log_weight(pot, n, j_arr[:, None], x), w)
 
-    return float((math.log(2.0) + engine._converged_rows(make, cfg))[0])
+    return float((math.log(2.0) + engine._converged_rows(make, cfg)[0])[0])
 
 
 @pytest.fixture(scope="session")
@@ -132,7 +203,7 @@ def _weighted_log_norms(pot, n, s=None, stats=None, cfg=QuadratureConfig()):
             phi[rows, :] += extra
         return _log_sum_exp_rows(phi, w)
 
-    return math.log(2.0) + engine._converged_rows(make, cfg)
+    return math.log(2.0) + engine._converged_rows(make, cfg)[0]
 
 
 @pytest.fixture(scope="session")

@@ -233,6 +233,15 @@ def test_converge_rejects_non_increasing_schedule(tmp_path, capsys):
     assert "strictly increasing" in err
 
 
+@pytest.mark.parametrize("bad", [0, 2.7, 1, True, "64"])
+def test_converge_rejects_bad_schedule_entry(tmp_path, capsys, bad):
+    path = write_config(tmp_path, "bad.json", dict(CASE1_CFG, n_schedule=[bad, 64]))
+    rc = main(["converge", "--config", path])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"n_schedule entry {bad!r} is not an integer >= 2" in err
+
+
 def test_converge_requires_gap_or_outposts(tmp_path, capsys):
     path = write_config(tmp_path, "gin.json", {"case": "ginibre", "n_schedule": [8]})
     rc = main(["converge", "--config", path])
@@ -266,6 +275,18 @@ def test_config_quadrature_mode_exits_2(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert rc == 2
     assert "config key 'mode'" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [["converge"], ["sample", "--n", "8"]])
+def test_config_window_constant_exits_2(tmp_path, capsys, command):
+    # the sampler reads the full grid; a run that set the peak-window
+    # constant must hear that it is gone
+    path = write_config(tmp_path, "c.json", dict(CASE1_CFG, n_schedule=[16], C=10.0))
+    rc = main(command + ["--config", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "config key 'C' is no longer read" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -32,7 +32,7 @@ from heinegas.engine import (
 )
 from heinegas.potentials import BumpSpec, Shoulder
 
-from conftest import _case1_q_mp, _case2_q_mp
+from conftest import WINDOW_C, _case1_q_mp, _case2_q_mp
 
 
 # ---------------------------------------------------------------- log norms
@@ -113,8 +113,9 @@ def test_log_norm_matches_mpmath(request, pot_name, q_mp, j):
 def test_quadrature_config_validation():
     with pytest.raises(ValueError, match="tolerances"):
         QuadratureConfig(rel_tol=0.0)
-    with pytest.raises(ValueError, match="window constant"):
-        QuadratureConfig(window_constant=0.5)
+    # rel_tol is the one setting: no grid reads a peak-window constant
+    with pytest.raises(TypeError):
+        QuadratureConfig(window_constant=10.0)
 
 
 panel_sets = st.lists(
@@ -395,6 +396,15 @@ def test_count_law_no_regions(ginibre_pot):
     assert law.m == 0
     assert law.entries == {(): 1.0}
     assert law.mass_deficit == 0.0
+
+
+@pytest.mark.parametrize("cap", [(3,), (3, 3, 3), (-1, 2)])
+def test_count_law_rejects_caps_of_the_wrong_shape(ginibre_pot, cap):
+    # one cap per region, none negative: a short cap tuple used to give a
+    # 1-coordinate law with all but 3e-9 of its mass missing
+    regions = RegionSet.hard([HardRegion(0.9, 1.0), HardRegion(1.0, 1.1)])
+    with pytest.raises(ValueError, match="caps must be 2 nonnegative integers"):
+        exact_count_law(ginibre_pot, 16, regions, cap=cap)
 
 
 def test_count_law_rejects_smooth(case1_pot, case1_data):
@@ -720,31 +730,32 @@ def test_smooth_mgf_factor_matches_mpmath_oracle(request, pot_name, j, k, sk, pi
     assert abs(psi[0, k] - want) <= 1e-10 * abs(want)
 
 
-def test_sampler_caches_peak_windows(monkeypatch):
-    # peak windows depend only on (potential, n, cfg): two samples of one
-    # potential share one batched peak scan over every index
-    calls = []
-    real = engine.find_peaks_batch
+def test_sampler_builds_its_cell_table_once(monkeypatch):
+    # the cell table depends only on (potential, n, cfg): two samples of one
+    # potential share one table, and their radii equal a fresh potential's
+    builds = []
+    real = engine._grid_panels
 
-    def counting(*args, **kwargs):
-        calls.append(len(args[1]))
-        return real(*args, **kwargs)
+    def counting(*args):
+        builds.append(args)
+        return real(*args)
 
     def fresh():
         return hg.build_case1((1.5, 2.0), w=(0.2, 0.2))
 
     n = 64
     pot = fresh()
-    monkeypatch.setattr(engine, "find_peaks_batch", counting)
+    monkeypatch.setattr(engine, "_grid_panels", counting)
     first = sample_moduli(pot, n, seed=1)
+    built = len(builds)
     second = sample_moduli(pot, n, seed=2)
-    assert calls == [n]
-    monkeypatch.setattr(engine, "find_peaks_batch", real)
+    assert built >= 1 and len(builds) == built
+    monkeypatch.setattr(engine, "_grid_panels", real)
     for seed, got in ((1, first), (2, second)):
         assert np.array_equal(sample_moduli(fresh(), n, seed=seed).radii, got.radii)
 
 
-def _one_tilt_windows(pot, n, j, cfg=QuadratureConfig()):
+def _one_tilt_windows(pot, n, j):
     """Index j's peak windows from the one-tilt find_peaks, rescanned at
     doubled grid density while the grid is unresolved; returns the windows
     and the density that resolved them."""
@@ -752,13 +763,12 @@ def _one_tilt_windows(pot, n, j, cfg=QuadratureConfig()):
     while True:
         try:
             pa = hg.find_peaks(
-                pot, (j + 0.5) / n, (1e-6, pot.r_max), n, cfg.window_constant,
-                points_per_unit=ppu,
+                pot, (j + 0.5) / n, (1e-6, pot.r_max), n, WINDOW_C, points_per_unit=ppu
             )
             break
         except hg.GridResolutionError:
             ppu *= 2
-    eps_n = math.sqrt(cfg.window_constant * math.log(n) / n)
+    eps_n = math.sqrt(WINDOW_C * math.log(n) / n)
     windows = tuple(
         (p.r, max(eps_n, 8.0 / math.sqrt(n * p.curvature / 4.0)))
         for p in pa.significant_peaks
@@ -768,14 +778,16 @@ def _one_tilt_windows(pot, n, j, cfg=QuadratureConfig()):
 
 @pytest.mark.parametrize("n", [64, 128])
 @pytest.mark.parametrize("pot_name", ["ginibre_pot", "case1_pot", "case2_pot"])
-def test_batched_windows_equal_one_tilt_path(request, pot_name, n):
+def test_batched_windows_equal_one_tilt_path(request, pot_name, n, peak_windows):
+    # the windowed log-norm oracle's windows: one batched scan over every
+    # index, rescanned where unresolved, equals the one-tilt path
     pot = request.getfixturevalue(pot_name)
     for j in range(n):
         want, _ = _one_tilt_windows(pot, n, j)
-        assert engine._windows_for_index(pot, n, j, QuadratureConfig()) == want
+        assert peak_windows(pot, n, j) == want
 
 
-def test_unresolved_index_gets_windows_from_the_rescan(case2_pot):
+def test_unresolved_index_gets_windows_from_the_rescan(case2_pot, peak_windows):
     # at n = 64 the tilt of j = 33 grazes a minimum of r q'(r): its two
     # crossings are closer than the 4096-per-unit scan resolves
     n, j = 64, 33
@@ -783,7 +795,7 @@ def test_unresolved_index_gets_windows_from_the_rescan(case2_pot):
         hg.find_peaks(case2_pot, (j + 0.5) / n, (1e-6, case2_pot.r_max), n, 10.0)
     want, ppu = _one_tilt_windows(case2_pot, n, j)
     assert ppu > 4096
-    got = engine._windows_for_index(case2_pot, n, j, QuadratureConfig())
+    got = peak_windows(case2_pot, n, j)
     assert got == want
     assert len(got) >= 1
 
@@ -810,7 +822,7 @@ def test_sampler_deterministic(ginibre_pot):
     c = sample_moduli(ginibre_pot, 32, seed=8)
     assert np.array_equal(a.radii, b.radii)
     assert not np.array_equal(a.radii, c.radii)
-    assert a.law_truncation <= 1e-9
+    assert a.law_truncation == 0.0
 
 
 def test_sampler_reps_batching_consistent(ginibre_pot):
@@ -849,7 +861,7 @@ def test_sampler_case1_outpost_occupancy(case1_pot, case1_data):
 def test_sampler_input_validation(ginibre_pot):
     with pytest.raises(ValueError, match="n must be"):
         sample_moduli(ginibre_pot, 0, seed=1)
-    # n = 1 leaves no peak window; the check comes before any quadrature
+    # the check comes before any quadrature
     with pytest.raises(ValueError, match="n must be >= 2"):
         sample_moduli(None, 1, seed=1)
     with pytest.raises(ValueError, match="reps"):
@@ -897,60 +909,72 @@ def test_sampler_pinned_radii(request, pot_name, seed):
     assert radii.sum(axis=1) == pytest.approx(sums, rel=1e-9)
 
 
-def _oracle_window_cdf(pot, n, j, xs, breaks):
-    """F_win(x) for each x in xs: mpmath.quad at 30 digits of r^(2j+1) e^(-n q)
-    over index j's merged peak windows (the union of its sampler cells),
-    split at the peaks, at ``breaks`` and at each x."""
+def _nonanalytic_radii(pot):
+    """Radii where q is smooth but not analytic: the bump edges t ± w and,
+    for case 2, the component edges and the ends of the gap's step ramps."""
+    p = pot.params
+    out = [t + s * w for t, w in zip(p.get("t", ()), p.get("w", ())) for s in (-1, 1)]
+    if pot.label == "case2":
+        (_, b0), (a1, _) = p["components"]
+        ramps = (0.15, 0.25, 0.30, 0.45, 0.55, 0.70, 0.75, 0.85)
+        out += [b0, a1] + [b0 + u * (a1 - b0) for u in ramps]
+    return out
+
+
+def _oracle_cdf(pot, n, j, xs, pieces=24):
+    """F(x) for each x in xs: mpmath.quad at 30 digits of r^(2j+1) e^(-n q)
+    over the full range [1e-9, r_max], in equal pieces cut further at the
+    radii where q is not analytic and at each x. It reads no engine grid;
+    with 300 pieces instead of 24 the CDFs move by at most 5e-16."""
     mpmath = pytest.importorskip("mpmath")
-    lo, hi, _, _ = engine._cells_for_index(pot, n, j, QuadratureConfig())
-    starts = lo[np.r_[True, lo[1:] != hi[:-1]]]
-    ends = hi[np.r_[hi[:-1] != lo[1:], True]]
-    peaks = [r0 for r0, _ in engine._windows_for_index(pot, n, j, QuadratureConfig())]
-    cuts = sorted({*starts, *ends, *peaks, *breaks, *xs})
+    lo, hi = 1e-9, pot.r_max
+    cuts = {*np.linspace(lo, hi, pieces + 1).tolist(), *xs}
+    cuts = sorted(cuts | {b for b in _nonanalytic_radii(pot) if lo < b < hi})
     with mpmath.workdps(30):
         def density(r):
             return mpmath.exp((2 * j + 1) * mpmath.log(r) - n * mpmath.mpf(pot.q(float(r))))
 
         cum = [mpmath.mpf(0)]
         for a, b in zip(cuts[:-1], cuts[1:]):
-            inside = any(s <= a and b <= e for s, e in zip(starts, ends))
-            cum.append(cum[-1] + (mpmath.quad(density, [a, b]) if inside else 0))
+            cum.append(cum[-1] + mpmath.quad(density, [a, b]))
         return [float(cum[cuts.index(x)] / cum[-1]) for x in xs]
 
 
 # the returned radius against the law it samples, by an integration that
-# shares no code with the inverse; an inverse that returns unchecked points
-# misses by up to 6e-11 here. Case 1, j = 31 fails on the cell table, not the
-# inverse: the 16-point mass of the cell [1.289, 1.341] straddling the edge
-# r = t - w = 1.3 of the outpost bump is 4.6e-11 of the window mass too high.
+# shares no code with the sampler; an inverse that returns unchecked points
+# misses by up to 6e-11 here. Case 1, j = 31 has the bump edge r = t - w =
+# 1.3 inside its peak, and the case-2 indices sit next to the gap edges
+# (m0 = n/2) and reach the outposts; 16-point cell masses over peak windows
+# missed them by 2.8e-11 (case 1) and up to 8.2e-8 (case 2). Measured worst
+# 1.0e-15.
+CDF_CASES = [
+    *[("ginibre_pot", 2024, j, 32) for j in (0, 16, 31)],
+    *[("case1_pot", 2025, j, 32) for j in (0, 16, 31)],
+    *[("case2_pot", 2026, j, 32) for j in (0, 16, 21, 31)],
+    ("case2_pot", 2026, 33, 64),
+    ("case2_pot", 2026, 85, 128),
+]
+
+
 @pytest.mark.parametrize(
-    "pot_name,seed,j",
-    [
-        *[("ginibre_pot", 2024, j) for j in (0, 16, 31)],
-        *[("case1_pot", 2025, j) for j in (0, 16)],
-        pytest.param(
-            "case1_pot", 2025, 31,
-            marks=pytest.mark.xfail(strict=True, reason="cell-table quadrature error 4.6e-11"),
-        ),
-    ],
+    "pot_name,seed,j,n",
+    CDF_CASES,
+    ids=[f"{p}-{s}-{j}" + ("" if n == 32 else f"-n{n}") for p, s, j, n in CDF_CASES],
 )
-def test_sampler_inverse_matches_mpmath_oracle(request, pot_name, seed, j):
+def test_sampler_inverse_matches_mpmath_oracle(request, pot_name, seed, j, n):
     pot = request.getfixturevalue(pot_name)
-    n, reps = 32, 4
+    reps = 4
     radii = sample_moduli(pot, n, seed, reps=reps).radii[:, j]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(j,))))
     u = rng.random(reps)
-    # the bump windows of case 1 end at t ± w, where q is smooth but not analytic
-    breaks = [t + s * w for t, w in zip(pot.params.get("t", ()), pot.params.get("w", ())) for s in (-1, 1)]
-    cdf = _oracle_window_cdf(pot, n, j, list(radii), breaks)
-    # the worst miss of the passing cases measured 1.0e-15
+    cdf = _oracle_cdf(pot, n, j, list(radii))
     assert np.max(np.abs(np.array(cdf) - u)) <= 1e-14
 
 
 def test_sampler_q_evaluation_count(case1_pot):
     # a work guard by count, not time: q-evaluation points of one warm call,
-    # measured at 1,358,886; an inverse that kicks converged draws back to
-    # their bracket midpoint and bisects them takes 1,857,088
+    # the inverse alone (the cell table is cached), measured at 140,638;
+    # per-index cell tables rebuilt on every call took 1,358,886
     calls = []
 
     def terms(r, order):
@@ -961,11 +985,11 @@ def test_sampler_q_evaluation_count(case1_pot):
         terms, smooth_window=case1_pot.smooth_window, r_max=case1_pot.r_max,
         label=case1_pot.label, params=case1_pot.params,
     )
-    sample_moduli(pot, 32, seed=5)  # warms the peak and grid caches
+    sample_moduli(pot, 32, seed=5)  # builds the cell table
     calls.clear()
     sample_moduli(pot, 32, seed=5, reps=200)
     q_points = sum(size for order, size in calls if order == 0)
-    assert q_points <= 1.1 * 1_358_886
+    assert q_points <= 1.1 * 140_638
 
 
 def test_sampler_raises_when_the_inverse_cannot_converge(ginibre_pot, monkeypatch):

@@ -790,6 +790,23 @@ def test_pmf_table_raises_past_tail_tol():
         hg.pmf_table(params, tail_tol=1e-17)
 
 
+@pytest.mark.parametrize("caps", [(3,), (2, 2, 2), (-1, 2)])
+def test_dp_count_law_rejects_caps_of_the_wrong_shape(caps):
+    # one cap per coordinate, none negative: a short tuple used to give a
+    # law of fewer coordinates and a negative cap an IndexError
+    rows = np.array([[0.3, 0.2], [0.1, 0.4], [0.5, 0.1]])
+    with pytest.raises(ValueError, match="caps must be 2 nonnegative integers"):
+        hg.heine.dp_count_law(rows, 1e-12, caps)
+
+
+@pytest.mark.parametrize("caps", [(3,), (2, 2, 2), (-1, 2)])
+def test_pmf_table_rejects_caps_of_the_wrong_shape(caps):
+    # a short tuple used to fail inside numpy broadcasting
+    params = hg.validate_params((0.5, 2.0), (0.3, 0.8))
+    with pytest.raises(ValueError, match="caps must be 2 nonnegative integers"):
+        hg.pmf_table(params, caps=caps)
+
+
 def test_pmf_table_memory():
     # the recursion keeps one level of long doubles and a position per
     # cell besides the table; an m x cells index array would pass 4x alone
