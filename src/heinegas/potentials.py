@@ -13,9 +13,11 @@ questions in radial form:
 - ``find_peaks`` locates the stationary points r q′(r) = 2τ with positive
   curvature and flags those within C log n / n of the global minimum;
   ``find_peaks_batch`` does so for many τ from one scan, and ``tilt_roots``
-  is the bracketed Newton kernel both refine their roots with.
-- ``classify`` runs the sweep and reports components, outposts, cumulative
-  masses, and a case tag.
+  is the bracketed Newton kernel they and ``classify`` refine roots with.
+- ``classify`` reads the droplet off the convex minorant of q(e^t): its
+  contact set gives the components and outposts, its chords the gaps and
+  their branching values, and b q′(b)/2 the cumulative mass at each outer
+  edge b; it reports these with a case tag.
 - ``build_case1`` / ``build_case2`` construct validated example potentials
   with outposts outside the droplet (case 1) or inside a spectral gap
   (case 2), engineered so the touch data (coincidence radii, stationarity,
@@ -81,7 +83,7 @@ class RootFindingError(RuntimeError):
 
 
 class ClassificationError(RuntimeError):
-    """Minimizer branch tracking lost continuity during the tau sweep."""
+    """The droplet read off the convex minorant failed a consistency check."""
 
 
 # ------------------------------------------------------------ smooth cutoffs
@@ -566,8 +568,8 @@ def _dense_eval(pot: RadialPotential, lo: float, hi: float, pts: int):
 # _ROOT_XTOL; bisection alone closes a bracket of width 6 to it in 46 passes
 _ROOT_XTOL = 1e-13
 _ROOT_PASSES = 100
-# (tilt × radius) arrays of the peak scan and the classification sweep are
-# formed at most this many elements at a time
+# (tilt × radius) arrays of the peak scan are formed at most this many
+# elements at a time
 _SWEEP_CELLS = 1_000_000
 
 
@@ -809,11 +811,14 @@ class DropletData:
         return int(m0), max(0.0, mass_n - m0)
 
 
+_GL32 = np.polynomial.legendre.leggauss(32)
+
+
 def mass_between(pot: RadialPotential, lo: float, hi: float, panels: int = 64) -> float:
     """Planar σ-mass of the annulus lo ≤ r ≤ hi: 2 ∫ ΔQ(r) r dr."""
     if hi <= lo:
         return 0.0
-    nodes, weights = np.polynomial.legendre.leggauss(32)
+    nodes, weights = _GL32
     edges = np.linspace(lo, hi, panels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -823,191 +828,160 @@ def mass_between(pot: RadialPotential, lo: float, hi: float, panels: int = 64) -
     return float(2.0 * (wts * vals).sum())
 
 
-def _global_min_radius(grid_r, grid_q, tau: float) -> float:
-    g = grid_q - 2.0 * tau * np.log(grid_r)
-    return float(grid_r[int(np.argmin(g))])
+# grid q within _TIE_TOL of the minorant is contact, and a stationary point
+# whose g_τ is within _TIE_TOL of its edge value ties it (is an outpost)
+_TIE_TOL = 1e-9
+# A contact run is a component when the minorant's slope in t = ln r rises
+# across it by more than this. On a component the slope is r q′ = 2τ, so the
+# rise is twice the component's mass. A touch carries no mass: its grid
+# point kinks the hull only by how far it and the chord's grid ends miss the
+# true chord (a few 1e-9), over the distance to the next hull vertex. On the
+# builders touches rise by about 2e-8 and components by 1.0 or more.
+_COMPONENT_RISE = 1e-4
 
 
-def classify(pot: RadialPotential, n_probe: int = 801, tol: float = 1e-9) -> DropletData:
-    """Droplet components, outposts, and cumulative masses by a τ sweep.
+def _lower_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Indices of the lower convex hull's vertices of the points (x_i, y_i),
+    x increasing: Andrew's monotone chain, dropping collinear points."""
+    hx, hy, idx = [], [], []
+    for i, (xi, yi) in enumerate(zip(x.tolist(), y.tolist())):
+        # the last vertex stays only strictly below the segment from the one
+        # before it to (xi, yi)
+        while len(idx) >= 2 and (
+            (hx[-1] - hx[-2]) * (yi - hy[-2]) <= (hy[-1] - hy[-2]) * (xi - hx[-2])
+        ):
+            hx.pop()
+            hy.pop()
+            idx.pop()
+        hx.append(xi)
+        hy.append(yi)
+        idx.append(i)
+    return np.array(idx)
 
-    The global minimizer of g_τ is tracked over a τ grid of n_probe points;
-    jumps mark branching values, refined by bisection to 1e-12. Component
-    edges solve r q′(r) = 2τ at the branching (or extreme) τ; outposts are
-    the interior stationary points whose g value ties the branch minimum
-    within ``tol``. The τ = 1 endpoint is always scanned beyond the last
-    component for exterior outposts.
+
+def _r_dq(pot: RadialPotential, r: np.ndarray) -> np.ndarray:
+    return r * pot.terms(r, 1)[1]
+
+
+def classify(pot: RadialPotential) -> DropletData:
+    """Droplet components, outposts and cumulative masses, read off the
+    convex minorant of f(t) = q(e^t).
+
+    On a dense grid of [1e-6, r_max], read at order 0, the minorant is the
+    lower hull of (ln r, q) with its slope capped to [0, 2]: flat left of
+    argmin q, and the slope-2 ray right of argmin (q − 2 ln r). Its slope at
+    r is 2τ, with τ the tilt of g_τ(r) = q(r) − 2τ ln r. The coincidence set
+    is where q is within 1e-9 of the minorant:
+
+    - a contact run across which the slope rises is a component; its edges
+      solve r q′(r) = 2τ (``tilt_roots``), and the cumulative mass at an
+      outer edge b is b q′(b)/2, checked against ``mass_between``;
+    - between two components the minorant is a chord, the gap. Its tilt τ*
+      starts at the chord's slope / 2 and is refined by Newton on the
+      envelope equation g_τ(r₁) = g_τ(r₂) at the gap's edges;
+    - the outposts are the other contacts. Each grid local minimum of
+      q − minorant in a gap or past the droplet is refined to its stationary
+      point at the piece's tilt (τ* in a gap, 1 past the droplet), and kept
+      when g_τ there ties the value at the piece's inner edge within 1e-9.
     """
-    if n_probe < 16:
-        raise ValueError("n_probe too small")
-    lo = 1e-6
-    hi = pot.r_max
-    pts = int(4096 * (hi - lo)) + 1
-    grid_r, grid_q, _ = _dense_eval(pot, lo, hi, pts)
-    taus = np.linspace(0.0, 1.0, n_probe)
+    lo, hi = 1e-6, pot.r_max
+    r = np.linspace(lo, hi, int(4096 * (hi - lo)) + 1)
+    (f,) = pot.terms(r, 0)
+    t = np.log(r)
+    i0 = int(np.argmin(f))
+    i1 = int(np.argmin(f - 2.0 * t))
+    vert = i0 + _lower_hull(t[i0 : i1 + 1], f[i0 : i1 + 1])
+    # np.interp holds f[i0] left of the hull: the slope-0 piece
+    minorant = np.interp(t, t[vert], f[vert])
+    minorant[i1:] = f[i1] + 2.0 * (t[i1:] - t[i1])
+    above = f - minorant
 
-    # chunked argmin sweep of g_tau over the dense radius grid
-    r_min = np.empty(n_probe)
-    log_r = np.log(grid_r)
-    chunk = max(1, _SWEEP_CELLS // pts)
-    for start in range(0, n_probe, chunk):
-        block = taus[start : start + chunk]
-        g = grid_q[None, :] - 2.0 * block[:, None] * log_r[None, :]
-        r_min[start : start + chunk] = grid_r[np.argmin(g, axis=1)]
+    contact = np.r_[False, above <= _TIE_TOL, False]
+    first = np.flatnonzero(contact[1:] & ~contact[:-1])
+    last = np.flatnonzero(contact[:-1] & ~contact[1:]) - 1
+    slope = np.r_[0.0, np.diff(minorant) / np.diff(t), 2.0]
+    comp = slope[last + 1] - slope[first] > _COMPONENT_RISE
+    a, b = first[comp], last[comp]
+    if b[-1] == r.size - 1:
+        raise ClassificationError(f"the droplet reaches r_max = {hi:g}")
 
-    # The final row (tau = 1) can tie with exterior outposts and is handled
-    # by the endpoint scan instead; exclude it from branch detection.
-    jump_threshold = 0.05
-    diffs = np.abs(np.diff(r_min[:-1]))
-    candidates = np.nonzero(diffs > jump_threshold)[0]
+    # f' runs from below the slope of the piece before a component to above
+    # the slope after it, so a component's outer edge lies in
+    # [r[a], r[b + 1]] and its inner edge in [r[a - 1], r[b]]
+    br_lo = np.r_[r[a], r[a[1:] - 1]]
+    br_hi = np.r_[r[b + 1], r[b[1:]]]
+    s_lo, s_hi = np.split(_r_dq(pot, np.r_[br_lo, br_hi]), 2)
 
-    # near tau = 0 the minimizer moves like sqrt(tau), which can outrun the
-    # threshold without any branching; a genuine branch jump parks the
-    # mid-tau minimizer at one end of the spanned interval, continuous
-    # motion leaves it in the interior
-    def _is_branch_jump(i: int) -> bool:
-        r_a, r_b = sorted((float(r_min[i]), float(r_min[i + 1])))
-        t_mid = 0.5 * (taus[i] + taus[i + 1])
-        r_mid = _global_min_radius(grid_r, grid_q, t_mid)
-        span = r_b - r_a
-        return min(abs(r_mid - r_a), abs(r_mid - r_b)) <= 0.25 * span
+    def edge_roots(tau_gap):
+        taus = np.r_[tau_gap, 1.0, tau_gap]
+        roots = tilt_roots(pot, taus, br_lo, br_hi, s_lo - 2.0 * taus, s_hi - 2.0 * taus)
+        return roots[: a.size], roots[a.size :]
 
-    jump_idx = [int(i) for i in candidates if _is_branch_jump(int(i))]
-    # a probe row landing exactly on a branching value can tie with an
-    # outpost and register two consecutive jumps; group runs of adjacent
-    # jump indices into one transition
-    groups = []
-    for i in jump_idx:
-        if groups and i == groups[-1][-1] + 1:
-            groups[-1].append(int(i))
-        else:
-            groups.append([int(i)])
-    if any(len(g) > 2 for g in groups):
+    # Newton on g_tau(r1) = g_tau(r2), whose tau derivative is 2 ln(r2/r1);
+    # the chord's slope is within about 1e-8 of tau*, so the second pass
+    # is at rounding
+    tau_gap = 0.5 * (f[a[1:]] - f[b[:-1]]) / (t[a[1:]] - t[b[:-1]])
+    outer, inner = edge_roots(tau_gap)
+    for _ in range(4 if tau_gap.size else 0):
+        r1 = outer[:-1]
+        q1, q2 = np.split(pot.terms(np.r_[r1, inner], 0)[0], 2)
+        gap = q1 - q2 - 2.0 * tau_gap * np.log(r1 / inner)
+        tau_gap = tau_gap - gap / (2.0 * np.log(inner / r1))
+        outer, inner = edge_roots(tau_gap)
+    a0 = 0.0
+    if r[a[0]] >= 1e-3:
+        # a ring: its inner edge is the minimum of q, at tau = 0
+        ends = r[[a[0] - 1, b[0]]]
+        s0 = _r_dq(pot, ends)
+        a0 = float(tilt_roots(pot, [0.0], ends[:1], ends[1:], s0[:1], s0[1:])[0])
+    components = list(zip(np.r_[a0, inner].tolist(), outer.tolist()))
+
+    q_out, dq_out = pot.terms(outer, 1)
+    masses = 0.5 * outer * dq_out
+    check = np.cumsum([mass_between(pot, ca, cb) for ca, cb in components])
+    miss = np.abs(check - masses)
+    if np.any(miss > 1e-8):
+        k = int(np.argmax(miss))
         raise ClassificationError(
-            "branch tracking lost continuity (minimizer wandered across more "
-            "than two adjacent probe steps); increase n_probe"
+            f"mass below r = {outer[k]:.12g}: b q'(b)/2 = {masses[k]:.12f} but "
+            f"mass_between gives {check[k]:.12f}, more than 1e-8 apart"
         )
 
-    def edge_root(tau_star: float, near: float) -> float:
-        # solve r q'(r) = 2 tau_star close to the estimate `near`
-        width = max(0.02, 2.0 * jump_threshold)
-        a = max(lo, near - width)
-        b = min(hi, near + width)
-        fn = lambda x: float(x * pot.dq(x)) - 2.0 * tau_star
-        fa, fb = fn(a), fn(b)
-        if fa * fb > 0.0:
-            # widen until bracketed; the sweep guarantees a nearby root
-            for _ in range(20):
-                a = max(lo, a - width)
-                b = min(hi, b + width)
-                fa, fb = fn(a), fn(b)
-                if fa * fb <= 0.0:
-                    break
-            else:
-                raise ClassificationError("component edge root not bracketed")
-        return float(tilt_roots(pot, [tau_star], [a], [b], [fa], [fb])[0])
+    i = 1 + np.flatnonzero((above[1:-1] < above[:-2]) & (above[1:-1] <= above[2:]))
+    piece = np.searchsorted(a, i, side="right") - 1
+    off = (piece >= 0) & (i > b[piece])
+    i, piece = i[off], piece[off]
+    tau_out = np.r_[tau_gap, 1.0]
+    tau = tau_out[piece]
+    s_lo, s_hi = np.split(_r_dq(pot, np.r_[r[i - 1], r[i + 1]]) - 2.0 * np.r_[tau, tau], 2)
+    # a minimum with no sign change in its bracket is no stationary point,
+    # such as a point of the case-2 bridge plateau, 0.13 above the chord
+    kept = (s_lo <= 0.0) & (s_hi >= 0.0)
+    tau, piece = tau[kept], piece[kept]
+    roots = tilt_roots(pot, tau, r[i - 1][kept], r[i + 1][kept], s_lo[kept], s_hi[kept])
+    g_root = pot.terms(roots, 0)[0] - 2.0 * tau * np.log(roots)
+    g_edge = q_out[piece] - 2.0 * tau * np.log(outer[piece])
+    outposts = sorted(roots[g_root <= g_edge + _TIE_TOL].tolist())
 
-    # refine each branching value: bisection on the basin predicate, then
-    # Newton on the envelope equation g_tau(r1) = g_tau(r2) (whose tau
-    # derivative is 2 log(r2/r1)), which removes the dense-grid bias. Edge
-    # roots that coincide mean the minimizer moved continuously (q = r^4
-    # moves it like tau^(1/4) from 0), so that jump is no branch.
-    branch_taus = []
-    gaps = []  # (r_low_branch_end, r_high_branch_start)
-    for g in groups:
-        i0, i1 = g[0], g[-1]
-        t_lo, t_hi = taus[i0], taus[i1 + 1]
-        r_before, r_after = r_min[i0], r_min[i1 + 1]
-        cut = 0.5 * (r_before + r_after)
-        for _ in range(40):
-            t_mid = 0.5 * (t_lo + t_hi)
-            if _global_min_radius(grid_r, grid_q, t_mid) < cut:
-                t_lo = t_mid
-            else:
-                t_hi = t_mid
-        t_cur = 0.5 * (t_lo + t_hi)
-        r1, r2 = float(r_before), float(r_after)
-        for _ in range(4):
-            r1 = edge_root(t_cur, r1)
-            r2 = edge_root(t_cur, r2)
-            if abs(r2 - r1) <= 1e-9 * max(r1, r2):
-                break
-            h = float(g_tau(pot, t_cur, r1)) - float(g_tau(pot, t_cur, r2))
-            t_cur -= h / (2.0 * math.log(r2 / r1))
-        else:
-            branch_taus.append(t_cur)
-            gaps.append((r1, r2))
-
-    # component boundaries: [0 or a_nu, b_nu]; the tau = 1 edge is seeded
-    # from the second-to-last row since the last row may have tied away
-    inner_start = 0.0 if float(r_min[0]) < 1e-3 else edge_root(0.0, float(r_min[0]))
-    starts = [inner_start]
-    ends = []
-    for tau_star, (r_b, r_a) in zip(branch_taus, gaps):
-        ends.append(edge_root(tau_star, r_b))
-        starts.append(edge_root(tau_star, r_a))
-    ends.append(edge_root(1.0, float(r_min[-2])))
-    components = list(zip(starts, ends))
-
-    # outposts inside each gap at its branching value
-    outposts = []
-    shrink = 1e-3
-    for tau_star, (b_prev, a_next) in zip(
-        branch_taus, [(e, s) for e, s in zip(ends[:-1], starts[1:])]
-    ):
-        span = a_next - b_prev
-        pa = find_peaks(
-            pot, tau_star,
-            (b_prev + max(shrink, 0.01 * span), a_next - max(shrink, 0.01 * span)),
-            n=100, C=10.0,
-        )
-        base = min(
-            float(g_tau(pot, tau_star, b_prev)), float(g_tau(pot, tau_star, a_next))
-        )
-        for p in pa.peaks:
-            if p.g_value <= base + tol:
-                outposts.append(p.r)
-
-    # exterior outposts: endpoint scan at tau = 1 beyond the last component
-    b_last = ends[-1]
-    exterior = []
-    if b_last + 2 * shrink < hi:
-        pa = find_peaks(pot, 1.0, (b_last + shrink, hi - shrink), n=100, C=10.0)
-        base = float(g_tau(pot, 1.0, b_last))
-        for p in pa.peaks:
-            if p.g_value <= base + tol:
-                exterior.append(p.r)
-    outposts = sorted(outposts + exterior)
-
-    # cumulative masses
-    masses = []
-    acc = 0.0
-    for a, b in components:
-        acc += mass_between(pot, a, b)
-        masses.append(acc)
-    if abs(masses[-1] - 1.0) > 1e-8:
-        raise ClassificationError(
-            f"component masses sum to {masses[-1]:.12f}, not 1 within 1e-8"
-        )
-
+    b_last = components[-1][1]
     n_comp = len(components)
     if n_comp == 1 and not outposts:
         tag = "none"
-    elif outposts and all(t > b_last for t in outposts):
+    elif outposts and all(o > b_last for o in outposts):
         tag = "case1"
     elif n_comp == 2 and all(
-        components[0][1] < t < components[1][0] for t in outposts
+        components[0][1] < o < components[1][0] for o in outposts
     ):
         tag = "case2"
     else:
         tag = "other"
 
     return DropletData(
-        components=tuple((float(a), float(b)) for a, b in components),
-        outposts=tuple(float(t) for t in outposts),
-        masses=tuple(float(m) for m in masses),
+        components=tuple(components),
+        outposts=tuple(outposts),
+        masses=tuple(masses.tolist()),
         case_tag=tag,
-        branch_values=tuple(float(t) for t in branch_taus),
+        branch_values=tuple(tau_gap.tolist()),
     )
 
 
@@ -1020,11 +994,12 @@ def droplet_data(pot: RadialPotential) -> DropletData:
 # ------------------------------------------------------------------ checking
 
 
-# 9-point central second difference: weight of f(r) and of f(r ± k h),
-# at step h = _D2_STEP; the 5-point first difference uses step _D1_STEP
-_D2_STENCIL = (-205.0 / 72.0, 8.0 / 5.0, -1.0 / 5.0, 8.0 / 315.0, -1.0 / 560.0)
-_D1_STEP = 5e-5
-_D2_STEP = 1e-4
+# the derivative check's panels are at most 1/_CHECK_PANELS of the smooth
+# window wide, and each builder piece gets at least _PIECE_PANELS of them:
+# the window and smoothstep profiles vary over the whole piece, flat to all
+# orders at its edges, whatever its width
+_CHECK_PANELS = 256
+_PIECE_PANELS = 8
 
 
 @dataclass(frozen=True)
@@ -1034,35 +1009,53 @@ class ValidationCheck:
     detail: str
 
 
-def derivative_consistency(
-    pot: RadialPotential, n_probe: int = 2000
-) -> Tuple[float, float]:
-    """Worst relative mismatch of the analytic q′ and q″, read from one
-    order-2 ``terms`` call, against finite differences of q alone: a 5-point
-    central first difference (step _D1_STEP = 5e-5) and a 9-point central
-    second difference (step _D2_STEP = 1e-4). The wider, higher-order
-    stencil keeps the second difference accurate near the narrow edges of
-    the builders' windows."""
-    h = _D1_STEP
-    h2 = _D2_STEP
-    reach = max(2 * h, 4 * h2)
+def _piece_edges(pot: RadialPotential) -> np.ndarray:
+    """Radii where a built potential's pieces meet: the window edges
+    t_k ± w_k and, for case 2, the gap edges b0, a1 and the edges of the
+    four smoothstep bands across the gap. Empty for other potentials."""
+    p = pot.params
+    pts = [tk + side * wk for tk, wk in zip(p.get("t", ()), p.get("w", ())) for side in (-1.0, 1.0)]
+    if pot.label == "case2":
+        (_, b0), (a1, _) = p["components"]
+        # band edges in build_case2's u = (r - b0)/(a1 - b0)
+        bands = (0.0, 0.15, 0.25, 0.30, 0.45, 0.55, 0.70, 0.75, 0.85, 1.0)
+        pts += [b0 + u * (a1 - b0) for u in bands]
+    return np.unique(np.array(pts, dtype=float))
+
+
+def derivative_consistency(pot: RadialPotential) -> Tuple[float, float]:
+    """Worst relative mismatch of the analytic q′ and q″ against the
+    identities q(b) − q(a) = ∫_a^b q′ and q′(b) − q′(a) = ∫_a^b q″ over the
+    panels [a, b] of the smooth window, each error divided by ∫|q′| (by
+    ∫|q″|) on its panel.
+
+    The panels are cut at ``_piece_edges``, so no panel straddles a seam
+    between a builder's pieces; the integrals are 32-point Gauss-Legendre
+    sums from one order-2 ``terms`` call, the panel ends one order-1 call.
+    No difference step enters, so neither truncation nor roundoff grows as
+    a window narrows.
+    """
     lo, hi = pot.smooth_window
-    lo = max(lo, 1e-3) + 2 * reach
-    hi = hi - 2 * reach
-    r = np.linspace(lo, hi, n_probe)
-    fm2 = np.asarray(pot.q(r - 2 * h))
-    fm1 = np.asarray(pot.q(r - h))
-    fp1 = np.asarray(pot.q(r + h))
-    fp2 = np.asarray(pot.q(r + 2 * h))
-    d1_fd = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
-    d2_fd = _D2_STENCIL[0] * np.asarray(pot.q(r))
-    for k, c in enumerate(_D2_STENCIL[1:], start=1):
-        d2_fd = d2_fd + c * (np.asarray(pot.q(r - k * h2)) + np.asarray(pot.q(r + k * h2)))
-    d2_fd = d2_fd / (h2 * h2)
-    _, d1, d2 = pot.terms(r, 2)
-    err1 = np.max(np.abs(d1 - d1_fd) / np.maximum(1.0, np.abs(d1)))
-    err2 = np.max(np.abs(d2 - d2_fd) / np.maximum(1.0, np.abs(d2)))
-    return float(err1), float(err2)
+    seams = _piece_edges(pot)
+    seams = np.r_[lo, seams[(seams > lo) & (seams < hi)], hi]
+    width = (hi - lo) / _CHECK_PANELS
+    ends = np.r_[
+        np.concatenate([
+            np.linspace(x, y, max(_PIECE_PANELS, math.ceil((y - x) / width)), endpoint=False)
+            for x, y in zip(seams[:-1], seams[1:])
+        ]),
+        hi,
+    ]
+    nodes, weights = _GL32
+    half = 0.5 * np.diff(ends)[:, None]
+    x = 0.5 * (ends[:-1] + ends[1:])[:, None] + half * nodes
+    w = half * weights
+    _, d1, d2 = pot.terms(x, 2)
+    q_end, d1_end = pot.terms(ends, 1)
+    tiny = np.finfo(float).tiny
+    err1 = np.abs(np.diff(q_end) - (w * d1).sum(1)) / np.maximum((w * np.abs(d1)).sum(1), tiny)
+    err2 = np.abs(np.diff(d1_end) - (w * d2).sum(1)) / np.maximum((w * np.abs(d2)).sum(1), tiny)
+    return float(err1.max()), float(err2.max())
 
 
 def _growth_margin(pot: RadialPotential) -> float:
@@ -1096,7 +1089,7 @@ def _validate_case1(pot: RadialPotential) -> None:
         got = float(laplacian(pot, tk))
         if abs(got - want) > 1e-10 * max(1.0, abs(want)) or got <= 0.0:
             raise BuildValidationError("laplacian_at_outpost", f"t={tk}")
-    e1, e2 = derivative_consistency(pot, n_probe=600)
+    e1, e2 = derivative_consistency(pot)
     if max(e1, e2) > 1e-5:
         raise BuildValidationError("derivative_consistency", f"err={max(e1, e2):.2e}")
     if _growth_margin(pot) <= 0.0:
@@ -1135,14 +1128,14 @@ def _validate_case2(pot: RadialPotential) -> None:
     for edge, slope in ((b0, 2.0 * m0 / b0), (a1, 2.0 * m0 / a1)):
         if abs(float(pot.dq(edge)) - slope) > 1e-10:
             raise BuildValidationError("edge_slope", f"r={edge}")
-    e1, e2 = derivative_consistency(pot, n_probe=600)
+    e1, e2 = derivative_consistency(pot)
     if max(e1, e2) > 1e-5:
         raise BuildValidationError("derivative_consistency", f"err={max(e1, e2):.2e}")
     if _growth_margin(pot) <= 0.0:
         raise BuildValidationError("growth")
 
 
-def validation_report(pot: RadialPotential, with_classification: bool = True):
+def validation_report(pot: RadialPotential):
     """Full check suite as a list of ValidationCheck records.
 
     Includes the builder checks (when the label identifies a built case),
@@ -1174,45 +1167,44 @@ def validation_report(pot: RadialPotential, with_classification: bool = True):
             checks.append(ValidationCheck(exc.check_name, False, exc.detail))
 
     data: Optional[DropletData] = None
-    if with_classification:
-        try:
-            data = classify(pot)
-            ok = abs(data.masses[-1] - 1.0) <= 1e-8
-            checks.append(
-                ValidationCheck("total_mass", ok, f"M_last = {data.masses[-1]:.10f}")
+    try:
+        data = classify(pot)
+        ok = abs(data.masses[-1] - 1.0) <= 1e-8
+        checks.append(
+            ValidationCheck("total_mass", ok, f"M_last = {data.masses[-1]:.10f}")
+        )
+        if pot.label == "case1":
+            ts = pot.params["t"]
+            ok = len(data.outposts) == len(ts) and all(
+                abs(a - b) <= 1e-6 for a, b in zip(data.outposts, ts)
             )
-            if pot.label == "case1":
-                ts = pot.params["t"]
-                ok = len(data.outposts) == len(ts) and all(
-                    abs(a - b) <= 1e-6 for a, b in zip(data.outposts, ts)
+            ok = ok and data.case_tag == "case1"
+            checks.append(
+                ValidationCheck(
+                    "classification_roundtrip", ok,
+                    f"tag={data.case_tag}, outposts={data.outposts}",
                 )
-                ok = ok and data.case_tag == "case1"
-                checks.append(
-                    ValidationCheck(
-                        "classification_roundtrip", ok,
-                        f"tag={data.case_tag}, outposts={data.outposts}",
-                    )
+            )
+        elif pot.label == "case2":
+            p = pot.params
+            (a0, b0), (a1, b1) = p["components"]
+            ts = p["t"]
+            ok = (
+                data.case_tag == "case2"
+                and len(data.components) == 2
+                and abs(data.components[0][1] - b0) <= 1e-6
+                and abs(data.components[1][0] - a1) <= 1e-6
+                and abs(data.components[1][1] - b1) <= 1e-6
+                and abs(data.masses[0] - p["M0"]) <= 1e-8
+                and len(data.outposts) == len(ts)
+                and all(abs(a - b) <= 1e-6 for a, b in zip(data.outposts, ts))
+            )
+            checks.append(
+                ValidationCheck(
+                    "classification_roundtrip", ok,
+                    f"tag={data.case_tag}, M0={data.masses[0]:.10f}",
                 )
-            elif pot.label == "case2":
-                p = pot.params
-                (a0, b0), (a1, b1) = p["components"]
-                ts = p["t"]
-                ok = (
-                    data.case_tag == "case2"
-                    and len(data.components) == 2
-                    and abs(data.components[0][1] - b0) <= 1e-6
-                    and abs(data.components[1][0] - a1) <= 1e-6
-                    and abs(data.components[1][1] - b1) <= 1e-6
-                    and abs(data.masses[0] - p["M0"]) <= 1e-8
-                    and len(data.outposts) == len(ts)
-                    and all(abs(a - b) <= 1e-6 for a, b in zip(data.outposts, ts))
-                )
-                checks.append(
-                    ValidationCheck(
-                        "classification_roundtrip", ok,
-                        f"tag={data.case_tag}, M0={data.masses[0]:.10f}",
-                    )
-                )
-        except ClassificationError as exc:
-            checks.append(ValidationCheck("classification", False, str(exc)))
+            )
+    except ClassificationError as exc:
+        checks.append(ValidationCheck("classification", False, str(exc)))
     return checks, data

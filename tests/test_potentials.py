@@ -74,6 +74,75 @@ def test_quartic_classifies_plain_disk():
     assert data.masses[-1] == pytest.approx(1.0, abs=1e-8)
 
 
+def _quartic():
+    return RadialPotential(
+        lambda r, order: (r**4, 4.0 * r**3, 12.0 * r**2)[: order + 1],
+        smooth_window=(0.0, 3.0), r_max=3.0,
+    )
+
+
+# (components, outposts, cumulative masses, branch values, case tag) that
+# the earlier tau-sweep classification gave
+PINNED = {
+    "ginibre_pot": (((0.0, 1.0),), (), (1.0,), (), "none"),
+    "quartic": (((0.0, 0.8408964152537145),), (), (0.9999999999999998,), (), "none"),
+    "case1_pot": (((0.0, 1.0),), (1.5, 2.0), (1.0,), (), "case1"),
+    "case1_m10": (
+        ((0.0, 1.0),),
+        (1.2, 1.3777777777777778, 1.5555555555555554, 1.7333333333333332,
+         1.911111111111111, 2.0888888888888886, 2.2666666666666666,
+         2.444444444444444, 2.622222222222222, 2.8),
+        (1.0,), (), "case1",
+    ),
+    "case2_pot": (((0.0, 1.0), (1.6, 2.2)), (1.2, 1.4), (0.5, 1.0), (0.5,), "case2"),
+    "case2_single_pot": (((0.0, 1.0), (1.6, 2.2)), (1.2,), (0.5, 1.0), (0.5,), "case2"),
+    "case2_bare_pot": (((0.0, 1.0), (1.6, 2.2)), (), (0.5, 1.0), (0.5,), "case2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_classification_pinned_without_peak_scan(request, monkeypatch, name):
+    # the minorant reads the droplet without the peak scan
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify ran a peak scan")
+
+    monkeypatch.setattr(hg.potentials, "find_peaks_batch", refuse)
+    monkeypatch.setattr(hg.potentials, "find_peaks", refuse)
+    if name == "quartic":
+        pot = _quartic()
+    elif name == "case1_m10":
+        pot = hg.build_case1(tuple(np.linspace(1.2, 2.8, 10)), w=(0.06,) * 10)
+    else:
+        pot = request.getfixturevalue(name)
+    data = classify(pot)
+    components, outposts, masses, branch_values, tag = PINNED[name]
+    assert data.case_tag == tag
+    got = (data.components, data.outposts, data.masses, data.branch_values)
+    for have, want in zip(got, (components, outposts, masses, branch_values)):
+        assert np.shape(have) == np.shape(want)
+        assert np.all(np.abs(np.subtract(have, want)) <= 1e-12)
+
+
+def test_ring_droplet_and_droplet_past_r_max():
+    # q = (r - 1)^2: the droplet is the ring from the minimum of q, r = 1,
+    # to r q'(r) = 2, the golden ratio
+    ring = RadialPotential(
+        lambda r, order: ((r - 1.0) ** 2, 2.0 * (r - 1.0), np.full(r.shape, 2.0))[: order + 1],
+        smooth_window=(0.0, 4.0), r_max=4.0,
+    )
+    data = classify(ring)
+    golden = (1.0 + math.sqrt(5.0)) / 2.0
+    assert data.components == (
+        (pytest.approx(1.0, abs=1e-12), pytest.approx(golden, abs=1e-12)),
+    )
+    assert data.masses == (pytest.approx(1.0, abs=1e-12),)
+    assert data.case_tag == "none"
+    # r^4 reaches r q'(r) = 2 at 0.84, past an r_max of 0.5
+    short = RadialPotential(_quartic().terms, smooth_window=(0.0, 0.5), r_max=0.5)
+    with pytest.raises(hg.ClassificationError, match="r_max"):
+        classify(short)
+
+
 # ------------------------------------------------------------------- case 1
 
 
@@ -121,6 +190,27 @@ def test_single_outpost_roundtrip():
     assert data.case_tag == "case1"
     assert len(data.outposts) == 1
     assert data.outposts[0] == pytest.approx(1.5, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "t,w",
+    [
+        # the difference-stencil check rejected these: the build at err
+        # 5.4e-5, the report at 3.7e2
+        (tuple(np.linspace(1.2, 2.8, 12)), 0.04),
+        ((1.5,), 0.005),
+        # the tau sweep missed the outpost at 1.18
+        ((1.18, 1.788, 2.7215), 0.139),
+    ],
+    ids=["twelve", "narrow", "wide"],
+)
+def test_case1_geometry_roundtrip(t, w):
+    pot = hg.build_case1(t, w=(w,) * len(t))
+    checks, data = hg.validation_report(pot)
+    assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
+    assert data.case_tag == "case1"
+    assert len(data.outposts) == len(t)
+    assert np.max(np.abs(np.subtract(data.outposts, t))) <= 1e-6
 
 
 @given(
@@ -199,6 +289,22 @@ def test_case2_validation_report(case2_pot):
     checks, data = hg.validation_report(case2_pot)
     assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
     assert data.case_tag == "case2"
+
+
+@pytest.mark.parametrize(
+    "components,m0,t",
+    [
+        (((0.0, 1.1293), (1.5852, 2.0222)), 0.2394, 1.4774),
+        (((0.0, 1.1771), (1.6068, 2.0532)), 0.5378, 1.4850),
+    ],
+)
+def test_case2_geometry_roundtrip(components, m0, t):
+    # geometries on which the tau sweep failed: its gap scan got an empty
+    # interval in the first, and its masses summed to 0.935 in the second
+    pot = hg.build_case2(components, m0, t=(t,), w=(0.03,))
+    checks, data = hg.validation_report(pot)
+    assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
+    assert data.branch_values == (pytest.approx(m0, abs=1e-12),)
 
 
 def test_case2_bare_gap(case2_bare_data):
@@ -409,33 +515,34 @@ def test_shoulder_rejects_bad_band():
 
 def test_derivative_consistency_catches_wrong_slope():
     base = hg.ginibre()
-    broken = RadialPotential(
-        lambda r, order: tuple(
-            v * 1.01 if i == 1 else v for i, v in enumerate(base.terms(r, order))
-        ),
-        smooth_window=base.smooth_window,
-        r_max=base.r_max,
-        label="broken",
-    )
-    e1, _ = derivative_consistency(broken)
+
+    def broken(order, factor):
+        return RadialPotential(
+            lambda r, k: tuple(
+                v * factor if i == order else v for i, v in enumerate(base.terms(r, k))
+            ),
+            smooth_window=base.smooth_window,
+            r_max=base.r_max,
+            label="broken",
+        )
+
+    e1, _ = derivative_consistency(broken(1, 1.01))
     assert e1 > 1e-3
+    _, e2 = derivative_consistency(broken(2, 1.001))
+    assert e2 > 5e-4
 
 
 # ------------------------------------------------------- evaluation orders
 
 
 def _piece_edges(pot):
-    """Radii where a builder's pieces meet, with their float neighbours:
-    component edges, window edges t_k ± w_k, case-2 smoothstep band edges."""
-    p = pot.params
-    pts = [1.0, 3.0] if pot.label == "case1" else []
-    if "components" in p:
-        (_, b0), (a1, _) = p["components"]
-        bands = (0.15, 0.25, 0.30, 0.45, 0.55, 0.70, 0.75, 0.85)
-        pts += [b0, a1] + [b0 + u * (a1 - b0) for u in bands]
-    for t, w in zip(p.get("t", ()), p.get("w", ())):
-        pts += [t - w, t, t + w]
-    pts = np.array(pts, dtype=float)
+    """Radii where a builder's pieces meet (the derivative check's seams),
+    the outpost centres and case 1's interval ends, with their float
+    neighbours."""
+    pts = np.r_[
+        hg.potentials._piece_edges(pot), pot.params.get("t", ()),
+        (1.0, 3.0) if pot.label == "case1" else (),
+    ]
     return np.concatenate((pts, np.nextafter(pts, 0.0), np.nextafter(pts, np.inf)))
 
 
@@ -492,11 +599,11 @@ def test_hot_paths_ask_only_for_order_zero():
     q_elems = {reps: sum(size for order, size in got if order == 0) for reps, got in per_reps.items()}
     assert q_elems[200] > q_elems[1]
 
-    # classify reads q and q' on its full dense grid from one order-1 call
+    # classify reads q alone on its full dense grid, from one order-0 call
     calls.clear()
     classify(recording())
     full = int(4096 * (base.r_max - 1e-6)) + 1
-    assert [c for c in calls if c[1] == full] == [(1, full)]
+    assert [c for c in calls if c[1] == full] == [(0, full)]
 
 
 def test_mass_between_additivity(case2_pot):
