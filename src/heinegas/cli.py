@@ -23,6 +23,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -78,6 +79,10 @@ def _load_config(path: Optional[str]) -> dict:
     return cfg
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 # quadrature keys of earlier versions: the quadrature mode and the peak
 # window constant C. A run that set one must not silently get something else.
 _RETIRED_KEYS = ("mode", "C")
@@ -91,7 +96,10 @@ def _quad_config(cfg: dict) -> QuadratureConfig:
                 "the sampler included, reads one full-range quadrature grid, "
                 "and peak windows are used only by the tests' cross-check"
             )
-    return QuadratureConfig(rel_tol=float(cfg.get("rel_tol", 1e-11)))
+    rel_tol = cfg.get("rel_tol", 1e-11)
+    if not _is_number(rel_tol):
+        raise ValueError(f"rel_tol {rel_tol!r} is not a number")
+    return QuadratureConfig(rel_tol=float(rel_tol))
 
 
 def _require(cfg: dict, key: str):
@@ -189,6 +197,29 @@ def _default_s_grid(case: str, arity: int) -> list:
     return [list(p) for p in itertools.product(values, repeat=arity)]
 
 
+def _s_grid(cfg: dict, case: str, arity: int, n_min: int) -> list:
+    """The configured s vectors, or the default grid when none is given.
+    Each must hold ``arity`` finite numbers within joint_mgf's range
+    |s_k| <= log n at the smallest n of the schedule."""
+    grid = cfg.get("s_grid")
+    if grid is None:
+        return _default_s_grid(case, arity)
+    if not isinstance(grid, list) or not grid:
+        raise ValueError(f"s_grid {grid!r} is not a non-empty list of s vectors")
+    limit = math.log(max(n_min, 2)) + 1e-12
+    for s in grid:
+        if not (
+            isinstance(s, list)
+            and len(s) == arity
+            and all(_is_number(v) and abs(v) <= limit for v in s)
+        ):
+            raise ValueError(
+                f"s_grid entry {s!r} is not a list of {arity} numbers with "
+                f"|s_k| <= log {n_min}"
+            )
+    return grid
+
+
 def _mgf_error_max(pot, n, s_grid, regions, qcfg, predict) -> float:
     worst = 0.0
     for s in s_grid:
@@ -200,24 +231,28 @@ def _mgf_error_max(pot, n, s_grid, regions, qcfg, predict) -> float:
 
 def cmd_converge(args) -> int:
     cfg = _load_config(args.config)
-    pot, case = _build_potential(cfg)
-    if case not in ("case1", "case2"):
-        raise ValueError("converge requires case1 or case2")
     qcfg = _quad_config(cfg)
     schedule = _require(cfg, "n_schedule")
-    if not isinstance(schedule, list):
-        raise ValueError("n_schedule must be a list of integers >= 2")
+    if not isinstance(schedule, list) or not schedule:
+        raise ValueError("n_schedule must be a non-empty list of integers >= 2")
     for v in schedule:
         if isinstance(v, bool) or not isinstance(v, int) or v < 2:
             raise ValueError(f"n_schedule entry {v!r} is not an integer >= 2")
     if any(b <= a for a, b in zip(schedule[:-1], schedule[1:])):
         raise ValueError("n_schedule must be strictly increasing")
+    pot, case = _build_potential(cfg)
+    if case not in ("case1", "case2"):
+        raise ValueError("converge requires case1 or case2")
     data = droplet_data(pot)
     if data.case_tag != case:
         raise ValueError(
             f"classification tag {data.case_tag} does not match config case {case}"
         )
     eps_cfg = cfg.get("regions", {}).get("eps") if isinstance(cfg.get("regions"), dict) else None
+    if eps_cfg is not None and not _is_number(eps_cfg):
+        raise ValueError(f"regions.eps {eps_cfg!r} is not a number")
+    arity = standard_regions(data, schedule[0], eps=eps_cfg)[0].m
+    s_grid = _s_grid(cfg, case, arity, schedule[0])
     smooth_diag = True
     if isinstance(cfg.get("bumps"), dict):
         smooth_diag = bool(cfg["bumps"].get("enabled", True))
@@ -233,8 +268,6 @@ def cmd_converge(args) -> int:
     for n in schedule:
         t0 = time.monotonic()
         regions, eps = standard_regions(data, n, eps=eps_cfg)
-        arity = regions.m
-        s_grid = cfg.get("s_grid") or _default_s_grid(case, arity)
         law = exact_count_law(pot, n, regions, cfg=qcfg)
         landing = landing_matrix(pot, n, regions, qcfg)
         if case == "case1":
@@ -270,6 +303,11 @@ def cmd_converge(args) -> int:
                     "count": int(landing.rows.size),
                 },
                 "localization_bound": landing.bound,
+                "quadrature": {
+                    "splits": landing.splits,
+                    "nodes": landing.nodes,
+                    "gap": landing.gap,
+                },
                 "predicted_mass_deficit": predicted.mass_deficit,
                 "smooth_vs_hard_mgf_gap": diag,
                 "limit": lim.to_json_dict(),

@@ -26,15 +26,19 @@ splits where the log norms of all indices converged, cut into eighths, so
 the sampled law is the grid law with no window cut.
 
 π, the log norms and the sampler share one log-density kernel
-(``_log_weight``: (2j+1) ln x − n q(x)), one rows × nodes density
-(``_row_density``: w·e^(phi − row max)) and one Gauss-Legendre panel
-mapper (``_gl_panels``). Every grid panel and sampler cell is split by one
-vectorised subdivider whose edges are bitwise those of np.linspace. π, the
-smooth MGF factors and the localization search read interval sums off the
-density (``_interval_shares``): a region's share is the (optionally
-weighted) sum over its contiguous run of nodes divided by the row's total,
-and the log norms are those row totals. The sampler's cell masses are the
-sums over each cell's 32 nodes.
+(``_log_weight``: (2j+1) ln x − n q(x)), one row-blocked density
+(``_density_blocks``: w·e^(phi − row max), formed for at most
+_BLOCK_ELEMENTS rows × nodes at a time, with ln x and n q(x) formed once
+per grid) and one Gauss-Legendre panel mapper (``_gl_panels``). No caller
+holds more than one block of the density, so memory does not grow with
+the number of rows, and the block size changes no output bit. Every grid
+panel and sampler cell is split by one vectorised subdivider whose edges
+are bitwise those of np.linspace. π, the smooth MGF factors and the
+localization search reduce each block to interval sums
+(``_interval_shares``): a region's share is the (optionally weighted) sum
+over its contiguous run of nodes divided by the row's total, and the log
+norms are those row totals. The sampler's cell masses are the sums over
+each cell's 32 nodes.
 
 π and Ψ are built only on the indices that can reach a region. Modulus
 j's density ratio to modulus j + 1 is monotone in r, so tail
@@ -104,8 +108,10 @@ class QuadratureConfig:
     rel_tol: float = 1e-11
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0.0:
-            raise ValueError("tolerances must be positive (rel_tol)")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
+            raise ValueError(
+                f"tolerances must be positive and finite (rel_tol {self.rel_tol!r})"
+            )
 
 
 # ------------------------------------------------------------------- regions
@@ -431,17 +437,33 @@ def _log_weight(pot: RadialPotential, n: int, j, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_density(
+# elements of one (rows × nodes) density block: 512 KB of float64, an L2's worth
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _density_blocks(
     pot: RadialPotential, n: int, j_arr: np.ndarray, x: np.ndarray, w: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(phi's maximum per row, w·e^(phi − row max)) on rows j_arr × nodes x,
-    the density array formed once, in place."""
-    dens = _log_weight(pot, n, j_arr[:, None], x)
-    top = dens.max(axis=1, keepdims=True)
-    dens -= top
-    np.exp(dens, out=dens)
-    dens *= w
-    return top[:, 0], dens
+):
+    """Yield (row slice, phi's maximum per row, w·e^(phi − row max)) for
+    consecutive blocks of the rows j_arr × nodes x, each of at most
+    _BLOCK_ELEMENTS elements (one row when a row holds more).
+
+    ln x and n q(x) are formed once per call; each block repeats
+    ``_log_weight``'s operations in its order, so every value is bitwise the
+    one the whole rows × nodes array would hold, whatever the block size.
+    """
+    log_x = np.log(x)
+    nq = n * np.asarray(pot.q(x))
+    step = max(1, _BLOCK_ELEMENTS // x.size)
+    for first in range(0, len(j_arr), step):
+        part = slice(first, min(len(j_arr), first + step))
+        dens = (2 * j_arr[part, None] + 1) * log_x
+        dens -= nq
+        top = dens.max(axis=1, keepdims=True)
+        dens -= top
+        np.exp(dens, out=dens)
+        dens *= w
+        yield part, top[:, 0], dens
 
 
 def _interval_shares(
@@ -455,23 +477,25 @@ def _interval_shares(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(log Σ w e^phi per row, share of that mass in each (lo, hi) per row).
 
-    The rows × nodes density of ``_row_density`` is formed once. The nodes
-    are sorted and every interval edge is a panel break, so an interval's
-    nodes are one contiguous run and its share is the run's sum over the
-    row's total, with no difference of large logs. Given
+    The density comes one block of rows at a time (``_density_blocks``). The
+    nodes are sorted and every interval edge is a panel break, so an
+    interval's nodes are one contiguous run and its share is the run's sum
+    over the row's total, with no difference of large logs. Given
     ``weight``, the run of interval i is summed with the weights
-    weight(i, x) at its nodes x instead (a plain share is weight 1).
+    weight(i, x) at its nodes x instead (a plain share is weight 1); each
+    interval's weights are evaluated once, not once per block.
     """
-    top, dens = _row_density(pot, n, j_arr, x, w)
-    total = dens.sum(axis=1)
+    runs = [slice(*np.searchsorted(x, iv)) for iv in intervals]
+    weights = [None if weight is None else weight(i, x[run]) for i, run in enumerate(runs)]
+    log_total = np.empty(len(j_arr))
     shares = np.empty((len(j_arr), len(intervals)))
-    for i, (lo, hi) in enumerate(intervals):
-        a, b = np.searchsorted(x, (lo, hi))
-        run = dens[:, a:b]
-        if weight is not None:
-            run = run * weight(i, x[a:b])
-        shares[:, i] = run.sum(axis=1) / total
-    return top + np.log(total), shares
+    for part, top, dens in _density_blocks(pot, n, j_arr, x, w):
+        total = dens.sum(axis=1)
+        log_total[part] = top + np.log(total)
+        for i, (run, wt) in enumerate(zip(runs, weights)):
+            block = dens[:, run] if wt is None else dens[:, run] * wt
+            shares[part, i] = block.sum(axis=1) / total
+    return log_total, shares
 
 
 # panel-splitting passes before a quadrature is declared non-convergent
@@ -480,7 +504,8 @@ _MAX_SUBDIVISIONS = 12
 
 def _converged_rows(make_rows, cfg: QuadratureConfig):
     """Run make_rows(splits) with panel splitting until stable to rel_tol;
-    returns the rows and the splits per panel they were made with."""
+    returns the rows, the splits per panel they were made with and the
+    final refinement gap (the largest change of the last split)."""
     prev = None
     gap = math.inf
     splits = 1
@@ -489,7 +514,7 @@ def _converged_rows(make_rows, cfg: QuadratureConfig):
         if prev is not None:
             gap = np.max(np.abs(np.where(np.isfinite(rows) | np.isfinite(prev), rows - prev, 0.0)))
         if prev is not None and gap <= cfg.rel_tol:
-            return rows, splits
+            return rows, splits, float(gap)
         prev = rows
         splits *= 2
     raise QuadratureError(
@@ -512,7 +537,7 @@ def _log_norm_rows_full(
         x, w = _full_grid(pot, n, (), splits)
         return _interval_shares(pot, n, j_arr, x, w, ())[0]
 
-    rows, splits = _converged_rows(make, cfg)
+    rows, splits, _ = _converged_rows(make, cfg)
     return tuple(math.log(2.0) + rows), splits
 
 
@@ -576,7 +601,7 @@ def joint_mgf(
         psi_sum, bound = lm.pi @ np.expm1(s_vec), lm.bound
     else:
         rows, bound = _localize(pot, n, stats)
-        psi_sum = _region_prob_matrix(pot, n, stats, cfg, rows, s_vec).sum(axis=1)
+        psi_sum = _region_prob_matrix(pot, n, stats, cfg, rows, s_vec)[0].sum(axis=1)
     log_value = float(np.log1p(psi_sum).sum())
     spread = bound * float(np.max(np.abs(np.expm1(s_vec))))
     return MgfResult(math.exp(log_value), log_value, spread / (1.0 - spread))
@@ -599,19 +624,22 @@ def _region_prob_matrix(
     cfg: QuadratureConfig,
     j_arr: np.ndarray,
     s: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """pi[i, k] = P(modulus j_i lands in region k): the share of row i's
-    mass on the nodes of the interval entry k counts at index j_i. Given
+) -> Tuple[np.ndarray, int, float]:
+    """(pi, splits, gap): pi[i, k] = P(modulus j_i lands in region k), the
+    share of row i's mass on the nodes of the interval entry k counts at
+    index j_i. Given
     s, the share is weighted by e^{s_k h_k} − 1 on those nodes, which gives
     Ψ[i, k] = E[e^{s_k h_k(r)} − 1] for modulus j_i.
 
     Convergence is monitored on the shares themselves (linear scale)
     alongside the log norms, so regions carrying exponentially small mass
-    do not stall the refinement with log-tail noise.
+    do not stall the refinement with log-tail noise. ``splits`` and ``gap``
+    are those of the converged refinement (``_converged_rows``), and
+    (0, 0.0) when there are no rows, which need no grid.
     """
     n_rows = len(j_arr)
     if n_rows == 0:
-        return np.zeros((0, regions.m))
+        return np.zeros((0, regions.m)), 0, 0.0
     edges = regions.edge_radii()
     active = _active_intervals(regions, n)
     intervals = [(lo, hi) for _, lo, hi, _, _ in active]
@@ -630,20 +658,25 @@ def _region_prob_matrix(
             pi[on, k] = share[on]
         return np.concatenate((log_total, pi.ravel()))
 
-    flat, _ = _converged_rows(make, cfg)
+    flat, splits, gap = _converged_rows(make, cfg)
     pi = flat[n_rows:].reshape(n_rows, regions.m)
-    return np.clip(pi, 0.0, 1.0) if s is None else pi
+    return (np.clip(pi, 0.0, 1.0) if s is None else pi), splits, gap
 
 
 @dataclass(frozen=True)
 class LandingMatrix:
     """π on the kept indices: pi[i, k] = P(modulus rows[i] lands in region
     k). Every other index lands in some region with total probability (summed
-    over those indices) at most ``bound``."""
+    over those indices) at most ``bound``. π converged on the full grid with
+    ``splits`` splits per panel and ``nodes`` Gauss-Legendre nodes, where its
+    last refinement moved it (and the row log totals) by ``gap``."""
 
     rows: np.ndarray
     pi: np.ndarray
     bound: float
+    splits: int
+    nodes: int
+    gap: float
 
     def spans(self) -> Tuple[Tuple[int, int], ...]:
         """The kept indices as inclusive runs (first, last)."""
@@ -755,10 +788,11 @@ def _landing_matrix(
     """The read-only landing matrix on the kept indices (``_localize``),
     shared by exact_count_law and the hard-region joint_mgf."""
     rows, bound = _localize(pot, n, regions)
-    pi = _region_prob_matrix(pot, n, regions, cfg, rows)
+    pi, splits, gap = _region_prob_matrix(pot, n, regions, cfg, rows)
+    nodes = _full_grid(pot, n, regions.edge_radii(), splits)[0].size if splits else 0
     rows.flags.writeable = False
     pi.flags.writeable = False
-    return LandingMatrix(rows, pi, bound)
+    return LandingMatrix(rows, pi, bound, splits, nodes, gap)
 
 
 def landing_matrix(
@@ -788,7 +822,7 @@ def region_probabilities(
         raise ValueError("index j must satisfy 0 <= j <= n-1")
     if regions.m == 0:
         return np.zeros(0)
-    return _region_prob_matrix(pot, n, regions, cfg, np.asarray([j]))[0]
+    return _region_prob_matrix(pot, n, regions, cfg, np.asarray([j]))[0][0]
 
 
 def exact_count_law(
@@ -837,8 +871,6 @@ class ModuliSample:
 
 # equal cells each panel of the converged full grid is cut into
 _CELL_PARTS = 8
-# elements of one (rows × nodes) density block while the cell table is built
-_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -855,8 +887,8 @@ class _CellTable:
 def _cell_table(pot: RadialPotential, n: int, cfg: QuadratureConfig) -> _CellTable:
     """The sampler's cells: the panels of the full grid at the splits where
     the log norms of all n indices converged, each cut into _CELL_PARTS
-    equal cells, with the 32-point Gauss-Legendre masses that π sums. The
-    density is formed for a block of rows at a time, never for all n."""
+    equal cells, with the 32-point Gauss-Legendre masses that π sums, read
+    off the density one block of rows at a time (``_density_blocks``)."""
     splits = _log_norm_rows_full(pot, n, tuple(range(n)), cfg)[1]
     lo, hi = _subdivide(*_grid_panels(pot, n, (), splits), _CELL_PARTS)
     # the cells tile the grid: each one starts where the one before ends
@@ -865,12 +897,9 @@ def _cell_table(pot: RadialPotential, n: int, cfg: QuadratureConfig) -> _CellTab
     x, w = x.ravel(), w.ravel()
     mass = np.empty((n, lo.size))
     phi_max = np.empty(n)
-    block = max(1, _BLOCK_ELEMENTS // x.size)
-    for first in range(0, n, block):
-        rows = np.arange(first, min(n, first + block), dtype=float)
-        part = slice(first, first + rows.size)
-        phi_max[part], dens = _row_density(pot, n, rows, x, w)
-        mass[part] = dens.reshape(rows.size, lo.size, -1).sum(axis=2)
+    for part, top, dens in _density_blocks(pot, n, np.arange(n, dtype=float), x, w):
+        phi_max[part] = top
+        mass[part] = dens.reshape(top.size, lo.size, -1).sum(axis=2)
     for arr in (edges, mass, phi_max):
         arr.flags.writeable = False
     return _CellTable(edges, mass, phi_max)

@@ -11,6 +11,7 @@ import pytest
 
 import heinegas as hg
 from heinegas.cli import main
+from heinegas.engine import QuadratureConfig
 
 
 def write_config(tmp_path, name, payload):
@@ -197,6 +198,12 @@ def test_converge_case1_outputs(tmp_path, capsys):
         spans = row["kept_rows"]["spans"]
         assert all(0 <= a <= b < row["n"] for a, b in spans)
         assert row["kept_rows"]["count"] == sum(b - a + 1 for a, b in spans)
+        # and where π's quadrature converged: the splits per panel, the
+        # nodes of that grid and the last refinement's change
+        quad = row["quadrature"]
+        assert sorted(quad) == ["gap", "nodes", "splits"]
+        assert quad["splits"] >= 2 and quad["nodes"] >= 32 * quad["splits"]
+        assert 0.0 <= quad["gap"] <= QuadratureConfig().rel_tol
 
 
 def test_converge_deterministic_modulo_timing(tmp_path, capsys):
@@ -240,6 +247,41 @@ def test_converge_rejects_bad_schedule_entry(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert rc == 2
     assert f"n_schedule entry {bad!r} is not an integer >= 2" in err
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"s_grid": 7}, "s_grid 7 is not a non-empty list"),
+        ({"s_grid": "ab"}, "s_grid 'ab' is not a non-empty list"),
+        ({"s_grid": []}, "s_grid [] is not a non-empty list"),
+        ({"s_grid": [[0.5]]}, "s_grid entry [0.5] is not a list of 2 numbers"),
+        ({"s_grid": [[0.5, -0.5], [None, 0.5]]}, "s_grid entry [None, 0.5]"),
+        ({"s_grid": [[True, 0.5]]}, "s_grid entry [True, 0.5]"),
+        ({"s_grid": [[float("nan"), 0.5]]}, "s_grid entry [nan, 0.5]"),
+        ({"s_grid": [[3.0, 0.5]]}, "with |s_k| <= log 16"),
+        ({"rel_tol": [1]}, "rel_tol [1] is not a number"),
+        ({"rel_tol": "1e-9"}, "rel_tol '1e-9' is not a number"),
+        ({"rel_tol": float("nan")}, "tolerances must be positive and finite (rel_tol nan)"),
+        ({"rel_tol": float("inf")}, "tolerances must be positive and finite (rel_tol inf)"),
+        ({"regions": {"eps": "0.1"}}, "regions.eps '0.1' is not a number"),
+        ({"n_schedule": []}, "n_schedule must be a non-empty list"),
+    ],
+)
+def test_converge_validates_config_before_computing(tmp_path, capsys, monkeypatch, fields, message):
+    # a malformed config exits 2 with its message before any count law is
+    # computed, and writes nothing
+    def no_count_law(*args, **kwargs):
+        raise AssertionError("a count law was computed before the config was checked")
+
+    monkeypatch.setattr("heinegas.cli.exact_count_law", no_count_law)
+    cfg = {**CASE1_CFG, "n_schedule": [16, 32], **fields}
+    path = write_config(tmp_path, "bad.json", cfg)
+    rc = main(["converge", "--config", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_converge_requires_gap_or_outposts(tmp_path, capsys):

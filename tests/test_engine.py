@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -457,7 +458,7 @@ def test_landing_matrix_localization_is_certified(request, case, n):
     # the oracle is π over every index, the route before localization
     pot, regions = _localization_case(request, case, n)
     lm = engine.landing_matrix(pot, n, regions)
-    oracle = engine._region_prob_matrix(pot, n, regions, QuadratureConfig(), np.arange(n))
+    oracle = engine._region_prob_matrix(pot, n, regions, QuadratureConfig(), np.arange(n))[0]
     assert 0.0 < lm.bound <= 1e-15
     assert 0 < lm.rows.size < n
     assert lm.pi.tobytes() == oracle[lm.rows].tobytes()
@@ -488,9 +489,10 @@ def test_landing_matrix_ginibre_closed_form(ginibre_pot, n):
 
 
 def test_landing_matrix_spans():
-    lm = engine.LandingMatrix(np.array([2, 3, 4, 7, 9, 10]), np.zeros((6, 1)), 0.0)
+    lm = engine.LandingMatrix(np.array([2, 3, 4, 7, 9, 10]), np.zeros((6, 1)), 0.0, 1, 32, 0.0)
     assert lm.spans() == ((2, 4), (7, 7), (9, 10))
-    assert engine.LandingMatrix(np.array([], dtype=int), np.zeros((0, 1)), 0.0).spans() == ()
+    empty = engine.LandingMatrix(np.array([], dtype=int), np.zeros((0, 1)), 0.0, 0, 0, 0.0)
+    assert empty.spans() == ()
 
 
 def test_count_law_localized_within_bound(case1_pot, case1_data):
@@ -500,7 +502,7 @@ def test_count_law_localized_within_bound(case1_pot, case1_data):
     regions, _ = standard_regions(case1_data)
     lm = engine.landing_matrix(case1_pot, n, regions)
     law = exact_count_law(case1_pot, n, regions)
-    pi = engine._region_prob_matrix(case1_pot, n, regions, QuadratureConfig(), np.arange(n))
+    pi = engine._region_prob_matrix(case1_pot, n, regions, QuadratureConfig(), np.arange(n))[0]
     full = hg.heine.dp_count_law(pi, 1e-12)
     assert law.cap == full.cap
     assert 0.5 * np.abs(law.table - full.table).sum() <= 1.5 * lm.bound + 1e-16
@@ -513,7 +515,7 @@ def test_count_law_unlocalized_is_unchanged(ginibre_pot):
     regions = RegionSet.hard([HardRegion(0.3, 0.9)])
     lm = engine.landing_matrix(ginibre_pot, n, regions)
     assert lm.rows.tolist() == list(range(n)) and lm.bound == 0.0
-    pi = engine._region_prob_matrix(ginibre_pot, n, regions, QuadratureConfig(), np.arange(n))
+    pi = engine._region_prob_matrix(ginibre_pot, n, regions, QuadratureConfig(), np.arange(n))[0]
     law = exact_count_law(ginibre_pot, n, regions)
     assert law.table.tobytes() == hg.heine.dp_count_law(pi, 1e-12).table.tobytes()
 
@@ -547,6 +549,61 @@ def test_count_law_large_n_bounded_memory():
     assert bound <= 1e-15
     assert deficit <= 1e-12
     assert maxrss_kb < 1024 * 1024
+
+
+def test_landing_matrix_density_memory():
+    # a memory guard by measurement: one Ginibre landing matrix at n = 10^4
+    # keeps 1190 rows on 13,440 nodes, a 128 MB density if held whole (the
+    # traced peak when it was); one block at a time, the peak measured 1.6 MB
+    pot = hg.ginibre()
+    hg.droplet_data(pot)
+    tracemalloc.start()
+    try:
+        lm = engine.landing_matrix(pot, 10_000, _ginibre_annuli())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+    assert lm.rows.size * lm.nodes * 8 > 100 * 2**20
+
+
+def _density_outputs():
+    """Every reader of the density, on fresh potentials (the caches are
+    keyed on the potential, so each call forms its density anew): π, its
+    kept rows and B on the case-2 fixture and Ginibre annuli, the log norms
+    of every index, the smooth MGF, and the sampler's table and radii."""
+    out = []
+    pot = hg.build_case2(((0.0, 1.0), (1.6, 2.2)), 0.5, t=(1.2, 1.4), w=(0.06, 0.06))
+    data = hg.droplet_data(pot)
+    for n in (256, 512):
+        regions, eps = standard_regions(data, n=n)
+        lm = engine.landing_matrix(pot, n, regions)
+        smooth, _ = standard_regions(data, n=n, eps=eps, smooth=True)
+        mgf = joint_mgf(pot, n, [1.0, -0.5, 0.5], smooth)
+        out += [lm.rows, lm.pi, lm.bound, mgf.log_value]
+    out.append(engine._log_norm_rows_full(pot, 512, tuple(range(512)), QuadratureConfig())[0])
+    lm = engine.landing_matrix(hg.ginibre(), 4096, _ginibre_annuli())
+    out += [lm.rows, lm.pi, lm.bound]
+    pot = hg.build_case1((1.5, 2.0), w=(0.2, 0.2))
+    table = engine._cell_table(pot, 64, QuadratureConfig())
+    out += [table.mass, table.phi_max, sample_moduli(pot, 64, seed=3, reps=2).radii]
+    return out
+
+
+@pytest.fixture(scope="module")
+def default_density_outputs():
+    return _density_outputs()
+
+
+@pytest.mark.parametrize("block", [1, 2**40])
+def test_density_block_size_changes_no_bit(monkeypatch, default_density_outputs, block):
+    # one row per block and one block for all rows give the default's
+    # outputs bit for bit
+    monkeypatch.setattr(engine, "_BLOCK_ELEMENTS", block)
+    got = _density_outputs()
+    assert len(got) == len(default_density_outputs)
+    for a, b in zip(got, default_density_outputs):
+        assert np.array_equal(a, b)
 
 
 def test_count_correlation_with_non_nearest_outpost():
@@ -723,7 +780,7 @@ def test_smooth_mgf_factor_matches_mpmath_oracle(request, pot_name, j, k, sk, pi
     s = np.zeros(stats.m)
     s[k] = sk
     want = _oracle_tilted_share(pot, n, j, stats.resolve(k, j), sk, pieces)
-    psi = engine._region_prob_matrix(pot, n, stats, QuadratureConfig(), np.array([j]), s)
+    psi = engine._region_prob_matrix(pot, n, stats, QuadratureConfig(), np.array([j]), s)[0]
     assert np.count_nonzero(psi[0]) == 1
     assert abs(want) > 0.05
     # measured worst: 1.4e-13 (bump), 1.3e-14 (shoulder)
