@@ -1,9 +1,11 @@
 # Build the three reference potentials, run the validator on each, and walk
-# the tilt family to show how the local peak structure branches: one bulk
-# peak below the branching tilt, outpost peaks joining exactly at it.
+# the tilt family g_tau(r) = q(r) - 2 tau ln r to show how its minimizers
+# branch: one bulk minimizer off the branching tilt, the gap edges and the
+# outposts joining it exactly at it.
+
+import numpy as np
 
 import heinegas as hg
-from heinegas.potentials import find_peaks
 
 POTS = [
     ("ginibre", hg.ginibre()),
@@ -26,12 +28,15 @@ for title, pot in POTS:
         print(f"  masses: {[round(m, 6) for m in data.masses]}")
     print()
 
-# the tilt sweep on the gap potential: the peak set migrates outward with
-# the tilt, and at the branching value tau = M0 = 0.5 it contains both gap
-# edges and both outposts simultaneously
+# the tilt sweep on the gap potential: the minimizer of g_tau moves outward
+# with the tilt, and at the branching value tau = M0 = 0.5 both gap edges and
+# both outposts minimize it together. Printed: the local minima of g_tau on
+# a grid of step 1e-4 within 1e-6 of its least value there.
 pot = POTS[2][1]
-print("tilt sweep on the gap potential (n = 256):")
+r = np.linspace(1e-4, 4.0, 40000)
+print("tilt sweep on the gap potential:")
 for tau in (0.3, 0.5, 0.7):
-    pa = find_peaks(pot, tau, (1e-6, 4.0), n=256, C=10.0)
-    radii = [round(p.r, 4) for p in pa.peaks if p.significant]
-    print(f"  tau={tau}: significant peaks at {radii}")
+    g = hg.g_tau(pot, tau, r)
+    local = np.r_[False, (g[1:-1] <= g[:-2]) & (g[1:-1] <= g[2:]), False]
+    radii = [round(float(x), 4) for x in r[local & (g <= g.min() + 1e-6)]]
+    print(f"  tau={tau}: minimizers at {radii}")

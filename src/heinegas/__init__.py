@@ -71,9 +71,6 @@ from .potentials import (
     BumpSpec,
     ClassificationError,
     DropletData,
-    GridResolutionError,
-    PeakAnalysis,
-    PeakPoint,
     RadialPotential,
     RootFindingError,
     Shoulder,
@@ -83,8 +80,6 @@ from .potentials import (
     classify,
     derivative_consistency,
     droplet_data,
-    find_peaks,
-    find_peaks_batch,
     g_tau,
     ginibre,
     laplacian,
@@ -105,15 +100,12 @@ __all__ = [
     "CoordinateMap",
     "CountLaw",
     "DropletData",
-    "GridResolutionError",
     "HardRegion",
     "HeineParams",
     "HeineSample",
     "LandingMatrix",
     "MgfResult",
     "ModuliSample",
-    "PeakAnalysis",
-    "PeakPoint",
     "QuadratureConfig",
     "QuadratureError",
     "RadialPotential",
@@ -137,8 +129,6 @@ __all__ = [
     "derivative_consistency",
     "droplet_data",
     "exact_count_law",
-    "find_peaks",
-    "find_peaks_batch",
     "g_tau",
     "ginibre",
     "heine_pmf_1d",

@@ -46,7 +46,6 @@ from .limits import case1, case2, case2_predicted_law, case2_predicted_mgf
 from .potentials import (
     BuildValidationError,
     ClassificationError,
-    GridResolutionError,
     RootFindingError,
     build_case1,
     build_case2,
@@ -58,7 +57,6 @@ from .potentials import (
 _USER_ERRORS = (ValueError, BuildValidationError, ClassificationError, KeyError)
 _ENGINE_ERRORS = (
     QuadratureError,
-    GridResolutionError,
     RootFindingError,
     FloatingPointError,
     OverflowError,
@@ -108,34 +106,58 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _is_finite(v) -> bool:
+    return _is_number(v) and math.isfinite(v)
+
+
+def _finite(key: str, v) -> float:
+    if not _is_finite(v):
+        raise ValueError(f"{key} {v!r} is not a finite number")
+    return float(v)
+
+
+def _finite_list(key: str, v) -> tuple:
+    if not (isinstance(v, list) and all(_is_finite(x) for x in v)):
+        raise ValueError(f"{key} {v!r} is not a list of finite numbers")
+    return tuple(float(x) for x in v)
+
+
+def _integer(key: str, v) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"{key} {v!r} is not an integer")
+    return v
+
+
+def _object(cfg: dict, key: str) -> dict:
+    v = cfg.get(key, {})
+    if not isinstance(v, dict):
+        raise ValueError(f"{key} {v!r} is not a JSON object")
+    return v
+
+
 def _build_potential(cfg: dict):
     case = cfg.get("case")
     if case == "ginibre":
         return ginibre(), "ginibre"
+    if case not in ("case1", "case2"):
+        raise ValueError("config key 'case' must be one of ginibre, case1, case2")
+    margin = _finite("margin", cfg.get("margin", 0.02))
     if case == "case1":
-        return (
-            build_case1(
-                tuple(_require(cfg, "t")),
-                tuple(_require(cfg, "w")),
-                margin=float(cfg.get("margin", 0.02)),
-            ),
-            "case1",
-        )
-    if case == "case2":
-        comps = tuple(
-            tuple(float(v) for v in c) for c in _require(cfg, "components")
-        )
-        return (
-            build_case2(
-                comps,
-                float(_require(cfg, "M0")),
-                t=tuple(cfg.get("t", ())),
-                w=tuple(cfg.get("w", ())),
-                margin=float(cfg.get("margin", 0.02)),
-            ),
-            "case2",
-        )
-    raise ValueError("config key 'case' must be one of ginibre, case1, case2")
+        t = _finite_list("t", _require(cfg, "t"))
+        w = _finite_list("w", _require(cfg, "w"))
+        return build_case1(t, w, margin=margin), "case1"
+    comps = _require(cfg, "components")
+    if not (
+        isinstance(comps, list)
+        and len(comps) == 2
+        and all(isinstance(c, list) and len(c) == 2 for c in comps)
+    ):
+        raise ValueError(f"components {comps!r} is not two pairs of numbers")
+    comps = tuple(_finite_list("components", c) for c in comps)
+    m0 = _finite("M0", _require(cfg, "M0"))
+    t = _finite_list("t", cfg.get("t", []))
+    w = _finite_list("w", cfg.get("w", []))
+    return build_case2(comps, m0, t=t, w=w, margin=margin), "case2"
 
 
 def _out_dir(args) -> Optional[str]:
@@ -240,6 +262,12 @@ def cmd_converge(args) -> int:
             raise ValueError(f"n_schedule entry {v!r} is not an integer >= 2")
     if any(b <= a for a, b in zip(schedule[:-1], schedule[1:])):
         raise ValueError("n_schedule must be strictly increasing")
+    eps_cfg = _object(cfg, "regions").get("eps")
+    if eps_cfg is not None and not _is_finite(eps_cfg):
+        raise ValueError(f"regions.eps {eps_cfg!r} is not a number")
+    smooth_diag = _object(cfg, "bumps").get("enabled", True)
+    if not isinstance(smooth_diag, bool):
+        raise ValueError(f"bumps.enabled {smooth_diag!r} is not true or false")
     pot, case = _build_potential(cfg)
     if case not in ("case1", "case2"):
         raise ValueError("converge requires case1 or case2")
@@ -248,14 +276,8 @@ def cmd_converge(args) -> int:
         raise ValueError(
             f"classification tag {data.case_tag} does not match config case {case}"
         )
-    eps_cfg = cfg.get("regions", {}).get("eps") if isinstance(cfg.get("regions"), dict) else None
-    if eps_cfg is not None and not _is_number(eps_cfg):
-        raise ValueError(f"regions.eps {eps_cfg!r} is not a number")
     arity = standard_regions(data, schedule[0], eps=eps_cfg)[0].m
     s_grid = _s_grid(cfg, case, arity, schedule[0])
-    smooth_diag = True
-    if isinstance(cfg.get("bumps"), dict):
-        smooth_diag = bool(cfg["bumps"].get("enabled", True))
 
     if case == "case1":
         # the case-1 limit and its law do not depend on n
@@ -372,10 +394,10 @@ def cmd_sample(args) -> int:
     cfg = _load_config(args.config)
     pot, _case = _build_potential(cfg)
     qcfg = _quad_config(cfg)
-    n = args.n if args.n is not None else int(cfg.get("n", 0))
+    n = args.n if args.n is not None else _integer("n", cfg.get("n", 0))
     if n < 2:
         raise ValueError("n must be >= 2 (set --n or config key 'n')")
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else _integer("seed", cfg.get("seed", 0))
     ms = sample_moduli(pot, n, seed, qcfg, reps=args.reps)
     out = _out_dir(args) or "."
     path = os.path.join(out, "moduli.csv")

@@ -10,10 +10,9 @@ questions in radial form:
 - ``g_tau`` is the family g_τ(r) = q(r) − 2τ ln r whose minimizers, swept
   over τ ∈ [0, 1], trace out the droplet; simultaneous minimizers at a
   branching value mark spectral gaps and outposts.
-- ``find_peaks`` locates the stationary points r q′(r) = 2τ with positive
-  curvature and flags those within C log n / n of the global minimum;
-  ``find_peaks_batch`` does so for many τ from one scan, and ``tilt_roots``
-  is the bracketed Newton kernel they and ``classify`` refine roots with.
+- ``tilt_roots`` solves r q′(r) = 2τ, the stationarity of g_τ, in given
+  brackets by safeguarded Newton; it is the kernel ``classify`` refines
+  the droplet's special radii with.
 - ``classify`` reads the droplet off the convex minorant of q(e^t): its
   contact set gives the components and outposts, its chords the gaps and
   their branching values, and b q′(b)/2 the cumulative mass at each outer
@@ -38,12 +37,9 @@ import numpy as np
 __all__ = [
     "RadialPotential",
     "DropletData",
-    "PeakPoint",
-    "PeakAnalysis",
     "BumpSpec",
     "Shoulder",
     "BuildValidationError",
-    "GridResolutionError",
     "RootFindingError",
     "ClassificationError",
     "ValidationCheck",
@@ -54,8 +50,6 @@ __all__ = [
     "ginibre",
     "build_case1",
     "build_case2",
-    "find_peaks",
-    "find_peaks_batch",
     "tilt_roots",
     "classify",
     "droplet_data",
@@ -72,10 +66,6 @@ class BuildValidationError(ValueError):
         self.check_name = check_name
         self.detail = detail
         super().__init__(f"validator failure: {check_name}" + (f" ({detail})" if detail else ""))
-
-
-class GridResolutionError(RuntimeError):
-    """Peak bracketing grid too coarse: adjacent sign changes unresolved."""
 
 
 class RootFindingError(RuntimeError):
@@ -534,43 +524,13 @@ def build_case2(
     return pot
 
 
-# ------------------------------------------------------------- peak analysis
-
-
-@dataclass(frozen=True)
-class PeakPoint:
-    r: float
-    g_value: float
-    curvature: float
-    significant: bool
-
-
-@dataclass(frozen=True)
-class PeakAnalysis:
-    tau: float
-    peaks: Tuple[PeakPoint, ...]
-    B_tau: float
-    delta_n: float
-
-    @property
-    def significant_peaks(self) -> Tuple[PeakPoint, ...]:
-        return tuple(p for p in self.peaks if p.significant)
-
-
-@per_potential_cache(maxsize=32)
-def _dense_eval(pot: RadialPotential, lo: float, hi: float, pts: int):
-    r = np.linspace(lo, hi, pts)
-    q, dq = pot.terms(r, 1)
-    return r, q, dq
+# ---------------------------------------------------------------- tilt roots
 
 
 # a tilt root is returned once its Newton step or its bracket is at most
 # _ROOT_XTOL; bisection alone closes a bracket of width 6 to it in 46 passes
 _ROOT_XTOL = 1e-13
 _ROOT_PASSES = 100
-# (tilt × radius) arrays of the peak scan are formed at most this many
-# elements at a time
-_SWEEP_CELLS = 1_000_000
 
 
 def tilt_roots(pot: RadialPotential, tau, lo, hi, f_lo, f_hi) -> np.ndarray:
@@ -627,152 +587,6 @@ def tilt_roots(pot: RadialPotential, tau, lo, hi, f_lo, f_hi) -> np.ndarray:
         f"{act.size} tilt-root brackets still {float(np.max(hi[act] - lo[act])):.3e} "
         f"wide after {_ROOT_PASSES} passes, above the {_ROOT_XTOL:.0e} tolerance"
     )
-
-
-def _sign_brackets(r_dq: np.ndarray, two_tau: np.ndarray):
-    """(f, row, start, end): the rows f = r q′ − 2τ, one per entry of
-    two_tau, and every sign change of them, ordered by row and then by
-    start, read between consecutive nodes where f is definitely nonzero.
-
-    A stretch of near-zero values means r q′(r) = 2τ identically there up
-    to roundoff (a degenerate plateau), and its noise must not be mistaken
-    for crossings: nodes with |f| <= 1e-11 max(1, max |f|) are skipped, so
-    a sign change either joins two adjacent nodes or spans one such
-    stretch. A row's largest |f| sits where r q′ is largest or smallest.
-    """
-    f = r_dq[None, :] - two_tau[:, None]
-    reach = np.maximum(np.abs(r_dq.max() - two_tau), np.abs(r_dq.min() - two_tau))
-    atol = 1e-11 * np.maximum(1.0, reach)
-    neg = np.signbit(f)
-    # two comparisons rather than |f|, whose float temporary would double
-    # the scan's memory
-    definite = (f > atol[:, None]) | (f < -atol[:, None])
-    # flat indices: np.nonzero on a 2-D mask costs ten times as much
-    cols = f.shape[1]
-    row, start = np.divmod(
-        np.flatnonzero((neg[:, 1:] != neg[:, :-1]) & definite[:, 1:] & definite[:, :-1]),
-        cols - 1,
-    )
-    end = start + 1
-    # each run of skipped nodes: the definite nodes either side of it
-    # bracket a crossing when their signs differ
-    blank_row, blank_col = np.divmod(np.flatnonzero(~definite), cols)
-    if blank_row.size:
-        first = np.r_[
-            True, (blank_row[1:] != blank_row[:-1]) | (blank_col[1:] != blank_col[:-1] + 1)
-        ]
-        last = np.r_[first[1:], True]
-        s_row, s_start, s_end = blank_row[first], blank_col[first] - 1, blank_col[last] + 1
-        inside = (s_start >= 0) & (s_end < cols)
-        s_row, s_start, s_end = s_row[inside], s_start[inside], s_end[inside]
-        flip = neg[s_row, s_start] != neg[s_row, s_end]
-        row = np.concatenate((row, s_row[flip]))
-        start = np.concatenate((start, s_start[flip]))
-        end = np.concatenate((end, s_end[flip]))
-        order = np.lexsort((start, row))
-        row, start, end = row[order], start[order], end[order]
-    return f, row, start, end
-
-
-def find_peaks_batch(
-    pot: RadialPotential,
-    taus,
-    interval: Tuple[float, float],
-    n: int,
-    C: float,
-    points_per_unit: int = 4096,
-) -> Tuple[Optional[PeakAnalysis], ...]:
-    """``find_peaks`` for every tilt in ``taus`` from one scan of r q′(r).
-
-    Entry i is the PeakAnalysis of taus[i], or None when its scan finds
-    adjacent sign changes the grid cannot resolve (where ``find_peaks``
-    raises GridResolutionError). The (tilt × grid) sign scan of
-    ``_sign_brackets`` runs _SWEEP_CELLS elements at a time, every bracket
-    is refined by one ``tilt_roots`` call, and g_τ and g_τ″ at the roots
-    and at both interval ends come from one order-2 ``terms`` call. Each
-    tilt's result is the one ``find_peaks`` returns for it alone.
-    """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not 0.0 < lo < hi:
-        raise ValueError("interval must satisfy 0 < lo < hi")
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if C <= 0.0:
-        raise ValueError("C must be positive")
-    taus = np.asarray(taus, dtype=float).reshape(-1)
-    pts = max(64, int(points_per_unit * (hi - lo)) + 1)
-    r, _, dqv = _dense_eval(pot, lo, hi, pts)
-    r_dq = r * dqv
-    unresolved = np.zeros(taus.size, dtype=bool)
-    rows, starts, ends, f_starts, f_ends = [], [], [], [], []
-    chunk = max(1, _SWEEP_CELLS // pts)
-    for first in range(0, taus.size, chunk):
-        f, row, start, end = _sign_brackets(r_dq, 2.0 * taus[first : first + chunk])
-        close = (row[1:] == row[:-1]) & (end[1:] - start[:-1] <= 2)
-        unresolved[first + row[1:][close]] = True
-        rows.append(first + row)
-        starts.append(start)
-        ends.append(end)
-        f_starts.append(f[row, start])
-        f_ends.append(f[row, end])
-    row, start, end = np.concatenate(rows), np.concatenate(starts), np.concatenate(ends)
-    keep = ~unresolved[row]
-    row, start, end = row[keep], start[keep], end[keep]
-    tau = taus[row]
-    roots = tilt_roots(
-        pot, tau, r[start], r[end],
-        np.concatenate(f_starts)[keep], np.concatenate(f_ends)[keep],
-    )
-    q, _, d2 = pot.terms(np.concatenate((roots, [lo, hi])), 2)
-    g = q[:-2] - 2.0 * tau * np.log(roots)
-    # g_τ″ = q″ + 2τ/r², positive at local minimizers
-    curv = d2[:-2] + 2.0 * tau / roots**2
-    g_lo = q[-2] - 2.0 * taus * np.log(lo)
-    g_hi = q[-1] - 2.0 * taus * np.log(hi)
-    delta_n = C * math.log(n) / n
-    bounds = np.searchsorted(row, np.arange(taus.size + 1))
-    out = []
-    for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-        if unresolved[i]:
-            out.append(None)
-            continue
-        peaks = [
-            (float(rr), float(gg), float(cc))
-            for rr, gg, cc in zip(roots[a:b], g[a:b], curv[a:b]) if cc > 0.0
-        ]
-        b_tau = min([p[1] for p in peaks] + [float(g_lo[i]), float(g_hi[i])])
-        records = tuple(
-            PeakPoint(rr, gg, cc, gg < b_tau + delta_n) for rr, gg, cc in peaks
-        )
-        out.append(PeakAnalysis(float(taus[i]), records, b_tau, delta_n))
-    return tuple(out)
-
-
-def find_peaks(
-    pot: RadialPotential,
-    tau: float,
-    interval: Tuple[float, float],
-    n: int,
-    C: float,
-    points_per_unit: int = 4096,
-) -> PeakAnalysis:
-    """Stationary minimizer candidates of g_τ on the interval.
-
-    Roots of r q′(r) = 2τ are bracketed by sign changes on a dense grid and
-    refined by the safeguarded Newton kernel ``tilt_roots`` to 1e-13; only
-    roots with positive g_τ″ are kept. B_τ is the minimum of g_τ over the
-    kept peaks and the interval endpoints, and a peak is significant when
-    its g_τ value is within δ_n = C log n / n of B_τ. This is
-    ``find_peaks_batch`` at one τ; raises GridResolutionError when the grid
-    cannot resolve adjacent sign changes.
-    """
-    (pa,) = find_peaks_batch(pot, [tau], interval, n, C, points_per_unit)
-    if pa is None:
-        raise GridResolutionError(
-            "grid too coarse: adjacent sign changes unresolved; "
-            "increase points_per_unit"
-        )
-    return pa
 
 
 # ------------------------------------------------------------ classification

@@ -1,8 +1,8 @@
 """Shared fixtures: built potentials and their classifications, and the
 oracles that check the library without sharing its code:
 
-- the peak-windowed log norm, against the library's full-range one, with
-  the significant-peak windows of every index from one batched peak scan;
+- the windowed log norm, against the library's full-range one, with the
+  windows of each index read off its own log-density on a dense grid;
 - the weighted log norms, with the statistics put into the quadrature
   exponent, against the landing kernel's joint MGF;
 - 30-digit mpmath transcriptions of the case-1 and case-2 builders;
@@ -75,91 +75,54 @@ def _log_sum_exp_rows(phi, w):
     return top + np.log((w * np.exp(phi - top[:, None])).sum(axis=1))
 
 
-# the significance constant C of δ_n = C log n / n and the window floor
-# sqrt(C log n / n)
-WINDOW_C = 10.0
+# the windows keep every radius whose log-density is within _WINDOW_DROP of
+# its maximum; e^-60 of the peak, over all of [0, r_max], is far below the
+# oracle's 1e-8 gate
+_WINDOW_DROP = 60.0
+_SCAN_PER_UNIT = 4096
 
 
-@per_potential_cache(maxsize=16)
-def _peak_window_table(pot, n):
-    """Peak windows (r0, h) of every index j < n, from one batched peak
-    scan over the tilts τ_j = (j + 1/2)/n; an index without a significant
-    peak gets no windows."""
-    taus = (np.arange(n) + 0.5) / n
-    interval = (1e-6, pot.r_max)
-    analyses = list(hg.find_peaks_batch(pot, taus, interval, n, WINDOW_C))
-    # a tilt grazing the minimum of r q'(r) on a window roll band puts two
-    # crossings closer than the scan grid; rescan those indices finer
-    # before giving up
-    ppu = 4096
-    todo = [j for j, pa in enumerate(analyses) if pa is None]
-    while todo:
-        if ppu >= 262144:
-            raise hg.GridResolutionError(
-                f"grid too coarse at {ppu} points per unit: adjacent sign "
-                f"changes unresolved (at index j={todo[0]})"
-            )
-        ppu *= 2
-        rescan = hg.find_peaks_batch(
-            pot, taus[todo], interval, n, WINDOW_C, points_per_unit=ppu
-        )
-        for j, pa in zip(todo, rescan):
-            analyses[j] = pa
-        todo = [j for j in todo if analyses[j] is None]
-    eps_n = math.sqrt(WINDOW_C * math.log(n) / n)
-
-    def windows(pa):
-        # g_tau'' = 4 ΔQ at a stationary point
-        return tuple(
-            (p.r, max(eps_n, 8.0 / math.sqrt(n * (p.curvature / 4.0))))
-            for p in pa.significant_peaks
-        )
-
-    return tuple(windows(pa) for pa in analyses)
+@per_potential_cache(maxsize=1)
+def _scan_grid(pot):
+    """The dense scan grid r of [1e-9, r_max] with ln r and q(r)."""
+    r = np.linspace(1e-9, pot.r_max, int(_SCAN_PER_UNIT * pot.r_max) + 1)
+    return r, np.log(r), np.asarray(pot.q(r))
 
 
-def _peak_windows(pot, n, j):
-    """The peak windows (r0, h) of index j; raises when it has none."""
-    windows = _peak_window_table(pot, n)[j]
-    if not windows:
-        raise engine.QuadratureError(f"no peak found for index j={j}")
-    return windows
-
-
-@pytest.fixture(scope="session")
-def peak_windows():
-    return _peak_windows
-
-
-def _merge_windows(peaks, r_max):
-    """Union of the windows [r0 - h, r0 + h] ∩ [1e-9, r_max], as sorted
-    disjoint (a, b) pairs."""
-    windows = []
-    for r0, h in sorted(peaks):
-        a, b = max(1e-9, r0 - h), min(r_max, r0 + h)
-        if windows and a <= windows[-1][1]:
-            windows[-1] = (windows[-1][0], max(windows[-1][1], b))
-        else:
-            windows.append((a, b))
-    return windows
+def _density_windows(pot, n, j):
+    """(windows, peaks) of modulus j on the scan grid: the runs of the
+    superlevel set {phi_j >= max phi_j - _WINDOW_DROP} of its log-density
+    phi_j = (2j+1) ln r - n q(r), each widened by one node either side to
+    hold its crossing, as sorted disjoint (a, b) pairs; and the grid's
+    local maxima of phi_j in that set."""
+    r, log_r, q = _scan_grid(pot)
+    phi = (2 * j + 1) * log_r - n * q
+    keep = phi >= phi.max() - _WINDOW_DROP
+    edges = np.flatnonzero(np.diff(np.r_[False, keep, False].astype(np.int8)))
+    starts, ends = edges[::2], edges[1::2] - 1
+    windows = zip(r[np.maximum(starts - 1, 0)], r[np.minimum(ends + 1, r.size - 1)])
+    inner = phi[1:-1]
+    top = np.flatnonzero(keep[1:-1] & (inner > phi[:-2]) & (inner >= phi[2:])) + 1
+    return list(windows), r[top]
 
 
 def _windowed_log_norm(pot, n, j, cfg=QuadratureConfig()):
-    """log 2∫ r^(2j+1) e^(-n q) dr over the significant-peak windows of
-    modulus j only: each window is graded around its peaks at h/32 and
-    filled to eighths, and panels are split until stable to cfg.rel_tol.
-    It shares the kernel with the library but none of the full-range grid,
-    so agreement checks the grading and the range."""
-    peaks = _peak_windows(pot, n, j)
-    windows = _merge_windows(peaks, pot.r_max)
+    """log 2∫ r^(2j+1) e^(-n q) dr over the superlevel windows of modulus j
+    only: each window is graded around the local maxima inside it, at 1/32
+    of a maximum's distance to the nearer window end, and filled to
+    eighths; panels are split until stable to cfg.rel_tol. It shares the
+    kernel with the library but neither its full-range grid nor its special
+    radii, so agreement checks the grading and the range."""
+    windows, peaks = _density_windows(pot, n, j)
     j_arr = np.asarray([j], dtype=float)
 
     def make(splits):
         los, his = [], []
         for a, b in windows:
             pts = {a, b}
-            for r0, h in peaks:
+            for r0 in peaks:
                 if a < r0 < b:
+                    h = min(r0 - a, b - r0)
                     pts.update(engine._graded_offsets(r0, h / 32.0, a, b))
             breaks = engine._fill_edges(np.array(sorted(pts)), max((b - a) / 8.0, 1e-6))
             los.append(breaks[:-1])

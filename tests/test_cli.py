@@ -266,6 +266,10 @@ def test_converge_rejects_bad_schedule_entry(tmp_path, capsys, bad):
         ({"rel_tol": float("inf")}, "tolerances must be positive and finite (rel_tol inf)"),
         ({"regions": {"eps": "0.1"}}, "regions.eps '0.1' is not a number"),
         ({"n_schedule": []}, "n_schedule must be a non-empty list"),
+        ({"regions": [0.01]}, "regions [0.01] is not a JSON object"),
+        ({"regions": {"eps": float("inf")}}, "regions.eps inf is not a number"),
+        ({"bumps": 3}, "bumps 3 is not a JSON object"),
+        ({"bumps": {"enabled": "no"}}, "bumps.enabled 'no' is not true or false"),
     ],
 )
 def test_converge_validates_config_before_computing(tmp_path, capsys, monkeypatch, fields, message):
@@ -282,6 +286,40 @@ def test_converge_validates_config_before_computing(tmp_path, capsys, monkeypatc
     assert rc == 2
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "out").exists()
+
+
+_POTENTIAL_KEYS = [
+    (CASE1_CFG, {"t": 7}, "t 7 is not a list of finite numbers"),
+    (CASE1_CFG, {"w": [0.2, None]}, "w [0.2, None] is not a list of finite numbers"),
+    (CASE1_CFG, {"margin": [1]}, "margin [1] is not a finite number"),
+    (CASE2_CFG, {"components": [[0, 1], 5]}, "components [[0, 1], 5] is not two pairs"),
+    (CASE2_CFG, {"components": [[0, 1], [1.6, "2.2"]]}, "components [1.6, '2.2'] is not"),
+    (CASE2_CFG, {"M0": float("inf")}, "M0 inf is not a finite number"),
+    (CASE2_CFG, {"t": [1.2, float("nan")]}, "t [1.2, nan] is not a list of finite numbers"),
+]
+_POTENTIAL_COMMANDS = (["converge"], ["sample", "--n", "8"], ["validate-potential"])
+
+
+@pytest.mark.parametrize(
+    "command,cfg,message",
+    [
+        (command, {**base, **fields}, message)
+        for command in _POTENTIAL_COMMANDS
+        for base, fields, message in _POTENTIAL_KEYS
+    ]
+    + [
+        (["sample"], {**CASE1_CFG, "n": 8.7}, "n 8.7 is not an integer"),
+        (["sample", "--n", "8"], {**CASE1_CFG, "seed": [1]}, "seed [1] is not an integer"),
+    ],
+)
+def test_malformed_config_key_exits_2(tmp_path, capsys, command, cfg, message):
+    # a key of the wrong type is named and exits 2, not with a traceback,
+    # and a fractional n is not truncated into a run
+    path = write_config(tmp_path, "bad.json", dict(cfg, n_schedule=[16]))
+    rc = main(command + ["--config", path])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and message in err
 
 
 def test_converge_requires_gap_or_outposts(tmp_path, capsys):

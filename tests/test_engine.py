@@ -33,7 +33,7 @@ from heinegas.engine import (
 )
 from heinegas.potentials import BumpSpec, Shoulder
 
-from conftest import WINDOW_C, _case1_q_mp, _case2_q_mp
+from conftest import _case1_q_mp, _case2_q_mp
 
 
 # ---------------------------------------------------------------- log norms
@@ -810,51 +810,6 @@ def test_sampler_builds_its_cell_table_once(monkeypatch):
     monkeypatch.setattr(engine, "_grid_panels", real)
     for seed, got in ((1, first), (2, second)):
         assert np.array_equal(sample_moduli(fresh(), n, seed=seed).radii, got.radii)
-
-
-def _one_tilt_windows(pot, n, j):
-    """Index j's peak windows from the one-tilt find_peaks, rescanned at
-    doubled grid density while the grid is unresolved; returns the windows
-    and the density that resolved them."""
-    ppu = 4096
-    while True:
-        try:
-            pa = hg.find_peaks(
-                pot, (j + 0.5) / n, (1e-6, pot.r_max), n, WINDOW_C, points_per_unit=ppu
-            )
-            break
-        except hg.GridResolutionError:
-            ppu *= 2
-    eps_n = math.sqrt(WINDOW_C * math.log(n) / n)
-    windows = tuple(
-        (p.r, max(eps_n, 8.0 / math.sqrt(n * p.curvature / 4.0)))
-        for p in pa.significant_peaks
-    )
-    return windows, ppu
-
-
-@pytest.mark.parametrize("n", [64, 128])
-@pytest.mark.parametrize("pot_name", ["ginibre_pot", "case1_pot", "case2_pot"])
-def test_batched_windows_equal_one_tilt_path(request, pot_name, n, peak_windows):
-    # the windowed log-norm oracle's windows: one batched scan over every
-    # index, rescanned where unresolved, equals the one-tilt path
-    pot = request.getfixturevalue(pot_name)
-    for j in range(n):
-        want, _ = _one_tilt_windows(pot, n, j)
-        assert peak_windows(pot, n, j) == want
-
-
-def test_unresolved_index_gets_windows_from_the_rescan(case2_pot, peak_windows):
-    # at n = 64 the tilt of j = 33 grazes a minimum of r q'(r): its two
-    # crossings are closer than the 4096-per-unit scan resolves
-    n, j = 64, 33
-    with pytest.raises(hg.GridResolutionError):
-        hg.find_peaks(case2_pot, (j + 0.5) / n, (1e-6, case2_pot.r_max), n, 10.0)
-    want, ppu = _one_tilt_windows(case2_pot, n, j)
-    assert ppu > 4096
-    got = peak_windows(case2_pot, n, j)
-    assert got == want
-    assert len(got) >= 1
 
 
 def test_engine_caches_free_their_potential():

@@ -1,6 +1,7 @@
 """Source hygiene of the package, read with the standard library's ast only:
-every import is used, and every exported name is defined where it is
-imported from."""
+every import is used, every exported name is defined where it is imported
+from, and every private module-level name is read somewhere in the
+package."""
 
 import ast
 import pathlib
@@ -82,3 +83,34 @@ def test_exports_resolve(path):
                 f"{node.module}.{a.name}" for a in node.names if a.name not in source
             ]
     assert not missing, f"{path.name} exports or imports undefined names: {missing}"
+
+
+def _read_names(tree):
+    """Every name the module reads: loaded names, attributes, names it
+    imports from elsewhere, and names inside string annotations."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(a.name for a in node.names)
+        for hint in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(hint, ast.Constant) and isinstance(hint.value, str):
+                read |= _read_names(ast.parse(hint.value, mode="eval"))
+    return read
+
+
+def test_private_names_are_read():
+    # a private module-level name that nothing in the package reads is a
+    # dead helper left behind by a removal
+    trees = {p.name: _tree(p) for p in MODULES}
+    read = set().union(*(_read_names(tree) for tree in trees.values()))
+    unread = [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name in sorted(_top_level_names(tree))
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
+    assert not unread, f"private names nothing reads: {unread}"

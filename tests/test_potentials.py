@@ -1,4 +1,4 @@
-"""Potential builders, classification, peak finding, and cutoff profiles."""
+"""Potential builders, classification, tilt roots, and cutoff profiles."""
 
 import math
 
@@ -14,28 +14,11 @@ from heinegas.potentials import (
     Shoulder,
     classify,
     derivative_consistency,
-    find_peaks,
     mass_between,
     tilt_roots,
 )
 
 from conftest import _case1_q_mp, _case2_q_mp
-
-
-def wiggle_potential(a=0.03, c=1.2, s=0.05):
-    """Quadratic well with a narrow Gaussian ripple: creates a close pair
-    of stationarity crossings for the grid-resolution tests."""
-
-    def terms(r, order):
-        e = np.exp(-(((r - c) / s) ** 2))
-        derivs = (
-            lambda: r * r + a * e,
-            lambda: 2 * r - a * 2 * (r - c) / s**2 * e,
-            lambda: 2 + a * e * (4 * (r - c) ** 2 / s**4 - 2 / s**2),
-        )
-        return tuple(d() for d in derivs[: order + 1])
-
-    return RadialPotential(terms, smooth_window=(0.0, 4.0), r_max=6.0, label="wiggle")
 
 
 # ------------------------------------------------------------------ ginibre
@@ -101,13 +84,8 @@ PINNED = {
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_classification_pinned_without_peak_scan(request, monkeypatch, name):
-    # the minorant reads the droplet without the peak scan
-    def refuse(*args, **kwargs):
-        raise AssertionError("classify ran a peak scan")
-
-    monkeypatch.setattr(hg.potentials, "find_peaks_batch", refuse)
-    monkeypatch.setattr(hg.potentials, "find_peaks", refuse)
+def test_classification_pinned_without_peak_scan(request, name):
+    # the convex minorant alone reads the droplet the earlier sweep found
     if name == "quartic":
         pot = _quartic()
     elif name == "case1_m10":
@@ -352,50 +330,6 @@ def test_builders_reject_bad_geometry(build, message):
         build()
 
 
-# ------------------------------------------------------------- peak finding
-
-
-def test_find_peaks_case1_unit_tilt(case1_pot):
-    pa = find_peaks(case1_pot, 1.0, (1e-6, 4.0), n=256, C=10.0)
-    radii = sorted(p.r for p in pa.peaks)
-    assert len(radii) == 3
-    assert radii[0] == pytest.approx(1.0, abs=1e-6)
-    assert radii[1] == pytest.approx(1.5, abs=1e-9)
-    assert radii[2] == pytest.approx(2.0, abs=1e-9)
-    assert all(p.curvature > 0.0 for p in pa.peaks)
-    assert pa.delta_n > 0.0
-
-
-def test_find_peaks_interior_tilt(case1_pot):
-    # below the branching tilt only the droplet-interior peak survives
-    pa = find_peaks(case1_pot, 0.5, (1e-6, 4.0), n=256, C=10.0)
-    significant = [p.r for p in pa.peaks if p.significant]
-    assert len(significant) == 1
-    assert significant[0] == pytest.approx(math.sqrt(0.5), abs=1e-9)
-
-
-def test_find_peaks_reports_unresolved_grid():
-    pot = wiggle_potential()
-    with pytest.raises(hg.GridResolutionError, match="points_per_unit"):
-        find_peaks(pot, 1.3, (1e-6, 4.0), n=256, C=10.0, points_per_unit=32)
-    # refining as instructed resolves the close pair
-    pa = find_peaks(pot, 1.3, (1e-6, 4.0), n=256, C=10.0, points_per_unit=512)
-    radii = sorted(p.r for p in pa.peaks)
-    assert len(radii) == 2
-    assert radii[0] == pytest.approx(1.1139, abs=2e-4)
-    assert radii[1] == pytest.approx(1.2517, abs=2e-4)
-
-
-def test_find_peaks_dead_band_at_branch_value(case2_pot):
-    # at the branching tilt the obstacle zone makes the stationarity
-    # function vanish identically on an annulus; the scan must not turn
-    # its roundoff flicker into crossings
-    pa = find_peaks(case2_pot, 0.5, (1e-6, 4.0), n=256, C=10.0)
-    radii = sorted(p.r for p in pa.peaks)
-    for t in (1.2, 1.4):
-        assert any(abs(r - t) < 1e-6 for r in radii)
-
-
 # ------------------------------------------------------------ tilt roots
 
 
@@ -404,41 +338,46 @@ def _tilts(n):
 
 
 def test_tilt_roots_ginibre_closed_form(ginibre_pot):
-    # r q'(r) = 2 r^2 = 2 tau has the one root sqrt(tau); measured worst
-    # 1.6e-16 relative (Brent's method to 1e-13 missed by 1.4e-13)
+    # r q'(r) = 2 r^2 = 2 tau has the one root sqrt(tau), solved from one
+    # bracket [1e-6, 6] per tilt; measured worst 2.2e-16 relative (Brent's
+    # method to 1e-13 missed by 1.4e-13)
     for n in (64, 128, 1000):
         taus = _tilts(n)
-        analyses = hg.find_peaks_batch(ginibre_pot, taus, (1e-6, 6.0), n, 10.0)
-        for tau, pa in zip(taus, analyses):
-            (peak,) = pa.peaks
-            assert abs(peak.r - math.sqrt(tau)) <= 1e-15 * math.sqrt(tau)
+        lo, hi = np.full(n, 1e-6), np.full(n, 6.0)
+        roots = tilt_roots(
+            ginibre_pot, taus, lo, hi, lo * ginibre_pot.dq(lo) - 2.0 * taus,
+            hi * ginibre_pot.dq(hi) - 2.0 * taus,
+        )
+        assert np.all(np.abs(roots - np.sqrt(taus)) <= 1e-15 * np.sqrt(taus))
 
 
 @pytest.mark.parametrize("pot_name,q_mp", [("case1_pot", _case1_q_mp), ("case2_pot", _case2_q_mp)])
 def test_tilt_roots_match_mpmath(request, pot_name, q_mp):
-    # every peak radius at every eighth tilt of n = 128 against a 30-digit
-    # root of r q'(r) = 2 tau, with q' differentiated by mpmath from an
-    # independent transcription of the builder's formula; measured worst
-    # 1.6e-16 (case 1, 48 peaks) and 1.9e-16 (case 2, 65 peaks)
+    # every minimizer radius at every eighth tilt of n = 128 against a
+    # 30-digit root of r q'(r) = 2 tau, with q' differentiated by mpmath from
+    # an independent transcription of the builder's formula; measured worst
+    # 1.6e-16 (case 1, 48 roots) and 1.9e-16 (case 2, 65 roots)
     mp = pytest.importorskip("mpmath")
     pot = request.getfixturevalue(pot_name)
-    n = 128
-    taus = _tilts(n)[::8]
-    analyses = hg.find_peaks_batch(pot, taus, (1e-6, pot.r_max), n, 10.0)
+    taus = _tilts(128)[::8]
+    # the minimizers of g_tau: each - to + sign change of r q' - 2 tau
+    # between neighbours of a 4096-per-unit grid
+    grid = np.linspace(1e-6, pot.r_max, int(4096 * (pot.r_max - 1e-6)) + 1)
+    f = grid * pot.dq(grid) - 2.0 * taus[:, None]
+    row, i = np.nonzero((f[:, :-1] < 0.0) & (f[:, 1:] > 0.0))
+    tau = taus[row]
+    roots = tilt_roots(pot, tau, grid[i], grid[i + 1], f[row, i], f[row, i + 1])
+    assert len(roots) >= len(taus)
     with mp.workdps(30):
         q = q_mp(mp, pot)
-        worst, count = 0.0, 0
-        for tau, pa in zip(taus, analyses):
-            tau_mp = mp.mpf(float(tau))
-            for peak in pa.peaks:
-                x = mp.mpf(peak.r)
-                want = mp.findroot(
-                    lambda r: r * mp.diff(q, r) - 2 * tau_mp,
-                    (x - mp.mpf("1e-9"), x + mp.mpf("1e-9")), solver="anderson",
-                )
-                worst = max(worst, abs(float(want - x)))
-                count += 1
-    assert count >= len(taus)
+        worst = 0.0
+        for t, root in zip(tau, roots):
+            x = mp.mpf(float(root))
+            want = mp.findroot(
+                lambda r: r * mp.diff(q, r) - 2 * mp.mpf(float(t)),
+                (x - mp.mpf("1e-9"), x + mp.mpf("1e-9")), solver="anderson",
+            )
+            worst = max(worst, abs(float(want - x)))
     assert worst <= 1e-13
 
 
