@@ -29,7 +29,8 @@ the sampled law is the grid law with no window cut.
 (``_log_weight``: (2j+1) ln x − n q(x)), one row-blocked density
 (``_density_blocks``: w·e^(phi − row max), formed for at most
 _BLOCK_ELEMENTS rows × nodes at a time, with ln x and n q(x) formed once
-per grid) and one Gauss-Legendre panel mapper (``_gl_panels``). No caller
+per grid) and one Gauss-Legendre panel mapper (``potentials._gl_panels``,
+shared with ``mass_between`` and the derivative check). No caller
 holds more than one block of the density, so memory does not grow with
 the number of rows, and the block size changes no output bit. Every grid
 panel and sampler cell is split by one vectorised subdivider whose edges
@@ -68,9 +69,11 @@ import numpy as np
 
 from .heine import CountLaw, dp_count_law
 from .potentials import (
+    _GL32,
     BumpSpec,
     RadialPotential,
     Shoulder,
+    _gl_panels,
     bump,
     droplet_data,
     laplacian,
@@ -328,17 +331,8 @@ def standard_regions(
 # ---------------------------------------------------------------- node grids
 
 
-_GL32 = np.polynomial.legendre.leggauss(32)
 _GL8 = np.polynomial.legendre.leggauss(8)
 _GL2 = np.polynomial.legendre.leggauss(2)
-
-
-def _gl_panels(lo: np.ndarray, hi: np.ndarray, rule) -> Tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights (panels × rule nodes) of ``rule`` on panels [lo, hi]."""
-    nodes, weights = rule
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    return mid[:, None] + half[:, None] * nodes, half[:, None] * weights
 
 
 def _subdivide(lo: np.ndarray, hi: np.ndarray, parts) -> Tuple[np.ndarray, np.ndarray]:

@@ -215,6 +215,17 @@ def _log_zero_run(params: HeineParams) -> Tuple[np.longdouble, float]:
 # ----------------------------------------------------------------- count law
 
 
+_FSUM_BLOCK = 65536
+
+
+def _exact_sum(a: np.ndarray) -> float:
+    """math.fsum of every element of ``a``, listed a block at a time: a list
+    of every element would take four times the array."""
+    flat = a.ravel()
+    blocks = (flat[i : i + _FSUM_BLOCK].tolist() for i in range(0, flat.size, _FSUM_BLOCK))
+    return math.fsum(chain.from_iterable(blocks))
+
+
 class CountLaw:
     """Finite truncation of a law on count vectors with certified deficit.
 
@@ -261,11 +272,7 @@ class CountLaw:
 
     @property
     def total_mass(self) -> float:
-        # exact, and a block of cells at a time: a list of every cell would
-        # take four times the table
-        flat = self.table.ravel()
-        blocks = (flat[i : i + 65536].tolist() for i in range(0, flat.size, 65536))
-        return math.fsum(chain.from_iterable(blocks))
+        return _exact_sum(self.table)
 
     def _support(self) -> Tuple[list, list]:
         """Count vectors and probabilities of the stored cells, in C order."""
@@ -363,8 +370,10 @@ class CountLaw:
     @classmethod
     def from_json_dict(cls, data: dict) -> "CountLaw":
         """The law a parsed JSON document describes. Raises ValueError for a
-        missing field, a p or mass_deficit that is not a number, or a count
-        vector that is not m integers within the caps or is listed twice."""
+        missing field, an m that is not a nonnegative integer, a cap that is
+        not a list of m nonnegative integers, a p or mass_deficit that is
+        not a number, or a count vector that is not m integers within the
+        caps or is listed twice."""
         return cls(**_law_fields(data))
 
     @classmethod
@@ -389,7 +398,11 @@ def _law_fields(data) -> dict:
     for key in ("m", "entries", "mass_deficit", "cap"):
         if key not in data:
             raise ValueError(f"count law document lacks '{key}'")
-    m, cap, mass_deficit = int(data["m"]), [int(c) for c in data["cap"]], data["mass_deficit"]
+    m, cap, mass_deficit = data["m"], data["cap"], data["mass_deficit"]
+    if type(m) is not int or m < 0:
+        raise ValueError("count law field 'm' must be a nonnegative integer")
+    if type(cap) is not list or len(cap) != m or any(type(c) is not int or c < 0 for c in cap):
+        raise ValueError(f"count law field 'cap' must be a list of m = {m} nonnegative integers")
     try:
         alphas = list(map(itemgetter("alpha"), data["entries"]))
         ps = list(map(itemgetter("p"), data["entries"]))
@@ -736,8 +749,11 @@ def mgf(params: HeineParams, s: Sequence[float]) -> float:
 # -------------------------------------------------------------------- moments
 
 
-def _moment_site_matrix(params: HeineParams, tol: float = 1e-14) -> np.ndarray:
-    j_max = truncation_site_count(params, tol)
+_MOMENT_TAIL_TOL = 1e-14
+
+
+def _moment_site_matrix(params: HeineParams) -> np.ndarray:
+    j_max = truncation_site_count(params, _MOMENT_TAIL_TOL)
     return _site_success_matrix(params, j_max + 1)
 
 
@@ -782,21 +798,22 @@ class HeineSample:
     seed: int
 
 
-def sample(
-    params: HeineParams, count: int, seed: int, tail_tol: float = 1e-12
-) -> HeineSample:
+_SAMPLE_TAIL_TOL = 5e-13
+
+
+def sample(params: HeineParams, count: int, seed: int) -> HeineSample:
     """Draw ``count`` independent count vectors.
 
     Sites beyond J_max, past which a success has probability at most
-    tail_tol / 2, are frozen at category 0, which couples the sampler to
-    the law within that total variation (the bound is recorded in the
-    result). Randomness comes from
-    one substream per site, SeedSequence(seed, spawn_key=(j,)), so output is
-    bitwise reproducible for a fixed seed regardless of batching.
+    5e-13, are frozen at category 0, which couples the sampler to the law
+    within that total variation (the bound is recorded in the result).
+    Randomness comes from one substream per site,
+    SeedSequence(seed, spawn_key=(j,)), so output is bitwise reproducible
+    for a fixed seed regardless of batching.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    j_max = truncation_site_count(params, tail_tol / 2.0)
+    j_max = truncation_site_count(params, _SAMPLE_TAIL_TOL)
     rows = _site_success_matrix(params, j_max + 1)
     counts = np.zeros((count, params.m), dtype=np.int64)
     for j in range(j_max + 1):
@@ -901,6 +918,6 @@ def tv_distance(a: CountLaw, b: CountLaw) -> Tuple[float, float]:
         raise ValueError("laws must share the coordinate count")
     shape = tuple(max(x, y) for x, y in zip(a.table.shape, b.table.shape))
     diff = _padded(a.table, shape) - _padded(b.table, shape)
-    t0 = 0.5 * math.fsum(np.abs(diff).ravel().tolist())
+    t0 = 0.5 * _exact_sum(np.abs(diff))
     w = 0.5 * (a.mass_deficit + b.mass_deficit)
     return (max(0.0, t0 - w), min(1.0, t0 + w))

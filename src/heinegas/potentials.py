@@ -30,7 +30,7 @@ import math
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -203,17 +203,16 @@ class RadialPotential:
                 out += (2.0 + 3.0 * r**2,)
             return out
 
-        pot = RadialPotential(terms, smooth_window=(0.0, 6.0))
+        pot = RadialPotential(terms)
 
     The methods q, dq and ddq accept scalars (returning floats) or arrays
-    of any shape and evaluate at orders 0, 1 and 2. smooth_window is the
-    interval on which C2 evaluation is guaranteed; r_max the declared
-    range bound with confining growth beyond it. Hashes by identity so
-    evaluations can be memoized per instance (see ``per_potential_cache``).
+    of any shape and evaluate at orders 0, 1 and 2. q is C² on [0, r_max],
+    r_max being the declared range bound with confining growth beyond it.
+    Hashes by identity so evaluations can be memoized per instance (see
+    ``per_potential_cache``).
     """
 
     terms: Callable
-    smooth_window: Tuple[float, float]
     r_max: float = 6.0
     label: str = "custom"
     params: Dict = field(default_factory=dict)
@@ -282,9 +281,8 @@ def laplacian(pot: RadialPotential, r) -> np.ndarray:
     limit ddq(0)/2.
     """
     rr = np.asarray(r, dtype=float)
-    lo, hi = pot.smooth_window
-    if np.any(rr < lo - 1e-12) or np.any(rr > hi + 1e-12) or np.any(rr < 0.0):
-        raise ValueError("radius outside the smooth window")
+    if np.any(rr < 0.0) or np.any(rr > pot.r_max + 1e-12):
+        raise ValueError("radius outside [0, r_max]")
     rr = np.atleast_1d(rr)
     out = np.empty(rr.shape)
     pos = rr > 0.0
@@ -318,7 +316,7 @@ def ginibre() -> RadialPotential:
         derivs = (lambda: r * r, lambda: 2.0 * r, lambda: np.full(r.shape, 2.0))
         return tuple(d() for d in derivs[: order + 1])
 
-    return RadialPotential(_terms, smooth_window=(0.0, 6.0), label="ginibre")
+    return RadialPotential(_terms, label="ginibre")
 
 
 def _check_windows(
@@ -389,10 +387,9 @@ def build_case1(
         return tuple(out)
 
     pot = RadialPotential(
-        _terms, smooth_window=(0.0, r_max), r_max=r_max,
-        label="case1", params={"t": ts, "w": ws, "margin": margin},
+        _terms, r_max=r_max, label="case1", params={"t": ts, "w": ws, "margin": margin},
     )
-    _validate_case1(pot)
+    _validate(pot)
     return pot
 
 
@@ -513,14 +510,13 @@ def build_case2(
         return out
 
     pot = RadialPotential(
-        _terms, smooth_window=(0.0, r_max), r_max=r_max,
-        label="case2",
+        _terms, r_max=r_max, label="case2",
         params={
             "components": ((0.0, b0), (a1, b1)), "M0": m0,
             "t": ts, "w": ws, "margin": margin, "c0": c0, "c1": c1,
         },
     )
-    _validate_case2(pot)
+    _validate(pot)
     return pot
 
 
@@ -626,20 +622,26 @@ class DropletData:
 
 
 _GL32 = np.polynomial.legendre.leggauss(32)
+_MASS_PANELS = 64
 
 
-def mass_between(pot: RadialPotential, lo: float, hi: float, panels: int = 64) -> float:
-    """Planar σ-mass of the annulus lo ≤ r ≤ hi: 2 ∫ ΔQ(r) r dr."""
+def _gl_panels(lo: np.ndarray, hi: np.ndarray, rule) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights (panels × rule nodes) of ``rule`` on panels [lo, hi]."""
+    nodes, weights = rule
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    return mid[:, None] + half[:, None] * nodes, half[:, None] * weights
+
+
+def mass_between(pot: RadialPotential, lo: float, hi: float) -> float:
+    """Planar σ-mass of the annulus lo ≤ r ≤ hi: 2 ∫ ΔQ(r) r dr, by 32-point
+    Gauss-Legendre on 64 equal panels."""
     if hi <= lo:
         return 0.0
-    nodes, weights = _GL32
-    edges = np.linspace(lo, hi, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = (mids[:, None] + half[:, None] * nodes[None, :]).ravel()
-    wts = (half[:, None] * weights[None, :]).ravel()
-    vals = np.asarray(laplacian(pot, x)) * x
-    return float(2.0 * (wts * vals).sum())
+    edges = np.linspace(lo, hi, _MASS_PANELS + 1)
+    x, w = _gl_panels(edges[:-1], edges[1:], _GL32)
+    x, w = x.ravel(), w.ravel()
+    return float(2.0 * (w * (np.asarray(laplacian(pot, x)) * x)).sum())
 
 
 # grid q within _TIE_TOL of the minorant is contact, and a stationary point
@@ -808,9 +810,9 @@ def droplet_data(pot: RadialPotential) -> DropletData:
 # ------------------------------------------------------------------ checking
 
 
-# the derivative check's panels are at most 1/_CHECK_PANELS of the smooth
-# window wide, and each builder piece gets at least _PIECE_PANELS of them:
-# the window and smoothstep profiles vary over the whole piece, flat to all
+# the derivative check's panels are at most 1/_CHECK_PANELS of [0, r_max]
+# wide, and each builder piece gets at least _PIECE_PANELS of them: the
+# window and smoothstep profiles vary over the whole piece, flat to all
 # orders at its edges, whatever its width
 _CHECK_PANELS = 256
 _PIECE_PANELS = 8
@@ -840,8 +842,8 @@ def _piece_edges(pot: RadialPotential) -> np.ndarray:
 def derivative_consistency(pot: RadialPotential) -> Tuple[float, float]:
     """Worst relative mismatch of the analytic q′ and q″ against the
     identities q(b) − q(a) = ∫_a^b q′ and q′(b) − q′(a) = ∫_a^b q″ over the
-    panels [a, b] of the smooth window, each error divided by ∫|q′| (by
-    ∫|q″|) on its panel.
+    panels [a, b] of [0, r_max], each error divided by ∫|q′| (by ∫|q″|) on
+    its panel.
 
     The panels are cut at ``_piece_edges``, so no panel straddles a seam
     between a builder's pieces; the integrals are 32-point Gauss-Legendre
@@ -849,10 +851,10 @@ def derivative_consistency(pot: RadialPotential) -> Tuple[float, float]:
     No difference step enters, so neither truncation nor roundoff grows as
     a window narrows.
     """
-    lo, hi = pot.smooth_window
+    hi = pot.r_max
     seams = _piece_edges(pot)
-    seams = np.r_[lo, seams[(seams > lo) & (seams < hi)], hi]
-    width = (hi - lo) / _CHECK_PANELS
+    seams = np.r_[0.0, seams[(seams > 0.0) & (seams < hi)], hi]
+    width = hi / _CHECK_PANELS
     ends = np.r_[
         np.concatenate([
             np.linspace(x, y, max(_PIECE_PANELS, math.ceil((y - x) / width)), endpoint=False)
@@ -860,10 +862,7 @@ def derivative_consistency(pot: RadialPotential) -> Tuple[float, float]:
         ]),
         hi,
     ]
-    nodes, weights = _GL32
-    half = 0.5 * np.diff(ends)[:, None]
-    x = 0.5 * (ends[:-1] + ends[1:])[:, None] + half * nodes
-    w = half * weights
+    x, w = _gl_panels(ends[:-1], ends[1:], _GL32)
     _, d1, d2 = pot.terms(x, 2)
     q_end, d1_end = pot.terms(ends, 1)
     tiny = np.finfo(float).tiny
@@ -877,148 +876,104 @@ def _growth_margin(pot: RadialPotential) -> float:
     return float(np.min(r * np.asarray(pot.dq(r)))) - 2.0
 
 
-def _validate_case1(pot: RadialPotential) -> None:
-    ts = pot.params["t"]
-    ws = pot.params["w"]
-    grid = np.linspace(1.0 + 1e-6, 3.0 - 1e-6, 20001)
-    qv = np.asarray(pot.q(grid))
-    lower = 1.0 + 2.0 * np.log(grid)
-    upper = grid**2
-    if np.any(qv < lower - 1e-12) or np.any(qv > upper + 1e-12):
-        raise BuildValidationError("obstacle_inequality")
-    # the obstacle touches at r = 1 (droplet edge) and at the t_k; the gap
-    # vanishes quadratically there, so isolation is checked outside 1e-3
-    near_touch = qv - lower < 1e-10
-    for r in grid[near_touch]:
-        if min(abs(r - tk) for tk in ts) > 1e-3 and r - 1.0 > 1e-3:
-            raise BuildValidationError(
-                "coincidence_isolation", f"profile touches obstacle at r={r}"
-            )
-    for tk, wk in zip(ts, ws):
-        if abs(float(pot.q(tk)) - (1.0 + 2.0 * math.log(tk))) > 1e-12:
-            raise BuildValidationError("coincidence_touch", f"t={tk}")
-        if abs(tk * float(pot.dq(tk)) - 2.0) > 1e-10:
-            raise BuildValidationError("coincidence_stationarity", f"t={tk}")
-        want = (tk**2 - 1.0 - 2.0 * math.log(tk)) / (2.0 * wk**2)
-        got = float(laplacian(pot, tk))
-        if abs(got - want) > 1e-10 * max(1.0, abs(want)) or got <= 0.0:
-            raise BuildValidationError("laplacian_at_outpost", f"t={tk}")
-    e1, e2 = derivative_consistency(pot)
-    if max(e1, e2) > 1e-5:
-        raise BuildValidationError("derivative_consistency", f"err={max(e1, e2):.2e}")
-    if _growth_margin(pot) <= 0.0:
-        raise BuildValidationError("growth")
+def _at_outposts(name: str, t: np.ndarray, ok: np.ndarray, detail: str) -> ValidationCheck:
+    bad = t[~ok].tolist()
+    return ValidationCheck(name, not bad, f"{detail}; fails at t={bad}" if bad else detail)
 
 
-def _validate_case2(pot: RadialPotential) -> None:
+def _touch_checks(
+    pot: RadialPotential, tau: float, lo: float, hi: float,
+    ts: Sequence[float], ws: Sequence[float], upper: Optional[Callable] = None,
+) -> Iterator[ValidationCheck]:
+    """The identities of a built potential on the obstacle line
+    Q̌(r) = τ + 2τ ln(r/lo) across (lo, hi), with outposts t_k of window
+    half-widths w_k: Q̌ ≤ q (≤ upper, when given) to 1e-12 on a grid of
+    (lo, hi) (obstacle_inequality), q − Q̌ < 1e-10 there only within 1e-3 of
+    an end or a t_k, where it vanishes quadratically (coincidence_isolation),
+    q(t_k) = Q̌(t_k) to 1e-12 (coincidence_touch), t_k q′(t_k) = 2τ to 1e-10
+    (coincidence_stationarity), and ΔQ(t_k) > 0, equal below an upper
+    profile to (upper − Q̌)(t_k)/(2 w_k²) to 1e-10 (laplacian_at_outpost).
+    """
+
+    def obstacle(r):
+        return tau + 2.0 * tau * np.log(r / lo)
+
+    r = np.linspace(lo + 1e-9, hi - 1e-9, 20001)
+    (q,) = pot.terms(r, 0)
+    gap = q - obstacle(r)
+    ok = gap.min() >= -1e-12 and (upper is None or np.max(q - upper(r)) <= 1e-12)
+    yield ValidationCheck("obstacle_inequality", bool(ok), f"min q - obstacle = {gap.min():.1e}")
+    t = np.array(ts, dtype=float)
+    near = r[gap < 1e-10]
+    stray = near[np.all(np.abs(near[:, None] - np.r_[lo, hi, t]) > 1e-3, axis=1)]
+    detail = f"stray touches at r={stray[:3]}" if stray.size else "no stray touch"
+    yield ValidationCheck("coincidence_isolation", not stray.size, detail)
+    if not t.size:
+        return
+    q_t, d1_t = pot.terms(t, 1)
+    touch = np.abs(q_t - obstacle(t))
+    yield _at_outposts("coincidence_touch", t, touch <= 1e-12, f"max miss {touch.max():.1e}")
+    slope = np.abs(t * d1_t - 2.0 * tau)
+    yield _at_outposts("coincidence_stationarity", t, slope <= 1e-10, f"max miss {slope.max():.1e}")
+    lap = np.asarray(laplacian(pot, t))
+    ok = lap > 0.0
+    if upper is not None:
+        want = (upper(t) - obstacle(t)) / (2.0 * np.asarray(ws) ** 2)
+        ok &= np.abs(lap - want) <= 1e-10 * np.maximum(1.0, np.abs(want))
+    yield _at_outposts("laplacian_at_outpost", t, ok, f"min laplacian {lap.min():.4g}")
+
+
+def _checks(pot: RadialPotential) -> Iterator[ValidationCheck]:
+    """Every check of ``pot`` once, lazily: a built family's touch identities
+    (case 1: τ = 1 on (1, 3) below r²; case 2: τ = M0 on the gap (b0, a1),
+    and the edge slopes q′ = 2 M0/r at b0 and a1 to 1e-10), then derivative
+    consistency to 1e-5 and confining growth past r_max."""
     p = pot.params
-    (a0, b0), (a1, b1) = p["components"]
-    m0 = p["M0"]
-    ts, ws = p["t"], p["w"]
-    grid = np.linspace(b0 + 1e-9, a1 - 1e-9, 20001)
-    qv = np.asarray(pot.q(grid))
-    lower = m0 + 2.0 * m0 * np.log(grid / b0)
-    if np.any(qv < lower - 1e-12):
-        raise BuildValidationError("obstacle_inequality")
-    # structural touches at both gap edges and the t_k vanish quadratically
-    near_touch = qv - lower < 1e-10
-    for r in grid[near_touch]:
-        far_from_touch = (
-            min((abs(r - tk) for tk in ts), default=math.inf) > 1e-3
-            and r - b0 > 1e-3 and a1 - r > 1e-3
-        )
-        if far_from_touch:
-            raise BuildValidationError(
-                "coincidence_isolation", f"profile touches obstacle at r={r}"
-            )
-    for tk, wk in zip(ts, ws):
-        want_q = m0 + 2.0 * m0 * math.log(tk / b0)
-        if abs(float(pot.q(tk)) - want_q) > 1e-12:
-            raise BuildValidationError("coincidence_touch", f"t={tk}")
-        if abs(tk * float(pot.dq(tk)) - 2.0 * m0) > 1e-10:
-            raise BuildValidationError("coincidence_stationarity", f"t={tk}")
-        if float(laplacian(pot, tk)) <= 0.0:
-            raise BuildValidationError("laplacian_at_outpost", f"t={tk}")
-    for edge, slope in ((b0, 2.0 * m0 / b0), (a1, 2.0 * m0 / a1)):
-        if abs(float(pot.dq(edge)) - slope) > 1e-10:
-            raise BuildValidationError("edge_slope", f"r={edge}")
+    if pot.label == "case1":
+        yield from _touch_checks(pot, 1.0, 1.0, 3.0, p["t"], p["w"], upper=np.square)
+    elif pot.label == "case2":
+        (_, b0), (a1, _) = p["components"]
+        yield from _touch_checks(pot, p["M0"], b0, a1, p["t"], p["w"])
+        edges = np.array([b0, a1])
+        miss = np.abs(pot.terms(edges, 1)[1] - 2.0 * p["M0"] / edges).max()
+        yield ValidationCheck("edge_slope", bool(miss <= 1e-10), f"max miss {miss:.1e}")
     e1, e2 = derivative_consistency(pot)
-    if max(e1, e2) > 1e-5:
-        raise BuildValidationError("derivative_consistency", f"err={max(e1, e2):.2e}")
-    if _growth_margin(pot) <= 0.0:
-        raise BuildValidationError("growth")
+    yield ValidationCheck(
+        "derivative_consistency", max(e1, e2) <= 1e-5, f"max rel err dq={e1:.2e}, ddq={e2:.2e}"
+    )
+    gm = _growth_margin(pot)
+    yield ValidationCheck("growth", gm > 0.0, f"min r q' - 2 = {gm:.3f}")
+
+
+def _validate(pot: RadialPotential) -> None:
+    """Raise BuildValidationError at a built potential's first failing check."""
+    for check in _checks(pot):
+        if not check.passed:
+            raise BuildValidationError(check.name, check.detail)
 
 
 def validation_report(pot: RadialPotential):
-    """Full check suite as a list of ValidationCheck records.
-
-    Includes the builder checks (when the label identifies a built case),
-    derivative consistency, growth, and the classification round-trip.
-    """
-    checks = []
-
-    e1, e2 = derivative_consistency(pot)
-    checks.append(
-        ValidationCheck(
-            "derivative_consistency", max(e1, e2) <= 1e-5,
-            f"max rel err dq={e1:.2e}, ddq={e2:.2e}",
-        )
-    )
-    gm = _growth_margin(pot)
-    checks.append(ValidationCheck("growth", gm > 0.0, f"min r q' - 2 = {gm:.3f}"))
-
-    if pot.label == "case1":
-        try:
-            _validate_case1(pot)
-            checks.append(ValidationCheck("case1_builder_suite", True, "all pinned identities hold"))
-        except BuildValidationError as exc:
-            checks.append(ValidationCheck(exc.check_name, False, exc.detail))
-    elif pot.label == "case2":
-        try:
-            _validate_case2(pot)
-            checks.append(ValidationCheck("case2_builder_suite", True, "all pinned identities hold"))
-        except BuildValidationError as exc:
-            checks.append(ValidationCheck(exc.check_name, False, exc.detail))
-
-    data: Optional[DropletData] = None
+    """(checks, droplet): the checks a build runs (``_checks``), then the
+    classified total mass and, for a built family, the round trip of its
+    label, outposts and (case 2) components and M0 through ``classify``
+    (radii to 1e-6, M0 to 1e-8); the droplet is None, with the failed check
+    "classification", when ``classify`` raises ClassificationError."""
+    checks = list(_checks(pot))
     try:
         data = classify(pot)
-        ok = abs(data.masses[-1] - 1.0) <= 1e-8
-        checks.append(
-            ValidationCheck("total_mass", ok, f"M_last = {data.masses[-1]:.10f}")
-        )
-        if pot.label == "case1":
-            ts = pot.params["t"]
-            ok = len(data.outposts) == len(ts) and all(
-                abs(a - b) <= 1e-6 for a, b in zip(data.outposts, ts)
-            )
-            ok = ok and data.case_tag == "case1"
-            checks.append(
-                ValidationCheck(
-                    "classification_roundtrip", ok,
-                    f"tag={data.case_tag}, outposts={data.outposts}",
-                )
-            )
-        elif pot.label == "case2":
-            p = pot.params
-            (a0, b0), (a1, b1) = p["components"]
-            ts = p["t"]
-            ok = (
-                data.case_tag == "case2"
-                and len(data.components) == 2
-                and abs(data.components[0][1] - b0) <= 1e-6
-                and abs(data.components[1][0] - a1) <= 1e-6
-                and abs(data.components[1][1] - b1) <= 1e-6
-                and abs(data.masses[0] - p["M0"]) <= 1e-8
-                and len(data.outposts) == len(ts)
-                and all(abs(a - b) <= 1e-6 for a, b in zip(data.outposts, ts))
-            )
-            checks.append(
-                ValidationCheck(
-                    "classification_roundtrip", ok,
-                    f"tag={data.case_tag}, M0={data.masses[0]:.10f}",
-                )
-            )
     except ClassificationError as exc:
-        checks.append(ValidationCheck("classification", False, str(exc)))
+        return checks + [ValidationCheck("classification", False, str(exc))], None
+    last = data.masses[-1]
+    checks.append(ValidationCheck("total_mass", abs(last - 1.0) <= 1e-8, f"M_last = {last:.10f}"))
+    if pot.label in ("case1", "case2"):
+        p = pot.params
+        pairs = [(data.outposts, p["t"], 1e-6)]
+        if "M0" in p:
+            pairs += [(data.components, p["components"], 1e-6), (data.masses[:1], p["M0"], 1e-8)]
+        ok = data.case_tag == pot.label and all(
+            np.size(got) == np.size(want) and np.all(np.abs(np.subtract(got, want)) <= tol)
+            for got, want, tol in pairs
+        )
+        detail = f"tag={data.case_tag}, outposts={data.outposts}, masses={data.masses}"
+        checks.append(ValidationCheck("classification_roundtrip", bool(ok), detail))
     return checks, data

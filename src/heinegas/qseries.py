@@ -31,18 +31,21 @@ def qpochhammer(z: float, q: float, k: int) -> float:
     return acc
 
 
-def qpochhammer_inf(z: float, q: float, tol: float = 1e-17) -> float:
-    """Infinite symbol (z; q)_inf for |q| < 1, truncated when |z q^i| < tol.
+_TERM_TOL = 1e-17
+
+
+def qpochhammer_inf(z: float, q: float) -> float:
+    """Infinite symbol (z; q)_inf for |q| < 1, truncated when |z q^i| < 1e-17.
 
     The dropped tail multiplies the result by prod (1 - z q^i) with
-    sum |z q^i| < tol/(1-|q|), a relative error below ~1e-16 for the
+    sum |z q^i| < 1e-17/(1-|q|), a relative error below ~1e-16 for the
     parameter ranges used here.
     """
     if not 0.0 <= abs(q) < 1.0:
         raise ValueError("q must satisfy |q| < 1")
     log_acc = 0.0
     zq = float(z)
-    while abs(zq) >= tol:
+    while abs(zq) >= _TERM_TOL:
         log_acc += math.log1p(-zq)
         zq *= q
     # fold in the first-order tail correction

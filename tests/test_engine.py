@@ -994,7 +994,7 @@ def test_sampler_q_evaluation_count(case1_pot):
         return case1_pot.terms(r, order)
 
     pot = hg.RadialPotential(
-        terms, smooth_window=case1_pot.smooth_window, r_max=case1_pot.r_max,
+        terms, r_max=case1_pot.r_max,
         label=case1_pot.label, params=case1_pot.params,
     )
     sample_moduli(pot, 32, seed=5)  # builds the cell table

@@ -483,8 +483,17 @@ def _doc(entries, **fields):
             _doc([{"alpha": [0], "p": 0.5}, {"alpha": [0, 1, 1], "p": 0.5}], m=2, cap=[1, 1]),
             "length m = 2",
         ),
+        # m and cap were truncated or coerced: these loaded as m = 1, cap (1,)
+        # and m = 1, cap (0,), and the last two raised TypeError
+        (_doc([{"alpha": [0], "p": 1.0}], m=1.9, cap=[1.7]), "field 'm'"),
+        (_doc([{"alpha": [0], "p": 1.0}], m=True, cap=["0"]), "field 'm'"),
+        (_doc([{"alpha": [0], "p": 1.0}], cap=0), "field 'cap'"),
+        (_doc([{"alpha": [0], "p": 1.0}], cap=[None]), "field 'cap'"),
     ],
-    ids=["duplicate", "string-p", "missing-deficit", "ragged"],
+    ids=[
+        "duplicate", "string-p", "missing-deficit", "ragged",
+        "float-m-cap", "bool-m", "scalar-cap", "null-cap",
+    ],
 )
 def test_count_law_json_rejects_malformed(doc, match):
     with pytest.raises(ValueError, match=match):

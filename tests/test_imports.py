@@ -114,3 +114,23 @@ def test_private_names_are_read():
         if name.startswith("_") and not name.startswith("__") and name not in read
     ]
     assert not unread, f"private names nothing reads: {unread}"
+
+
+def _constant_calls(tree):
+    """Source text of each call expression a top-level assignment binds."""
+    return {
+        ast.unparse(node.value)
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Call)
+    }
+
+
+def test_no_constant_built_in_two_modules():
+    # two modules building one constant from the same call keep two copies
+    # that can drift apart; one module should import it from the other
+    built = {}
+    for path in MODULES:
+        for call in _constant_calls(_tree(path)):
+            built.setdefault(call, []).append(path.name)
+    twice = {call: names for call, names in built.items() if len(names) > 1}
+    assert not twice, f"constants built in more than one module: {twice}"

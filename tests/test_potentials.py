@@ -48,7 +48,7 @@ def test_quartic_classifies_plain_disk():
     def terms(r, order):
         return (r**4, 4.0 * r**3, 12.0 * r**2)[: order + 1]
 
-    data = classify(RadialPotential(terms, smooth_window=(0.0, 3.0), r_max=3.0))
+    data = classify(RadialPotential(terms, r_max=3.0))
     assert data.case_tag == "none"
     assert data.branch_values == ()
     assert data.outposts == ()
@@ -60,7 +60,7 @@ def test_quartic_classifies_plain_disk():
 def _quartic():
     return RadialPotential(
         lambda r, order: (r**4, 4.0 * r**3, 12.0 * r**2)[: order + 1],
-        smooth_window=(0.0, 3.0), r_max=3.0,
+        r_max=3.0,
     )
 
 
@@ -106,7 +106,7 @@ def test_ring_droplet_and_droplet_past_r_max():
     # to r q'(r) = 2, the golden ratio
     ring = RadialPotential(
         lambda r, order: ((r - 1.0) ** 2, 2.0 * (r - 1.0), np.full(r.shape, 2.0))[: order + 1],
-        smooth_window=(0.0, 4.0), r_max=4.0,
+        r_max=4.0,
     )
     data = classify(ring)
     golden = (1.0 + math.sqrt(5.0)) / 2.0
@@ -116,7 +116,7 @@ def test_ring_droplet_and_droplet_past_r_max():
     assert data.masses == (pytest.approx(1.0, abs=1e-12),)
     assert data.case_tag == "none"
     # r^4 reaches r q'(r) = 2 at 0.84, past an r_max of 0.5
-    short = RadialPotential(_quartic().terms, smooth_window=(0.0, 0.5), r_max=0.5)
+    short = RadialPotential(_quartic().terms, r_max=0.5)
     with pytest.raises(hg.ClassificationError, match="r_max"):
         classify(short)
 
@@ -156,9 +156,18 @@ def test_case1_classification_roundtrip(case1_pot, case1_data):
     assert case1_data.masses[-1] == pytest.approx(1.0, abs=1e-8)
 
 
+# each identity once, in the order a build checks them
+TOUCH_CHECKS = [
+    "obstacle_inequality", "coincidence_isolation", "coincidence_touch",
+    "coincidence_stationarity", "laplacian_at_outpost",
+]
+TAIL_CHECKS = ["derivative_consistency", "growth", "total_mass", "classification_roundtrip"]
+
+
 def test_case1_validation_report(case1_pot):
     checks, data = hg.validation_report(case1_pot)
     assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
+    assert [c.name for c in checks] == TOUCH_CHECKS + TAIL_CHECKS
     assert data.case_tag == "case1"
 
 
@@ -266,7 +275,46 @@ def test_case2_classification_roundtrip(case2_data):
 def test_case2_validation_report(case2_pot):
     checks, data = hg.validation_report(case2_pot)
     assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
+    assert [c.name for c in checks] == TOUCH_CHECKS + ["edge_slope"] + TAIL_CHECKS
     assert data.case_tag == "case2"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: hg.build_case1((1.5, 2.0), w=(0.2, 0.2)),
+        lambda: hg.build_case2(((0.0, 1.0), (1.6, 2.2)), 0.5, t=(1.2, 1.4), w=(0.06, 0.06)),
+    ],
+    ids=["case1", "case2"],
+)
+def test_broken_identity_fails_under_its_name(monkeypatch, build):
+    # windows that reach 0.999 of the way down leave q above the obstacle
+    # line at the outposts
+    pot = build()
+    zeta_sum = hg.potentials._zeta_sum
+    monkeypatch.setattr(
+        hg.potentials, "_zeta_sum", lambda *args: tuple(0.999 * v for v in zeta_sum(*args))
+    )
+    checks, _ = hg.validation_report(pot)
+    failed = [c.name for c in checks if not c.passed]
+    assert failed[0] == "coincidence_touch"
+    assert "classification_roundtrip" in failed
+    with pytest.raises(hg.BuildValidationError, match="coincidence_touch") as info:
+        build()
+    assert info.value.check_name == "coincidence_touch"
+
+
+@pytest.mark.parametrize("name", ["case1_pot", "case2_pot"])
+def test_report_runs_each_check_once(request, monkeypatch, name):
+    pot = request.getfixturevalue(name)
+    calls = []
+    for fn in ("derivative_consistency", "_growth_margin"):
+        real = getattr(hg.potentials, fn)
+        monkeypatch.setattr(
+            hg.potentials, fn, lambda p, fn=fn, real=real: calls.append(fn) or real(p)
+        )
+    hg.validation_report(pot)
+    assert sorted(calls) == ["_growth_margin", "derivative_consistency"]
 
 
 @pytest.mark.parametrize(
@@ -460,7 +508,6 @@ def test_derivative_consistency_catches_wrong_slope():
             lambda r, k: tuple(
                 v * factor if i == order else v for i, v in enumerate(base.terms(r, k))
             ),
-            smooth_window=base.smooth_window,
             r_max=base.r_max,
             label="broken",
         )
@@ -522,7 +569,7 @@ def test_hot_paths_ask_only_for_order_zero():
             return base.terms(r, order)
 
         return RadialPotential(
-            terms, smooth_window=base.smooth_window, r_max=base.r_max,
+            terms, r_max=base.r_max,
             label=base.label, params=base.params,
         )
 
