@@ -33,6 +33,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import re
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import itemgetter
@@ -233,8 +234,10 @@ class CountLaw:
     table[alpha] is a pointwise lower bound of P(X = alpha), and cells below
     ``_CELL_FLOOR`` are stored as 0. ``mass_deficit`` bounds everything
     omitted; when it is not given it is the unstored mass 1 - sum(table).
-    Instead of ``table`` the constructor accepts ``cap`` and an
-    ``{alpha: p}`` dict of entries.
+    Instead of ``table`` the constructor accepts ``m``, ``cap`` and an
+    ``{alpha: p}`` dict of entries; it raises ValueError, naming the field,
+    unless m is a nonnegative int and cap a list or tuple of m nonnegative
+    ints.
     """
 
     __slots__ = ("table", "mass_deficit")
@@ -243,15 +246,16 @@ class CountLaw:
         self, m=None, entries=None, mass_deficit=None, cap=None, *, table=None
     ) -> None:
         if table is None:
-            if entries is None or cap is None:
-                raise ValueError("a count law needs a table, or entries and cap")
-            table = _dense(list(entries), list(entries.values()), cap)
+            if m is None or entries is None or cap is None:
+                raise ValueError("a count law needs a table, or m, entries and cap")
+            shape = _law_shape(m, cap)
+            table = _dense(_ravel(list(entries), len(entries), shape), list(entries.values()), shape)
+        elif not (m is None and entries is None and cap is None):
+            raise ValueError("a count law takes a table, or m, entries and cap, not both")
         table = np.asarray(table, dtype=float)
         table = np.where(table >= _CELL_FLOOR, table, 0.0)
         table.flags.writeable = False
         self.table = table
-        if m not in (None, self.m) or (cap is not None and tuple(cap) != self.cap):
-            raise ValueError("m and cap must match the table shape")
         mass = self.total_mass
         self.mass_deficit = float(
             max(0.0, 1.0 - mass) if mass_deficit is None else mass_deficit
@@ -335,33 +339,55 @@ class CountLaw:
 
         The text is json.dumps of {"m", "entries": [{"alpha", "p"}, ...],
         "mass_deficit", "cap"}, built from the table without an object per
-        cell: each cell's '{"alpha": [...], "p": ' head comes from the
-        per-axis index strings, and p is float.__repr__, as json.dumps
-        writes it.
+        cell, one block of at most _JSON_BLOCK_CELLS cells at a time: whole
+        rows of the last axis when they fit, else a piece of one row. A
+        cell's '{"alpha": [...], "p": ' head is its row's prefix (the
+        leading indices) joined to its last index's string, and p is
+        float.__repr__, as json.dumps writes it. The block texts are joined
+        once, at the end.
         """
         close = '], "p": '
-        heads = ['{"alpha": [' + ("" if self.m else close)]
-        for k, c in enumerate(self.cap):
-            tail = close if k == self.m - 1 else ""
-            axis = [f"{', ' if k else ''}{i}{tail}" for i in range(c + 1)]
-            heads = [h + a for h in heads for a in axis]
-        stored = self.table != 0.0
-        # separator, head and p of each stored cell; the first cell's
-        # separator is taken off
-        body = chain.from_iterable(
-            zip(
-                repeat("}, "),
-                compress(heads, stored.ravel().tolist()),
-                map(float.__repr__, self.table[stored].tolist()),
-            )
-        )
-        last_close = "}" if next(body, None) else ""
-        start = f'{{"m": {self.m}, "entries": ['
-        end = (
-            f'{last_close}], "mass_deficit": {json.dumps(self.mass_deficit)}, '
+        m = self.m
+        axes = [
+            [f"{', ' if k else ''}{i}{close if k == m - 1 else ''}" for i in range(c + 1)]
+            for k, c in enumerate(self.cap)
+        ]
+        opening, last_axis = ('{"alpha": [', axes.pop()) if m else ('{"alpha": [' + close, [""])
+        rows = self.table.reshape(-1, len(last_axis))
+        n_rows, width = rows.shape
+        step, chunk = max(1, _JSON_BLOCK_CELLS // width), min(width, _JSON_BLOCK_CELLS)
+        # the separator before a block's text: none before the first stored
+        # cell; its "}" also closes the last stored cell
+        parts, sep = [f'{{"m": {m}, "entries": ['], ""
+        for r0 in range(0, n_rows, step):
+            lead = np.arange(r0, min(r0 + step, n_rows))
+            prefixes = repeat(opening, lead.size)
+            for axis, d in zip(axes, np.unravel_index(lead, self.table.shape[:-1]) if m > 1 else ()):
+                prefixes = map(str.__add__, prefixes, map(axis.__getitem__, d.tolist()))
+            prefixes = list(prefixes)
+            for c0 in range(0, width, chunk):
+                block = rows[r0 : r0 + step, c0 : c0 + chunk]
+                stored = block != 0.0
+                if not stored.any():
+                    continue
+                heads = [p + a for p in prefixes for a in last_axis[c0 : c0 + chunk]]
+                # separator, head and p of each stored cell, the first
+                # separator taken off
+                body = chain.from_iterable(
+                    zip(
+                        repeat("}, "),
+                        compress(heads, stored.ravel().tolist()),
+                        map(float.__repr__, block[stored].tolist()),
+                    )
+                )
+                next(body)
+                parts += (sep, "".join(body))
+                sep = "}, "
+        parts.append(
+            f'{sep[:1]}], "mass_deficit": {json.dumps(self.mass_deficit)}, '
             f'"cap": {json.dumps(list(self.cap))}}}'
         )
-        return "".join(chain((start,), body, (end,)))
+        return "".join(parts)
 
     def to_json_dict(self) -> dict:
         """The parsed ``to_json`` text."""
@@ -378,60 +404,152 @@ class CountLaw:
 
     @classmethod
     def from_json(cls, text: str) -> "CountLaw":
+        """The law a JSON text describes, as ``from_json_dict`` of its parse.
+
+        Text in ``to_json``'s layout is parsed a block of entries at a
+        time (``_blocked_fields``), so no more than one block of entries is
+        ever held as Python objects. Any other text, and any text that
+        block parse fails on, is parsed whole by json.loads; so every
+        rejection comes from the whole-document path."""
         # A parsed document holds no cycles. With the cyclic collector
-        # paused, its per-cell objects are freed (_law_fields holds the only
-        # reference) before any collection has walked them.
+        # paused, its per-cell objects are freed by reference counting
+        # before any collection has walked them.
         collecting = gc.isenabled()
         gc.disable()
         try:
-            return cls(**_law_fields(json.loads(text)))
+            try:
+                fields = _blocked_fields(text)
+            except (ValueError, OverflowError):
+                fields = None
+            return cls(**(fields or _law_fields(json.loads(text))))
         finally:
             if collecting:
                 gc.enable()
 
 
-def _law_fields(data) -> dict:
-    """CountLaw keyword arguments (m, mass_deficit, table) from a parsed law
-    document; raises ValueError for a malformed one."""
+# the JSON writer formats, and the reader checks, at most this many cells
+# at a time; the reader parses entries text this many characters at a time
+_JSON_BLOCK_CELLS = 1 << 15
+_JSON_BLOCK_CHARS = 1 << 18
+
+_ENTRY_FIELDS = "every count law entry needs an 'alpha' list and a 'p'"
+
+# the head and tail of to_json's layout, around its entries
+_LAW_HEAD = re.compile(r'\{"m": [0-9]+, "entries": \[')
+_LAW_TAIL = re.compile(r'\], "mass_deficit": [^,\[\]{}"]*, "cap": \[[0-9, ]*\]\}')
+
+
+def _blocked_fields(text: str) -> Optional[dict]:
+    """CountLaw keyword arguments from a JSON text in ``to_json``'s layout,
+    or None for other text.
+
+    The shell (head and tail, with the entries cut out) is parsed by
+    json.loads. The entries are cut at the '}, {' after every
+    _JSON_BLOCK_CHARS characters, and each block is parsed by json.loads as
+    a list. A cut inside a string leaves that string open, so its block
+    fails to parse; a parse that succeeds on every block is the parse of
+    the whole text."""
+    if not isinstance(text, str):
+        return None
+    head = _LAW_HEAD.match(text)
+    tail = text.rfind('], "mass_deficit": ')
+    if head is None or tail < head.end() or not _LAW_TAIL.fullmatch(text, tail):
+        return None
+    shell = json.loads(text[: head.end()] + text[tail:])
+    return _law_fields(shell, _entry_blocks(text, head.end(), tail))
+
+
+def _entry_blocks(text: str, start: int, stop: int) -> Iterator[list]:
+    """The entries of text[start:stop] parsed one block at a time."""
+    while start < stop:
+        cut = text.find("}, {", min(start + _JSON_BLOCK_CHARS, stop), stop)
+        end = stop if cut < 0 else cut + 1
+        yield json.loads("[" + text[start:end] + "]")
+        start = end + 2
+
+
+def _law_shape(m, cap) -> Tuple[int, ...]:
+    """The table shape, cap + 1, of a law with m coordinates; raises
+    ValueError, naming the field, unless m is a nonnegative int and cap a
+    list or tuple of m nonnegative ints (a bool is neither)."""
+    if type(m) is not int or m < 0:
+        raise ValueError("count law field 'm' must be a nonnegative integer")
+    if (
+        not isinstance(cap, (list, tuple))
+        or len(cap) != m
+        or any(type(c) is not int or c < 0 for c in cap)
+    ):
+        raise ValueError(f"count law field 'cap' must be a list of m = {m} nonnegative integers")
+    return tuple(c + 1 for c in cap)
+
+
+def _law_fields(data, blocks: Optional[Iterable[list]] = None) -> dict:
+    """CountLaw keyword arguments (mass_deficit, table) from a parsed law
+    document; raises ValueError for a malformed one.
+
+    The entries are checked and placed a block at a time by
+    ``_entry_block``: those of ``blocks`` (lists of parsed entries) when
+    given, else _JSON_BLOCK_CELLS of data["entries"] at a time."""
     if not isinstance(data, dict):
         raise ValueError("a count law document must be a JSON object")
     for key in ("m", "entries", "mass_deficit", "cap"):
         if key not in data:
             raise ValueError(f"count law document lacks '{key}'")
-    m, cap, mass_deficit = data["m"], data["cap"], data["mass_deficit"]
-    if type(m) is not int or m < 0:
-        raise ValueError("count law field 'm' must be a nonnegative integer")
-    if type(cap) is not list or len(cap) != m or any(type(c) is not int or c < 0 for c in cap):
-        raise ValueError(f"count law field 'cap' must be a list of m = {m} nonnegative integers")
+    shape = _law_shape(data["m"], data["cap"])
+    mass_deficit = data["mass_deficit"]
+    if type(mass_deficit) not in (int, float):
+        raise ValueError("p and mass_deficit must be numbers")
+    if blocks is None:
+        entries = data["entries"]
+        if type(entries) is not list:
+            raise ValueError(_ENTRY_FIELDS)
+        step = _JSON_BLOCK_CELLS
+        blocks = (entries[i : i + step] for i in range(0, len(entries), step))
+    flats, ps = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
+    for block in blocks:
+        flat, p = _entry_block(block, shape)
+        flats.append(flat)
+        ps.append(p)
+    table = _dense(np.concatenate(flats), np.concatenate(ps), shape)
+    return {"mass_deficit": float(mass_deficit), "table": table}
+
+
+def _entry_block(entries: list, shape: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
+    """(flat C-order indices in a table of ``shape``, p values) of a list
+    of parsed entries; raises ValueError for an entry without an 'alpha'
+    list and a 'p', a count vector that is not len(shape) integers within
+    the table, or a p that is not a number."""
+    m = len(shape)
     try:
-        alphas = list(map(itemgetter("alpha"), data["entries"]))
-        ps = list(map(itemgetter("p"), data["entries"]))
+        alphas = list(map(itemgetter("alpha"), entries))
+        ps = list(map(itemgetter("p"), entries))
         lengths = set(map(len, alphas))
     except (KeyError, TypeError):
-        raise ValueError("every count law entry needs an 'alpha' list and a 'p'") from None
-    del data
+        raise ValueError(_ENTRY_FIELDS) from None
     if not lengths <= {m}:
         raise ValueError(f"count vectors must have length m = {m}")
     if not set(map(type, chain.from_iterable(alphas))) <= {int}:
         raise ValueError("count vectors must hold integers")
-    if not set(map(type, ps)) | {type(mass_deficit)} <= {int, float}:
+    if not set(map(type, ps)) <= {int, float}:
         raise ValueError("p and mass_deficit must be numbers")
     flat = np.fromiter(chain.from_iterable(alphas), np.intp, count=m * len(ps))
-    del alphas
-    table = _dense(flat, np.fromiter(ps, float, count=len(ps)), cap)
-    return {"m": m, "mass_deficit": float(mass_deficit), "table": table}
+    return _ravel(flat, len(ps), shape), np.array(ps, dtype=float)
 
 
-def _dense(alphas, ps, cap: Sequence[int]) -> np.ndarray:
-    """Table of shape cap + 1 holding ps[i] at count vector alphas[i]; raises
-    ValueError for a count vector of the wrong length, outside the caps or
-    listed twice."""
-    table = np.zeros(tuple(int(c) + 1 for c in cap))
-    idx = np.asarray(alphas, dtype=np.intp).reshape(len(ps), table.ndim)
-    if table.ndim:
-        flat = np.ravel_multi_index(tuple(idx.T), table.shape)
-    else:
-        flat = np.zeros(len(ps), dtype=np.intp)
+def _ravel(alphas, count: int, shape: Tuple[int, ...]) -> np.ndarray:
+    """Flat C-order indices in a table of ``shape`` of ``count`` count
+    vectors, given as (count, m) ints or flat; raises ValueError for one of
+    another length or outside the table."""
+    idx = np.asarray(alphas, dtype=np.intp).reshape(count, len(shape))
+    if not shape:
+        return np.zeros(count, dtype=np.intp)
+    return np.ravel_multi_index(tuple(idx.T), shape)
+
+
+def _dense(flat: np.ndarray, ps, shape: Tuple[int, ...]) -> np.ndarray:
+    """Table of ``shape`` holding ps[i] at flat C-order index flat[i];
+    raises ValueError for an index listed twice."""
+    table = np.zeros(shape)
     ordered = np.sort(flat)
     if (ordered[1:] == ordered[:-1]).any():
         raise ValueError("a count vector is listed twice")

@@ -831,7 +831,7 @@ def _piece_edges(pot: RadialPotential) -> np.ndarray:
     four smoothstep bands across the gap. Empty for other potentials."""
     p = pot.params
     pts = [tk + side * wk for tk, wk in zip(p.get("t", ()), p.get("w", ())) for side in (-1.0, 1.0)]
-    if pot.label == "case2":
+    if pot.label == "case2" and "components" in p:
         (_, b0), (a1, _) = p["components"]
         # band edges in build_case2's u = (r - b0)/(a1 - b0)
         bands = (0.0, 0.15, 0.25, 0.30, 0.45, 0.55, 0.70, 0.75, 0.85, 1.0)
@@ -923,13 +923,28 @@ def _touch_checks(
     yield _at_outposts("laplacian_at_outpost", t, ok, f"min laplacian {lap.min():.4g}")
 
 
+# the builder params a family label's checks read
+_FAMILY_PARAMS = {"case1": ("t", "w"), "case2": ("components", "M0", "t", "w")}
+
+
+def _missing_params(pot: RadialPotential) -> list:
+    """The params ``pot``'s family label needs and it does not carry."""
+    return [k for k in _FAMILY_PARAMS.get(pot.label, ()) if k not in pot.params]
+
+
 def _checks(pot: RadialPotential) -> Iterator[ValidationCheck]:
     """Every check of ``pot`` once, lazily: a built family's touch identities
     (case 1: τ = 1 on (1, 3) below r²; case 2: τ = M0 on the gap (b0, a1),
     and the edge slopes q′ = 2 M0/r at b0 and a1 to 1e-10), then derivative
-    consistency to 1e-5 and confining growth past r_max."""
+    consistency to 1e-5 and confining growth past r_max. A family label
+    without its builder params fails "builder_params" in their place."""
     p = pot.params
-    if pot.label == "case1":
+    missing = _missing_params(pot)
+    if missing:
+        yield ValidationCheck(
+            "builder_params", False, f"label {pot.label!r} without builder params {missing}"
+        )
+    elif pot.label == "case1":
         yield from _touch_checks(pot, 1.0, 1.0, 3.0, p["t"], p["w"], upper=np.square)
     elif pot.label == "case2":
         (_, b0), (a1, _) = p["components"]
@@ -954,10 +969,11 @@ def _validate(pot: RadialPotential) -> None:
 
 def validation_report(pot: RadialPotential):
     """(checks, droplet): the checks a build runs (``_checks``), then the
-    classified total mass and, for a built family, the round trip of its
-    label, outposts and (case 2) components and M0 through ``classify``
-    (radii to 1e-6, M0 to 1e-8); the droplet is None, with the failed check
-    "classification", when ``classify`` raises ClassificationError."""
+    classified total mass and, for a built family with its builder params,
+    the round trip of its label, outposts and (case 2) components and M0
+    through ``classify`` (radii to 1e-6, M0 to 1e-8); the droplet is None,
+    with the failed check "classification", when ``classify`` raises
+    ClassificationError."""
     checks = list(_checks(pot))
     try:
         data = classify(pot)
@@ -965,7 +981,7 @@ def validation_report(pot: RadialPotential):
         return checks + [ValidationCheck("classification", False, str(exc))], None
     last = data.masses[-1]
     checks.append(ValidationCheck("total_mass", abs(last - 1.0) <= 1e-8, f"M_last = {last:.10f}"))
-    if pot.label in ("case1", "case2"):
+    if pot.label in _FAMILY_PARAMS and not _missing_params(pot):
         p = pot.params
         pairs = [(data.outposts, p["t"], 1e-6)]
         if "M0" in p:

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import heinegas as hg
+from heinegas import heine
 from heinegas.heine import (
     CoordinateMap,
     convolve_mapped,
@@ -441,25 +442,70 @@ def test_count_law_json_matches_per_cell_encoder(table, order):
     assert np.array_equal(back.table, law.table)
     assert back.cap == law.cap and back.mass_deficit == law.mass_deficit
     assert law.to_json_dict() == old_law_document(law)
-    # the reader takes the entries in any order
     doc = json.loads(text)
+    want = hg.CountLaw.from_json_dict(doc)
+    # the blocked reader on the writer's layout, cut into many blocks, and
+    # the whole-document parse of other layouts give the parse's law
+    reordered = {k: doc[k] for k in ("cap", "mass_deficit", "entries", "m")}
+    others = [
+        json.dumps(doc, indent=1), json.dumps(doc, separators=(",", ":")), json.dumps(reordered)
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(heine, "_JSON_BLOCK_CELLS", 3)
+        mp.setattr(heine, "_JSON_BLOCK_CHARS", 40)
+        assert law.to_json() == text
+        assert np.array_equal(heine._blocked_fields(text)["table"], want.table)
+        assert all(heine._blocked_fields(other) is None for other in others)
+        for variant in [text] + others:
+            back = hg.CountLaw.from_json(variant)
+            assert np.array_equal(back.table, want.table)
+            assert back.cap == want.cap and back.mass_deficit == want.mass_deficit
+    # the reader takes the entries in any order
     order.shuffle(doc["entries"])
     assert np.array_equal(hg.CountLaw.from_json_dict(doc).table, law.table)
 
 
-def test_count_law_json_writer_memory():
-    # a work guard by measurement: the writer's traced peak on a 10^4-cell
-    # table is 4.4 times the text it returns; the per-cell dict encoder
-    # peaks at 11.7 times
-    law = hg.pmf_table(hg.validate_params((1.0,) * 4, (0.5,) * 4))
-    assert law.cap == (9, 9, 9, 9)
+def test_count_law_json_reader_cut_inside_a_string(monkeypatch):
+    # a cut at the '}, {' inside a string leaves the block unparsable, and
+    # the reader parses the whole document
+    monkeypatch.setattr(heine, "_JSON_BLOCK_CHARS", 1)
+    entries = [{"alpha": [0], "p": 0.5, "note": "}, {"}, {"alpha": [1], "p": 0.5}]
+    text = json.dumps({"m": 1, "entries": entries, "mass_deficit": 0.0, "cap": [1]})
+    with pytest.raises(json.JSONDecodeError):
+        heine._blocked_fields(text)
+    assert hg.CountLaw.from_json(text).table.tolist() == [0.5, 0.5]
+
+
+@pytest.fixture(scope="module")
+def law_10e5():
+    """The 104,976-cell law (cap 17 on 4 coordinates) and its JSON text."""
+    law = hg.pmf_table(hg.validate_params((2.0,) * 4, (0.8,) * 4))
+    assert law.cap == (17,) * 4
+    return law, law.to_json()
+
+
+def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
-        text = law.to_json()
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * len(text)
+
+
+def test_count_law_json_writer_memory(law_10e5):
+    # a work guard by measurement: the blocked writer's traced peak is 2.1
+    # times the text it returns (the text and its block texts); with a head
+    # string per cell it was 4.3 times
+    law, text = law_10e5
+    assert _traced_peak(law.to_json) <= 2.5 * len(text)
+
+
+def test_count_law_json_reader_memory(law_10e5):
+    # a work guard by measurement: reading the text a block at a time peaks
+    # at 0.92 times the text; one json.loads of it peaked at 5.8 times
+    law, text = law_10e5
+    assert _traced_peak(hg.CountLaw.from_json, text) <= 1.25 * len(text)
 
 
 def _doc(entries, **fields):
@@ -496,10 +542,43 @@ def _doc(entries, **fields):
     ],
 )
 def test_count_law_json_rejects_malformed(doc, match):
-    with pytest.raises(ValueError, match=match):
-        hg.CountLaw.from_json(json.dumps(doc))
-    with pytest.raises(ValueError, match=match):
+    # the writer's layout goes through the blocked reader first, indent=1
+    # only through the whole-document parse; both reject alike, with
+    # blocks of the default size and of one entry
+    errors = []
+    for block in (None, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            if block:
+                mp.setattr(heine, "_JSON_BLOCK_CELLS", block)
+                mp.setattr(heine, "_JSON_BLOCK_CHARS", block)
+            for text in (json.dumps(doc), json.dumps(doc, indent=1)):
+                with pytest.raises(ValueError, match=match) as info:
+                    hg.CountLaw.from_json(text)
+                errors.append(str(info.value))
+    with pytest.raises(ValueError, match=match) as info:
         hg.CountLaw.from_json_dict(doc)
+    assert errors == [str(info.value)] * 4
+
+
+@pytest.mark.parametrize(
+    "m,cap,field",
+    [
+        # these loaded as cap (1,), as m = 1, and failed inside numpy
+        (1, (True,), "field 'cap'"),
+        (1.0, (1,), "field 'm'"),
+        (1, (-1,), "field 'cap'"),
+        (True, (1,), "field 'm'"),
+        (-1, (), "field 'm'"),
+        (1, [1.0], "field 'cap'"),
+        (1, 1, "field 'cap'"),
+        (2, (1,), "field 'cap'"),
+    ],
+    ids=["bool-cap", "float-m", "negative-cap", "bool-m", "negative-m", "float-cap",
+         "scalar-cap", "short-cap"],
+)
+def test_count_law_constructor_checks_m_and_cap(m, cap, field):
+    with pytest.raises(ValueError, match=field):
+        hg.CountLaw(m, {(0,): 1.0}, 0.0, cap)
 
 
 def test_count_law_rejects_inconsistent_input():
@@ -511,6 +590,8 @@ def test_count_law_rejects_inconsistent_input():
         hg.CountLaw(1, {(0,): 0.5}, 0.0, (1,))
     with pytest.raises(ValueError):
         hg.CountLaw(1, {(0,): 1.0}, -0.5, (0,))
+    with pytest.raises(ValueError, match="not both"):
+        hg.CountLaw(1, table=np.ones(1))
 
 
 def test_tv_distance_different_caps_matches_union_formula():

@@ -304,6 +304,24 @@ def test_broken_identity_fails_under_its_name(monkeypatch, build):
     assert info.value.check_name == "coincidence_touch"
 
 
+@pytest.mark.parametrize(
+    "label,missing",
+    [("case1", "['t', 'w']"), ("case2", "['components', 'M0', 't', 'w']")],
+)
+def test_family_label_without_params_fails_a_check(label, missing):
+    # a custom potential under a built family's label, without the builder's
+    # params: the report raised KeyError: 't'
+    pot = RadialPotential(hg.ginibre().terms, label=label)
+    checks, data = hg.validation_report(pot)
+    assert (checks[0].name, checks[0].passed) == ("builder_params", False)
+    assert missing in checks[0].detail
+    assert [c.name for c in checks[1:]] == ["derivative_consistency", "growth", "total_mass"]
+    assert data.case_tag == "none"
+    with pytest.raises(hg.BuildValidationError, match="builder_params") as info:
+        hg.potentials._validate(pot)
+    assert info.value.check_name == "builder_params"
+
+
 @pytest.mark.parametrize("name", ["case1_pot", "case2_pot"])
 def test_report_runs_each_check_once(request, monkeypatch, name):
     pot = request.getfixturevalue(name)
