@@ -4,11 +4,8 @@
 
 import itertools
 
-import numpy as np
-
 import heinegas as hg
-from heinegas.engine import exact_count_law, joint_mgf, standard_regions
-from heinegas.limits import case1
+from heinegas.limits import case1, convergence_row
 
 pot = hg.build_case1((1.5, 2.0), w=(0.2, 0.2))
 data = hg.droplet_data(pot)
@@ -21,20 +18,12 @@ for k in range(lim.m):
         f"radius ratio {lim.rho[k]:.6f}"
     )
 
-predicted = hg.pmf_table(lim.heine, tail_tol=1e-12)
-s_grid = [np.array(p) for p in itertools.product((-1.0, 0.0, 1.0), repeat=2)]
+s_grid = [list(p) for p in itertools.product((-1.0, 0.0, 1.0), repeat=2)]
 
 print("\n    n    tv gap    worst MGF error")
 for n in (32, 64, 128, 256):
-    regions, _ = standard_regions(data, n=n)
-    law = exact_count_law(pot, n, regions)
-    tv = hg.tv_distance(law, predicted)[1]
-    mgf_err = max(
-        abs(joint_mgf(pot, n, s, regions).value - hg.mgf(lim.heine, s))
-        / hg.mgf(lim.heine, s)
-        for s in s_grid
-    )
-    print(f"  {n:5d}   {tv:.5f}   {mgf_err:.5f}")
+    row, _, predicted, _ = convergence_row(pot, data, n, s_grid, smooth=False)
+    print(f"  {n:5d}   {row['tv_hi']:.5f}   {row['mgf_err_max']:.5f}")
 
 print("\nlimit law mass at the smallest count vectors:")
 for alpha in ((0, 0), (1, 0), (0, 1), (1, 1)):

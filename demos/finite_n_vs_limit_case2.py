@@ -5,11 +5,8 @@
 
 import itertools
 
-import numpy as np
-
 import heinegas as hg
-from heinegas.engine import exact_count_law, joint_mgf, standard_regions
-from heinegas.limits import case2, case2_predicted_law, case2_predicted_mgf
+from heinegas.limits import case2, convergence_row
 
 pot = hg.build_case2(((0.0, 1.0), (1.6, 2.2)), 0.5, t=(1.2, 1.4), w=(0.06, 0.06))
 data = hg.droplet_data(pot)
@@ -23,24 +20,13 @@ for n in (63, 64, 65, 66):
         f"{lim.hat_vartheta[-1]:.6f} (product {lim.tilde_vartheta[0] * lim.hat_vartheta[-1]:.12f})"
     )
 
-s_grid = [np.array(p) for p in itertools.product((-1.0, 0.0, 1.0), repeat=3)]
+s_grid = [list(p) for p in itertools.product((-1.0, 0.0, 1.0), repeat=3)]
 
 print("\n    n  x_n    tv gap    worst MGF error")
 for n in (32, 64, 128, 256):
-    lim = case2(data, pot, n)
-    predicted = case2_predicted_law(lim, tail_tol=1e-12)
-    regions, _ = standard_regions(data, n=n)
-    law = exact_count_law(pot, n, regions)
-    tv = hg.tv_distance(law, predicted)[1]
-    mgf_err = max(
-        abs(joint_mgf(pot, n, s, regions).value - case2_predicted_mgf(lim, s))
-        / case2_predicted_mgf(lim, s)
-        for s in s_grid
-    )
-    print(f"  {n:5d}  {lim.x_n:.1f}   {tv:.5f}   {mgf_err:.5f}")
+    row, _, predicted, _ = convergence_row(pot, data, n, s_grid, smooth=False)
+    print(f"  {n:5d}  {row['x_n']:.1f}   {row['tv_hi']:.5f}   {row['mgf_err_max']:.5f}")
 
-lim = case2(data, pot, 256)
-predicted = case2_predicted_law(lim, tail_tol=1e-12)
 print("\ncombined law at n=256, smallest count vectors (gap-edge, outposts):")
 for alpha in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0)):
     print(f"  P(N={alpha}) = {predicted.pmf(alpha):.6f}")

@@ -11,7 +11,8 @@ The package has five layers:
 - :mod:`heinegas.engine`: exact finite-n quantities per index j
   (log norms, joint MGFs, Poisson-binomial count laws, moduli sampling).
 - :mod:`heinegas.limits`: the predicted scaling limits (case-1 Heine
-  parameters, case-2 oscillating two-vector decomposition).
+  parameters, case-2 oscillating two-vector decomposition) and the per-n
+  row comparing the exact law with them.
 
 The command-line entry point lives in :mod:`heinegas.cli`.
 """

@@ -26,7 +26,6 @@ import json
 import math
 import os
 import sys
-import time
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,14 +34,11 @@ from . import heine as hd
 from .engine import (
     QuadratureConfig,
     QuadratureError,
-    exact_count_law,
-    joint_mgf,
-    landing_matrix,
     moduli_to_csv,
     sample_moduli,
     standard_regions,
 )
-from .limits import case1, case2, case2_predicted_law, case2_predicted_mgf
+from .limits import convergence_row
 from .potentials import (
     BuildValidationError,
     ClassificationError,
@@ -181,13 +177,13 @@ def cmd_heine(args) -> int:
         f"q=[{' '.join(_fmt(v) for v in params.qs)}]"
     )
     report: dict = {"theta": list(params.thetas), "q": list(params.qs)}
+    law = None
     if args.pmf:
         law = hd.pmf_table(params, tail_tol=args.tol)
         print(f"pmf table (cap={','.join(str(c) for c in law.cap)} "
               f"mass_deficit={law.mass_deficit:.3e})")
         for alpha, p in law.iter_entries():
             print(" ".join(str(a) for a in alpha) + " " + _fmt(p))
-        report["law"] = law.to_json_dict()
     mean = hd.mean_vector(params)
     var = hd.variance_vector(params)
     cov = hd.covariance_matrix(params)
@@ -206,8 +202,12 @@ def cmd_heine(args) -> int:
         report["sample_tv_error_bound"] = draw.tv_error_bound
     out = _out_dir(args)
     if out is not None:
+        text = json.dumps(report)
+        if law is not None:
+            # the law's own JSON text, spliced in as converge does
+            text = f'{text[:-1]}, "law": {law.to_json()}}}'
         with open(os.path.join(out, "heine.json"), "w") as fh:
-            json.dump(report, fh, indent=2)
+            fh.write(text)
     return 0
 
 
@@ -219,16 +219,22 @@ def _default_s_grid(case: str, arity: int) -> list:
     return [list(p) for p in itertools.product(values, repeat=arity)]
 
 
-def _s_grid(cfg: dict, case: str, arity: int, n_min: int) -> list:
+def _s_grid(cfg: dict, case: str, arity: int, n_min: int, smooth: bool) -> list:
     """The configured s vectors, or the default grid when none is given.
     Each must hold ``arity`` finite numbers within joint_mgf's range
-    |s_k| <= log n at the smallest n of the schedule."""
+    |s_k| <= log n at the smallest n of the schedule, and so must the
+    smooth diagnostic's s = (1, ..., 1) when it runs."""
+    limit = math.log(n_min) + 1e-12
     grid = cfg.get("s_grid")
+    if limit < 1.0 and (grid is None or smooth):
+        what = "the default s_grid" if grid is None else "the smooth diagnostic (bumps)"
+        raise ValueError(
+            f"{what} reads |s_k| = 1 > log {n_min}: start n_schedule at 3 or more"
+        )
     if grid is None:
         return _default_s_grid(case, arity)
     if not isinstance(grid, list) or not grid:
         raise ValueError(f"s_grid {grid!r} is not a non-empty list of s vectors")
-    limit = math.log(max(n_min, 2)) + 1e-12
     for s in grid:
         if not (
             isinstance(s, list)
@@ -240,15 +246,6 @@ def _s_grid(cfg: dict, case: str, arity: int, n_min: int) -> list:
                 f"|s_k| <= log {n_min}"
             )
     return grid
-
-
-def _mgf_error_max(pot, n, s_grid, regions, qcfg, predict) -> float:
-    worst = 0.0
-    for s in s_grid:
-        finite = joint_mgf(pot, n, s, regions, qcfg).value
-        target = predict(s)
-        worst = max(worst, abs(finite - target) / abs(target))
-    return worst
 
 
 def cmd_converge(args) -> int:
@@ -269,84 +266,35 @@ def cmd_converge(args) -> int:
     if not isinstance(smooth_diag, bool):
         raise ValueError(f"bumps.enabled {smooth_diag!r} is not true or false")
     pot, case = _build_potential(cfg)
-    if case not in ("case1", "case2"):
-        raise ValueError("converge requires case1 or case2")
     data = droplet_data(pot)
     if data.case_tag != case:
         raise ValueError(
-            f"classification tag {data.case_tag} does not match config case {case}"
+            f"converge needs a case1 or case2 droplet: config case {case} "
+            f"classifies as {data.case_tag}"
         )
     arity = standard_regions(data, schedule[0], eps=eps_cfg)[0].m
-    s_grid = _s_grid(cfg, case, arity, schedule[0])
+    s_grid = _s_grid(cfg, case, arity, schedule[0], smooth_diag)
 
-    if case == "case1":
-        # the case-1 limit and its law do not depend on n
-        lim1 = case1(data, pot)
-        predicted1 = hd.pmf_table(lim1.heine, tail_tol=1e-12)
-        predict_mgf1 = lambda s: hd.mgf(lim1.heine, s)
     rows = []
     law_files = []
     out = _out_dir(args)
     for n in schedule:
-        t0 = time.monotonic()
-        regions, eps = standard_regions(data, n, eps=eps_cfg)
-        law = exact_count_law(pot, n, regions, cfg=qcfg)
-        landing = landing_matrix(pot, n, regions, qcfg)
-        if case == "case1":
-            lim, predicted, predict_mgf, x_n = lim1, predicted1, predict_mgf1, None
-        else:
-            lim = case2(data, pot, n)
-            predicted = case2_predicted_law(lim, tail_tol=1e-12)
-            predict_mgf = lambda s: case2_predicted_mgf(lim, s)
-            x_n = lim.x_n
-        tv_lo, tv_hi = hd.tv_distance(law, predicted)
-        mgf_err = _mgf_error_max(pot, n, s_grid, regions, qcfg, predict_mgf)
-        diag = None
-        if smooth_diag:
-            smooth, _ = standard_regions(data, n, eps=eps, smooth=True)
-            s_ref = [1.0] * arity
-            hard_val = joint_mgf(pot, n, s_ref, regions, qcfg).value
-            smooth_val = joint_mgf(pot, n, s_ref, smooth, qcfg).value
-            diag = abs(smooth_val - hard_val) / abs(hard_val)
-        seconds = time.monotonic() - t0
-        rows.append(
-            {
-                "n": n,
-                "tv_lo": tv_lo,
-                "tv_hi": tv_hi,
-                "mgf_err_max": mgf_err,
-                "seconds": seconds,
-                "x_n": x_n,
-                "eps": eps,
-                "cap": list(law.cap),
-                "exact_mass_deficit": law.mass_deficit,
-                "kept_rows": {
-                    "spans": [list(span) for span in landing.spans()],
-                    "count": int(landing.rows.size),
-                },
-                "localization_bound": landing.bound,
-                "quadrature": {
-                    "splits": landing.splits,
-                    "nodes": landing.nodes,
-                    "gap": landing.gap,
-                },
-                "predicted_mass_deficit": predicted.mass_deficit,
-                "smooth_vs_hard_mgf_gap": diag,
-                "limit": lim.to_json_dict(),
-            }
+        row, law, predicted, lim = convergence_row(
+            pot, data, n, s_grid, qcfg, eps_cfg, smooth_diag
         )
+        rows.append(row)
         if out is not None:
             path = os.path.join(out, f"law_n{n}.json")
             with open(path, "w") as fh:
                 fh.write(
-                    f'{{"n": {n}, "x_n": {json.dumps(x_n)}, "exact": {law.to_json()}, '
+                    f'{{"n": {n}, "x_n": {json.dumps(lim.x_n)}, "exact": {law.to_json()}, '
                     f'"predicted": {predicted.to_json()}, '
                     f'"limit": {json.dumps(lim.to_json_dict())}}}'
                 )
             law_files.append(path)
         print(
-            f"n={n} tv=[{tv_lo:.6f}, {tv_hi:.6f}] mgf_err_max={mgf_err:.6f} "
-            f"seconds={seconds:.3f}"
+            f"n={n} tv=[{row['tv_lo']:.6f}, {row['tv_hi']:.6f}] "
+            f"mgf_err_max={row['mgf_err_max']:.6f} seconds={row['seconds']:.3f}"
         )
 
     csv_rows = [["n", "tv_lo", "tv_hi", "mgf_err_max", "seconds"]] + [

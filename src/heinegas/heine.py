@@ -35,7 +35,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, product
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
@@ -338,53 +338,29 @@ class CountLaw:
         """The law as JSON text, stored cells in lexicographic order.
 
         The text is json.dumps of {"m", "entries": [{"alpha", "p"}, ...],
-        "mass_deficit", "cap"}, built from the table without an object per
-        cell, one block of at most _JSON_BLOCK_CELLS cells at a time: whole
-        rows of the last axis when they fit, else a piece of one row. A
-        cell's '{"alpha": [...], "p": ' head is its row's prefix (the
-        leading indices) joined to its last index's string, and p is
-        float.__repr__, as json.dumps writes it. The block texts are joined
-        once, at the end.
+        "mass_deficit", "cap"}, formed one block of _JSON_BLOCK_CELLS cells
+        at a time without an object per cell: the count vectors walk the
+        cells in C order as itertools.product of each axis's index strings,
+        and p is float.__repr__, as json.dumps writes it. The block texts
+        are joined once, at the end.
         """
-        close = '], "p": '
-        m = self.m
-        axes = [
-            [f"{', ' if k else ''}{i}{close if k == m - 1 else ''}" for i in range(c + 1)]
-            for k, c in enumerate(self.cap)
-        ]
-        opening, last_axis = ('{"alpha": [', axes.pop()) if m else ('{"alpha": [' + close, [""])
-        rows = self.table.reshape(-1, len(last_axis))
-        n_rows, width = rows.shape
-        step, chunk = max(1, _JSON_BLOCK_CELLS // width), min(width, _JSON_BLOCK_CELLS)
-        # the separator before a block's text: none before the first stored
-        # cell; its "}" also closes the last stored cell
-        parts, sep = [f'{{"m": {m}, "entries": ['], ""
-        for r0 in range(0, n_rows, step):
-            lead = np.arange(r0, min(r0 + step, n_rows))
-            prefixes = repeat(opening, lead.size)
-            for axis, d in zip(axes, np.unravel_index(lead, self.table.shape[:-1]) if m > 1 else ()):
-                prefixes = map(str.__add__, prefixes, map(axis.__getitem__, d.tolist()))
-            prefixes = list(prefixes)
-            for c0 in range(0, width, chunk):
-                block = rows[r0 : r0 + step, c0 : c0 + chunk]
-                stored = block != 0.0
-                if not stored.any():
-                    continue
-                heads = [p + a for p in prefixes for a in last_axis[c0 : c0 + chunk]]
-                # separator, head and p of each stored cell, the first
-                # separator taken off
-                body = chain.from_iterable(
-                    zip(
-                        repeat("}, "),
-                        compress(heads, stored.ravel().tolist()),
-                        map(float.__repr__, block[stored].tolist()),
-                    )
-                )
-                next(body)
-                parts += (sep, "".join(body))
-                sep = "}, "
+        axes = [[f"{', ' if k else ''}{i}" for i in range(c + 1)] for k, c in enumerate(self.cap)]
+        alphas = product(*axes)
+        flat = self.table.ravel()
+        # no separator before the first stored cell's block
+        parts, sep = [f'{{"m": {self.m}, "entries": ['], ""
+        for start in range(0, flat.size, _JSON_BLOCK_CELLS):
+            block = flat[start : start + _JSON_BLOCK_CELLS]
+            stored = block != 0.0
+            cells = zip(
+                compress(islice(alphas, block.size), stored.tolist()), block[stored].tolist()
+            )
+            text = ", ".join([f'{{"alpha": [{"".join(a)}], "p": {p!r}}}' for a, p in cells])
+            if text:
+                parts += (sep, text)
+                sep = ", "
         parts.append(
-            f'{sep[:1]}], "mass_deficit": {json.dumps(self.mass_deficit)}, '
+            f'], "mass_deficit": {json.dumps(self.mass_deficit)}, '
             f'"cap": {json.dumps(list(self.cap))}}}'
         )
         return "".join(parts)

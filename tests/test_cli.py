@@ -12,6 +12,7 @@ import pytest
 import heinegas as hg
 from heinegas.cli import main
 from heinegas.engine import QuadratureConfig
+from heinegas.limits import convergence_row
 
 
 def write_config(tmp_path, name, payload):
@@ -120,6 +121,11 @@ def test_heine_json_report(tmp_path, capsys):
     assert blob["theta"] == [0.5, 0.3]
     assert blob["q"] == [0.4, 0.2]
     assert "law" in blob and "covariance" in blob
+    # the spliced law text reads back as the table the command computed
+    law = hg.pmf_table(hg.validate_params([0.5, 0.3], [0.4, 0.2]), tail_tol=1e-12)
+    back = hg.CountLaw.from_json_dict(blob["law"])
+    assert np.array_equal(back.table, law.table)
+    assert back.mass_deficit == law.mass_deficit
 
 
 # --------------------------------------------------------- validate-potential
@@ -231,6 +237,32 @@ def test_converge_case2_records_phase(tmp_path, capsys):
     assert len(blob["limit"]["tilde_theta"]) == 3
 
 
+@pytest.mark.parametrize(
+    "cfg,pot,data,s_grid",
+    [
+        (CASE1_CFG, "case1_pot", "case1_data", [[0.5, -0.5], [1.0, 0.0]]),
+        (CASE2_CFG, "case2_pot", "case2_data", [[0.5, -0.5, 0.5]]),
+    ],
+)
+def test_convergence_row_is_the_cli_row(tmp_path, capsys, request, cfg, pot, data, s_grid):
+    # the library row, minus its timing, is the row converge writes, and
+    # its laws and limit are what the law file holds
+    pot, data = request.getfixturevalue(pot), request.getfixturevalue(data)
+    rc, out, _ = run_converge(tmp_path, capsys, dict(cfg, n_schedule=[16, 33], s_grid=s_grid), "r")
+    assert rc == 0
+    report = json.loads((out / "convergence.json").read_text())
+    for written in report["rows"]:
+        n = written["n"]
+        row, law, predicted, lim = convergence_row(pot, data, n, s_grid, QuadratureConfig())
+        row = json.loads(json.dumps(row))
+        del row["seconds"], written["seconds"]
+        assert row == written
+        blob = json.loads((out / f"law_n{n}.json").read_text())
+        assert blob["exact"] == json.loads(law.to_json())
+        assert blob["predicted"] == json.loads(predicted.to_json())
+        assert blob["limit"] == lim.to_json_dict() and blob["x_n"] == lim.x_n
+
+
 def test_converge_rejects_non_increasing_schedule(tmp_path, capsys):
     cfg = dict(CASE1_CFG, n_schedule=[32, 32])
     path = write_config(tmp_path, "bad.json", cfg)
@@ -270,6 +302,16 @@ def test_converge_rejects_bad_schedule_entry(tmp_path, capsys, bad):
         ({"regions": {"eps": float("inf")}}, "regions.eps inf is not a number"),
         ({"bumps": 3}, "bumps 3 is not a JSON object"),
         ({"bumps": {"enabled": "no"}}, "bumps.enabled 'no' is not true or false"),
+        # the default grid and the smooth diagnostic read |s_k| = 1 > log 2
+        ({"n_schedule": [2, 4]}, "the default s_grid reads |s_k| = 1 > log 2: start n_schedule"),
+        (
+            {"n_schedule": [2, 4], "bumps": {"enabled": False}},
+            "the default s_grid reads |s_k| = 1 > log 2",
+        ),
+        (
+            {"n_schedule": [2, 4], "s_grid": [[0.5, -0.5]]},
+            "the smooth diagnostic (bumps) reads |s_k| = 1 > log 2",
+        ),
     ],
 )
 def test_converge_validates_config_before_computing(tmp_path, capsys, monkeypatch, fields, message):
@@ -278,7 +320,7 @@ def test_converge_validates_config_before_computing(tmp_path, capsys, monkeypatc
     def no_count_law(*args, **kwargs):
         raise AssertionError("a count law was computed before the config was checked")
 
-    monkeypatch.setattr("heinegas.cli.exact_count_law", no_count_law)
+    monkeypatch.setattr("heinegas.limits.exact_count_law", no_count_law)
     cfg = {**CASE1_CFG, "n_schedule": [16, 32], **fields}
     path = write_config(tmp_path, "bad.json", cfg)
     rc = main(["converge", "--config", path, "--out", str(tmp_path / "out")])

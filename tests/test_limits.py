@@ -1,5 +1,6 @@
 """Limit laws: parameter extraction, moments, and finite-n agreement."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,10 @@ from heinegas.limits import (
     case2_moments,
     case2_predicted_law,
     case2_predicted_mgf,
+    limit_for,
+    limit_moments,
+    predicted_law,
+    predicted_mgf,
 )
 
 
@@ -64,6 +69,38 @@ def test_case1_moments_match_table(case1_pot, case1_data):
     law = hg.pmf_table(lim.heine, tail_tol=1e-13)
     assert np.allclose(hg.mean_vector(lim.heine), law.mean(), atol=1e-8)
     assert np.allclose(hg.covariance_matrix(lim.heine), law.covariance_matrix(), atol=1e-8)
+
+
+def test_case1_limit_is_its_one_family(case1_pot, case1_data):
+    # one family on coordinates (0, ..., m-1): the predicted law is its
+    # table, the MGF its heine.mgf and the moments its Heine moments, bit
+    # for bit
+    lim = limit_for(case1_data, case1_pot, 64)
+    assert lim == case1(case1_data, case1_pot)
+    assert lim.families == ((lim.heine, (0, 1)),)
+    law, table = predicted_law(lim, tail_tol=1e-12), hg.pmf_table(lim.heine, tail_tol=1e-12)
+    assert np.array_equal(law.table, table.table)
+    assert law.mass_deficit == table.mass_deficit
+    for s in ([0.5, -0.5], [1.0, 0.0], [-2.0, 3.0]):
+        assert predicted_mgf(lim, s) == hg.mgf(lim.heine, s)
+    mean, var, cov = limit_moments(lim)
+    assert np.array_equal(mean, hg.mean_vector(lim.heine))
+    assert np.array_equal(cov, hg.covariance_matrix(lim.heine))
+    assert np.array_equal(var, np.diag(cov))
+
+
+def test_case2_names_are_the_limit_functions():
+    assert case2_predicted_law is predicted_law
+    assert case2_predicted_mgf is predicted_mgf
+    assert case2_moments is limit_moments
+
+
+def test_limit_for_needs_case1_or_case2(ginibre_pot, case1_pot, case1_data):
+    with pytest.raises(ValueError, match="tagged 'none' has no limit law"):
+        limit_for(hg.droplet_data(ginibre_pot), ginibre_pot, 64)
+    other = dataclasses.replace(case1_data, case_tag="other")
+    with pytest.raises(ValueError, match="tagged 'other' has no limit law"):
+        limit_for(other, case1_pot, 64)
 
 
 def test_case1_rejects_wrong_tag(case2_pot, case2_data):
@@ -194,6 +231,16 @@ def test_case2_predicted_law_mass(case2_pot, case2_data):
     assert law.m == 3
     assert law.total_mass + law.mass_deficit == pytest.approx(1.0, abs=1e-12)
     assert law.mass_deficit <= 1e-12
+
+
+def test_case2_predicted_law_is_the_mapped_sum(case2_pot, case2_data):
+    # the fold of the two families is one convolve_mapped through cmap,
+    # each table at half the tail budget
+    lim = case2(case2_data, case2_pot, 255)
+    assert lim.families == ((lim.tilde, lim.cmap.a_to), (lim.hat, lim.cmap.b_to))
+    tilde, hat = (hg.pmf_table(h, tail_tol=5e-13) for h in (lim.tilde, lim.hat))
+    want = hg.convolve_mapped(tilde, hat, lim.cmap)
+    assert np.array_equal(predicted_law(lim, tail_tol=1e-12).table, want.table)
 
 
 def test_case2_mgf_factorizes(case2_pot, case2_data, site_product_mgf):
