@@ -52,17 +52,23 @@ remainder bound.
 Grids, log norms, the sampler's cell tables and landing matrices are
 memoized per potential and are freed with it (``per_potential_cache``).
 
-Statistics are described by a RegionSet whose entries are either hard
-radial intervals or smooth plateau bumps. An entry may be index-split: it
-counts one region for j >= m0 and another for j < m0, which is how the
-gap-edge coordinate of the two-component ensemble is defined.
+Statistics are described by a RegionSet whose entries are atoms, either
+hard radial intervals or smooth plateau bumps and one-sided shoulders. An
+entry may be an index-split SplitRegion: it counts one atom for j >= m0
+and another for j < m0, which is how the gap-edge coordinate of the
+two-component ensemble is defined. A RegionSet lists every atom once as
+(coordinate k, atom, side), side None for a plain entry and "below" or
+"above" for a split's; the kind check, the disjointness check, the grid's
+edge radii and the indices each atom is counted at all read that list,
+and ``_extent`` and ``_breaks`` give an atom's counted interval and its
+edge radii.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -132,51 +138,52 @@ class HardRegion:
 
 @dataclass(frozen=True)
 class SplitRegion:
-    """Index-split hard statistic: indices j >= m0 count hits in ``above``,
-    indices j < m0 count hits in ``below``."""
+    """Index-split statistic: indices j >= m0 count ``above``, indices
+    j < m0 count ``below``.
+
+    The two sides are atoms of one kind: HardRegions, or smooth BumpSpecs
+    and one-sided Shoulders. The standard gap-edge statistic keeps
+    everything inside the gap's inner edge for j >= m0 and everything
+    beyond its outer edge for j < m0; shoulders are the smooth analogue of
+    those half-line hard regions."""
 
     m0: int
-    below: HardRegion
-    above: HardRegion
+    below: Union[HardRegion, BumpSpec, Shoulder]
+    above: Union[HardRegion, BumpSpec, Shoulder]
 
 
-@dataclass(frozen=True)
-class SplitBump:
-    """Index-split smooth statistic (same convention as SplitRegion).
-
-    Each side is a BumpSpec or a one-sided Shoulder; the standard gap-edge
-    statistic keeps everything inside the gap's inner edge for j >= m0 and
-    everything beyond its outer edge for j < m0, so shoulders are the
-    smooth analogue of the half-line hard regions."""
-
-    m0: int
-    below: Union[BumpSpec, Shoulder]
-    above: Union[BumpSpec, Shoulder]
-
-
-_HARD_KINDS = (HardRegion, SplitRegion)
-_SMOOTH_KINDS = (BumpSpec, SplitBump)
+# the name the smooth split had while it was a class of its own
+SplitBump = SplitRegion
 
 
 @dataclass(frozen=True)
 class RegionSet:
-    """Homogeneous tuple of count statistics, hard or smooth."""
+    """Homogeneous tuple of count statistics, hard or smooth.
 
-    entries: Tuple[Union[HardRegion, SplitRegion, BumpSpec, SplitBump], ...]
+    ``atoms`` lists (k, atom, side) once per atom of entry k: side is None
+    for a plain entry, and "below" or "above" for the sides of a split."""
+
+    entries: Tuple[Union[HardRegion, BumpSpec, Shoulder, SplitRegion], ...]
     kind: str
+    atoms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("hard", "smooth"):
             raise ValueError("kind must be hard or smooth")
-        want = _HARD_KINDS if self.kind == "hard" else _SMOOTH_KINDS
-        if any(not isinstance(e, want) for e in self.entries):
+        atoms = []
+        for k, e in enumerate(self.entries):
+            if isinstance(e, SplitRegion):
+                atoms += [(k, e.below, "below"), (k, e.above, "above")]
+            else:
+                atoms.append((k, e, None))
+        want = (HardRegion,) if self.kind == "hard" else (BumpSpec, Shoulder)
+        if any(not isinstance(atom, want) for _, atom, _ in atoms):
             raise ValueError(f"all entries must be {self.kind} statistics")
-        atoms = self._atomic_intervals()
-        for i in range(len(atoms)):
-            for k in range(i + 1, len(atoms)):
-                a, b = atoms[i], atoms[k]
-                if a[0] < b[1] and b[0] < a[1]:
-                    raise ValueError("region intervals must be pairwise disjoint")
+        # sorted by start, two intervals overlap only if some neighbours do
+        spans = sorted(_extent(atom) for _, atom, _ in atoms)
+        if any(b[0] < a[1] for a, b in zip(spans, spans[1:])):
+            raise ValueError("region intervals must be pairwise disjoint")
+        object.__setattr__(self, "atoms", tuple(atoms))
 
     @classmethod
     def hard(cls, entries) -> "RegionSet":
@@ -190,51 +197,14 @@ class RegionSet:
     def m(self) -> int:
         return len(self.entries)
 
-    @staticmethod
-    def _smooth_atom(spec):
-        # a shoulder occupies its whole nonzero extent so nothing else may
-        # double-count the plateau side
-        if isinstance(spec, Shoulder):
-            return (0.0, spec.hi) if spec.keep_below else (spec.lo, math.inf)
-        return spec.support
-
-    def _atoms_of(self, entry):
-        if isinstance(entry, HardRegion):
-            return [(entry.lo, entry.hi)]
-        if isinstance(entry, SplitRegion):
-            return [(entry.below.lo, entry.below.hi), (entry.above.lo, entry.above.hi)]
-        if isinstance(entry, BumpSpec):
-            return [entry.support]
-        return [self._smooth_atom(entry.below), self._smooth_atom(entry.above)]
-
-    def _atomic_intervals(self):
-        out = []
-        for e in self.entries:
-            out.extend(self._atoms_of(e))
-        return out
-
     def edge_radii(self) -> Tuple[float, ...]:
         """All radii where an entry starts, ends, or changes regime."""
-        edges = set()
-        for e in self.entries:
-            if isinstance(e, (HardRegion, SplitRegion)):
-                for lo, hi in self._atoms_of(e):
-                    edges.update((lo, hi))
-            else:
-                specs = [e] if isinstance(e, BumpSpec) else [e.below, e.above]
-                for sp in specs:
-                    if isinstance(sp, Shoulder):
-                        mid = 0.5 * (sp.lo + sp.hi)
-                        edges.update((sp.lo, mid, sp.hi))
-                    else:
-                        t, eps = sp.center, sp.half_width
-                        edges.update((t - eps, t - eps / 2.0, t + eps / 2.0, t + eps))
-        return tuple(sorted(edges))
+        return tuple(sorted({r for _, atom, _ in self.atoms for r in _breaks(atom)}))
 
     def resolve(self, k: int, j: int):
         """The active atomic statistic of coordinate k at index j."""
         e = self.entries[k]
-        if isinstance(e, (SplitRegion, SplitBump)):
+        if isinstance(e, SplitRegion):
             return e.above if j >= e.m0 else e.below
         return e
 
@@ -247,6 +217,27 @@ class RegionSet:
         if isinstance(atom, Shoulder):
             return shoulder(atom, x)
         return bump(atom, x)
+
+
+def _extent(atom) -> Tuple[float, float]:
+    """The interval (lo, hi) where an atom counts. A shoulder occupies its
+    whole nonzero extent, a half-line, so nothing else may double-count its
+    plateau side."""
+    if isinstance(atom, HardRegion):
+        return atom.lo, atom.hi
+    if isinstance(atom, Shoulder):
+        return (0.0, atom.hi) if atom.keep_below else (atom.lo, math.inf)
+    return atom.support
+
+
+def _breaks(atom) -> Tuple[float, ...]:
+    """The radii where an atom starts, ends, or changes regime."""
+    if isinstance(atom, HardRegion):
+        return atom.lo, atom.hi
+    if isinstance(atom, Shoulder):
+        return atom.lo, 0.5 * (atom.lo + atom.hi), atom.hi
+    t, eps = atom.center, atom.half_width
+    return t - eps, t - eps / 2.0, t + eps / 2.0, t + eps
 
 
 def standard_regions(
@@ -269,23 +260,7 @@ def standard_regions(
     fifth of the smallest gap between adjacent special radii. Returns
     (regions, eps).
     """
-    special = [data.components[0][1]]
-    if data.case_tag == "case2":
-        special += list(data.outposts) + [data.components[1][0]]
-    else:
-        special += list(data.outposts)
-    special = sorted(special)
-    if eps is None:
-        gaps = [b - a for a, b in zip(special[:-1], special[1:])]
-        eps = (min(gaps) if gaps else special[0]) / 5.0
-    if eps <= 0.0:
-        raise ValueError("nonpositive region half-width")
-
-    def entry(center: float):
-        if smooth:
-            return BumpSpec(center, eps)
-        return HardRegion(center - eps, center + eps)
-
+    special = [data.components[0][1], *data.outposts]
     entries = []
     if data.case_tag == "case2":
         if n is None:
@@ -293,6 +268,7 @@ def standard_regions(
         m0 = data.index_split(n)[0]
         b0 = data.components[0][1]
         a1 = data.components[1][0]
+        special.append(a1)
         if data.outposts:
             span_b = data.outposts[0] - b0
             span_a = a1 - data.outposts[-1]
@@ -307,24 +283,19 @@ def standard_regions(
             sep = cut_a - cut_b
             delta_b = min(0.2 * span_b, 0.4 * sep)
             delta_a = min(0.2 * span_a, 0.4 * sep)
-            entries.append(
-                SplitBump(
-                    m0,
-                    below=Shoulder(cut_a - delta_a, cut_a + delta_a, False),
-                    above=Shoulder(cut_b - delta_b, cut_b + delta_b, True),
-                )
-            )
+            below = Shoulder(cut_a - delta_a, cut_a + delta_a, False)
+            above = Shoulder(cut_b - delta_b, cut_b + delta_b, True)
         else:
-            entries.append(
-                SplitRegion(
-                    m0,
-                    below=HardRegion(cut_a, outer),
-                    above=HardRegion(0.0, cut_b),
-                )
-            )
-        entries.extend(entry(t) for t in data.outposts)
-    else:
-        entries.extend(entry(t) for t in data.outposts)
+            below, above = HardRegion(cut_a, outer), HardRegion(0.0, cut_b)
+        entries.append(SplitRegion(m0, below, above))
+    if eps is None:
+        special.sort()
+        gaps = [b - a for a, b in zip(special[:-1], special[1:])]
+        eps = (min(gaps) if gaps else special[0]) / 5.0
+    if eps <= 0.0:
+        raise ValueError("nonpositive region half-width")
+    for t in data.outposts:
+        entries.append(BumpSpec(t, eps) if smooth else HardRegion(t - eps, t + eps))
     return RegionSet(tuple(entries), "smooth" if smooth else "hard"), float(eps)
 
 
@@ -683,19 +654,16 @@ class LandingMatrix:
 
 
 def _active_intervals(regions: RegionSet, n: int):
-    """(k, lo, hi, a, b) per atom (lo, hi) of entry k, counted at the
-    indices a..b; a split entry's ``below`` atom is active on [0, m0 − 1]
-    and its ``above`` atom on [m0, n − 1]. Atoms with no active index are
-    left out."""
+    """(k, lo, hi, a, b) per atom of entry k with extent (lo, hi), counted
+    at the indices a..b; a split entry's ``below`` atom is active on
+    [0, m0 − 1] and its ``above`` atom on [m0, n − 1]. Atoms with no active
+    index are left out."""
     out = []
-    for k, e in enumerate(regions.entries):
-        atoms = regions._atoms_of(e)
-        if len(atoms) == 1:
-            spans = [(0, n - 1)]
-        else:
-            m0 = min(max(e.m0, 0), n)
-            spans = [(0, m0 - 1), (m0, n - 1)]
-        out.extend((k, lo, hi, a, b) for (lo, hi), (a, b) in zip(atoms, spans) if a <= b)
+    for k, atom, side in regions.atoms:
+        m0 = min(max(regions.entries[k].m0, 0), n) if side else 0
+        a, b = (0, m0 - 1) if side == "below" else (m0, n - 1)
+        if a <= b:
+            out.append((k, *_extent(atom), a, b))
     return out
 
 
@@ -819,13 +787,16 @@ def region_probabilities(
     return _region_prob_matrix(pot, n, regions, cfg, np.asarray([j]))[0][0]
 
 
+# tail mass the DP's auto caps may clip from the count law
+_LAW_TAIL_TOL = 1e-12
+
+
 def exact_count_law(
     pot: RadialPotential,
     n: int,
     regions: RegionSet,
     cap=None,
     cfg: QuadratureConfig = QuadratureConfig(),
-    tail_tol: float = 1e-12,
 ) -> CountLaw:
     """Exact joint law of the region occupation counts (N_1, ..., N_m).
 
@@ -845,7 +816,7 @@ def exact_count_law(
     if cap is not None and np.ndim(cap) == 0:
         cap = (int(cap),) * m
     lm = _landing_matrix(pot, n, regions, cfg)
-    return dp_count_law(lm.pi, tail_tol, cap, scale=1.0 - lm.bound)
+    return dp_count_law(lm.pi, _LAW_TAIL_TOL, cap, scale=1.0 - lm.bound)
 
 
 # ------------------------------------------------------------------ sampling
@@ -865,6 +836,16 @@ class ModuliSample:
 
 # equal cells each panel of the converged full grid is cut into
 _CELL_PARTS = 8
+# elements the sampler's n × cells mass table may hold: 256 MB of float64
+_TABLE_ELEMENTS = 1 << 25
+
+
+def _check_table_size(n: int, cells: int) -> None:
+    if n * cells > _TABLE_ELEMENTS:
+        raise QuadratureError(
+            f"sampler table too large at n={n}: {cells:,} cells per index need "
+            f"{n * cells:,} elements, above the limit of {_TABLE_ELEMENTS:,}"
+        )
 
 
 @dataclass(frozen=True)
@@ -882,9 +863,14 @@ def _cell_table(pot: RadialPotential, n: int, cfg: QuadratureConfig) -> _CellTab
     """The sampler's cells: the panels of the full grid at the splits where
     the log norms of all n indices converged, each cut into _CELL_PARTS
     equal cells, with the 32-point Gauss-Legendre masses that π sums, read
-    off the density one block of rows at a time (``_density_blocks``)."""
+    off the density one block of rows at a time (``_density_blocks``).
+    Raises QuadratureError when the table would exceed _TABLE_ELEMENTS,
+    checked before the log norm pass at one split (cells only grow with
+    the splits) and again at the converged splits."""
+    _check_table_size(n, _grid_panels(pot, n, (), 1)[0].size * _CELL_PARTS)
     splits = _log_norm_rows_full(pot, n, tuple(range(n)), cfg)[1]
     lo, hi = _subdivide(*_grid_panels(pot, n, (), splits), _CELL_PARTS)
+    _check_table_size(n, lo.size)
     # the cells tile the grid: each one starts where the one before ends
     edges = np.append(lo, hi[-1])
     x, w = _gl_panels(lo, hi, _GL32)

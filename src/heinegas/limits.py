@@ -323,10 +323,10 @@ def convergence_row(
     the hard one at s = (1, ..., 1) when ``smooth``. ``eps`` is the region
     half-width, standard_regions' default when None."""
     t0 = time.monotonic()
+    lim = limit_for(data, pot, n)
     regions, eps = standard_regions(data, n, eps=eps)
     law = exact_count_law(pot, n, regions, cfg=qcfg)
     landing = landing_matrix(pot, n, regions, qcfg)
-    lim = limit_for(data, pot, n)
     predicted = predicted_law(lim, tail_tol=1e-12)
     tv_lo, tv_hi = tv_distance(law, predicted)
     mgf_err = 0.0

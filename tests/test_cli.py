@@ -444,6 +444,16 @@ def test_sample_writes_deterministic_csv(tmp_path, capsys):
     assert rows_a != rows_c
 
 
+def test_sample_over_table_budget_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(hg.engine, "_TABLE_ELEMENTS", 1000)
+    path = write_config(tmp_path, "gin.json", {"case": "ginibre"})
+    rc = main(["sample", "--config", path, "--n", "8", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "sampler table too large at n=8" in err
+    assert "above the limit of 1,000" in err
+
+
 def test_sample_rejects_single_particle(tmp_path, capsys):
     path = write_config(tmp_path, "gin.json", {"case": "ginibre"})
     rc = main(["sample", "--config", path, "--n", "1", "--out", str(tmp_path)])

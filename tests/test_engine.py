@@ -178,6 +178,46 @@ def test_non_convergence_states_gap_and_tolerance(ginibre_pot, monkeypatch):
 def test_region_set_rejects_overlap():
     with pytest.raises(ValueError, match="disjoint"):
         RegionSet.hard([HardRegion(1.3, 1.7), HardRegion(1.4, 1.8)])
+    # nested, and not next to each other in the entries
+    with pytest.raises(ValueError, match="disjoint"):
+        RegionSet.hard([HardRegion(1.5, 1.6), HardRegion(3.5, 4.0), HardRegion(1.0, 3.0)])
+
+
+_ATOM_SPECS = st.tuples(
+    st.sampled_from(["bump", "keep_below", "keep_above"]), st.integers(0, 8), st.integers(1, 4)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ATOM_SPECS, max_size=6))
+def test_region_set_disjointness_matches_pairwise_loop(specs):
+    # the sorted neighbour check against the pairwise loop it replaced, on
+    # integer ends (touching is common) and half-line shoulders
+    atoms, spans = [], []
+    for kind, lo, width in specs:
+        hi = lo + width
+        if kind == "bump":
+            atoms.append(BumpSpec((lo + hi) / 2.0, width / 2.0))
+            spans.append((lo, hi))
+        else:
+            atoms.append(Shoulder(lo, hi, keep_below=kind == "keep_below"))
+            spans.append((0, hi) if kind == "keep_below" else (lo, math.inf))
+    disjoint = not any(
+        a[0] < b[1] and b[0] < a[1] for a, b in itertools.combinations(spans, 2)
+    )
+    try:
+        RegionSet.smooth(atoms)
+    except ValueError as exc:
+        assert "disjoint" in str(exc) and not disjoint
+    else:
+        assert disjoint
+
+
+def test_region_set_accepts_touching_atoms():
+    regions = RegionSet.hard([HardRegion(1.7, 2.0), HardRegion(1.3, 1.7)])
+    assert regions.edge_radii() == (1.3, 1.7, 2.0)
+    split = SplitRegion(3, below=HardRegion(1.7, 8.0), above=HardRegion(0.0, 1.3))
+    assert RegionSet.hard([split, HardRegion(1.3, 1.7)]).m == 2
 
 
 def test_region_set_rejects_mixed_kind():
@@ -185,6 +225,12 @@ def test_region_set_rejects_mixed_kind():
         RegionSet.hard([BumpSpec(1.5, 0.1)])
     with pytest.raises(ValueError, match="smooth statistics"):
         RegionSet.smooth([HardRegion(1.3, 1.7)])
+    # a split is one kind on both sides
+    mixed = SplitRegion(4, below=HardRegion(1.5, 8.0), above=Shoulder(1.05, 1.15, True))
+    with pytest.raises(ValueError, match="hard statistics"):
+        RegionSet.hard([mixed])
+    with pytest.raises(ValueError, match="smooth statistics"):
+        RegionSet.smooth([mixed])
     with pytest.raises(ValueError, match="kind"):
         RegionSet((), "soft")
 
@@ -713,6 +759,19 @@ def test_hard_joint_mgf_matches_quadrature_route(request, weighted_log_norms, ca
         assert res.remainder_bound == pytest.approx(0.0, abs=1e-12)
 
 
+def test_plain_shoulder_joint_mgf_matches_quadrature_route(case1_pot, weighted_log_norms):
+    # a shoulder needs no split around it: one beyond both outposts counts
+    # every modulus that escapes past 1.8
+    n = 64
+    regions = RegionSet.smooth([BumpSpec(1.5, 0.1), Shoulder(1.7, 1.8, keep_below=False)])
+    base = weighted_log_norms(case1_pot, n)
+    for s in itertools.product((-1.0, 0.0, 1.0), repeat=2):
+        want = float((weighted_log_norms(case1_pot, n, s, regions) - base).sum())
+        res = joint_mgf(case1_pot, n, np.array(s), regions)
+        assert res.value == pytest.approx(math.exp(want), rel=1e-10)
+        assert res.remainder_bound == pytest.approx(0.0, abs=1e-12)
+
+
 def _mp_smoothstep(mpmath, u):
     """η(u) / (η(u) + η(1 − u)) with η(u) = e^(−1/u) for u > 0, else 0."""
     if u <= 0:
@@ -810,6 +869,31 @@ def test_sampler_builds_its_cell_table_once(monkeypatch):
     monkeypatch.setattr(engine, "_grid_panels", real)
     for seed, got in ((1, first), (2, second)):
         assert np.array_equal(sample_moduli(fresh(), n, seed=seed).radii, got.radii)
+
+
+def test_sampler_table_over_budget_raises_before_the_log_norm_pass(monkeypatch):
+    # a fresh potential, so no cached table hides the check; the cells at
+    # one split already exceed the budget, so the all-n log norms never run
+    def log_norms(*args):
+        raise AssertionError("log norm pass ran")
+
+    monkeypatch.setattr(engine, "_TABLE_ELEMENTS", 1000)
+    monkeypatch.setattr(engine, "_log_norm_rows_full", log_norms)
+    with pytest.raises(engine.QuadratureError, match="above the limit of 1,000") as err:
+        sample_moduli(hg.ginibre(), 64, seed=1)
+    assert "sampler table too large at n=64" in str(err.value)
+
+
+def test_sampler_table_over_budget_at_converged_splits(monkeypatch):
+    # a budget that fits the one-split cells passes the first check; the
+    # log norms converge at two or more splits, whose cells do not fit
+    pot, n = hg.ginibre(), 64
+    one_split = engine._grid_panels(pot, n, (), 1)[0].size * engine._CELL_PARTS
+    monkeypatch.setattr(engine, "_TABLE_ELEMENTS", n * one_split)
+    with pytest.raises(engine.QuadratureError, match="sampler table too large") as err:
+        sample_moduli(pot, n, seed=1)
+    cells = int(str(err.value).split(": ")[1].split(" cells")[0].replace(",", ""))
+    assert cells >= 2 * one_split
 
 
 def test_engine_caches_free_their_potential():

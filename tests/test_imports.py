@@ -4,6 +4,7 @@ from, and every private module-level name is read somewhere in the
 package."""
 
 import ast
+import importlib.util
 import pathlib
 
 import pytest
@@ -134,3 +135,17 @@ def test_no_constant_built_in_two_modules():
             built.setdefault(call, []).append(path.name)
     twice = {call: names for call, names in built.items() if len(names) > 1}
     assert not twice, f"constants built in more than one module: {twice}"
+
+
+def test_benchmark_tracer_names_exist():
+    # the traced benchmark wraps package names; importing its tracer
+    # resolves every function it wraps, and each method must be on CountLaw
+    from heinegas.heine import CountLaw
+
+    path = SRC.parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    methods = [attr for _, attrs in tracing._METHODS for attr in attrs]
+    missing = [attr for attr in methods if not hasattr(CountLaw, attr)]
+    assert not missing, f"CountLaw lacks traced methods: {missing}"

@@ -14,6 +14,7 @@ from heinegas.limits import (
     case2_moments,
     case2_predicted_law,
     case2_predicted_mgf,
+    convergence_row,
     limit_for,
     limit_moments,
     predicted_law,
@@ -101,6 +102,16 @@ def test_limit_for_needs_case1_or_case2(ginibre_pot, case1_pot, case1_data):
     other = dataclasses.replace(case1_data, case_tag="other")
     with pytest.raises(ValueError, match="tagged 'other' has no limit law"):
         limit_for(other, case1_pot, 64)
+
+
+def test_convergence_row_picks_the_limit_first(ginibre_pot, monkeypatch):
+    # a droplet without a limit law is rejected before any count law is made
+    def no_law(*args, **kwargs):
+        raise AssertionError("exact count law computed")
+
+    monkeypatch.setattr(hg.limits, "exact_count_law", no_law)
+    with pytest.raises(ValueError, match="no limit law"):
+        convergence_row(ginibre_pot, hg.droplet_data(ginibre_pot), 64, [])
 
 
 def test_case1_rejects_wrong_tag(case2_pot, case2_data):
