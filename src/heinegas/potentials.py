@@ -626,11 +626,12 @@ _MASS_PANELS = 64
 
 
 def _gl_panels(lo: np.ndarray, hi: np.ndarray, rule) -> Tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights (panels × rule nodes) of ``rule`` on panels [lo, hi]."""
-    nodes, weights = rule
+    """Nodes (panels × rule nodes) of ``rule`` on panels [lo, hi], and the
+    panels' half-widths: the weights are half[:, None] * rule[1]."""
+    nodes = rule[0]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    return mid[:, None] + half[:, None] * nodes, half[:, None] * weights
+    return mid[:, None] + half[:, None] * nodes, half
 
 
 def mass_between(pot: RadialPotential, lo: float, hi: float) -> float:
@@ -639,8 +640,8 @@ def mass_between(pot: RadialPotential, lo: float, hi: float) -> float:
     if hi <= lo:
         return 0.0
     edges = np.linspace(lo, hi, _MASS_PANELS + 1)
-    x, w = _gl_panels(edges[:-1], edges[1:], _GL32)
-    x, w = x.ravel(), w.ravel()
+    x, half = _gl_panels(edges[:-1], edges[1:], _GL32)
+    x, w = x.ravel(), (half[:, None] * _GL32[1]).ravel()
     return float(2.0 * (w * (np.asarray(laplacian(pot, x)) * x)).sum())
 
 
@@ -862,7 +863,8 @@ def derivative_consistency(pot: RadialPotential) -> Tuple[float, float]:
         ]),
         hi,
     ]
-    x, w = _gl_panels(ends[:-1], ends[1:], _GL32)
+    x, half = _gl_panels(ends[:-1], ends[1:], _GL32)
+    w = half[:, None] * _GL32[1]
     _, d1, d2 = pot.terms(x, 2)
     q_end, d1_end = pot.terms(ends, 1)
     tiny = np.finfo(float).tiny

@@ -128,8 +128,8 @@ def _windowed_log_norm(pot, n, j, cfg=QuadratureConfig()):
             los.append(breaks[:-1])
             his.append(breaks[1:])
         panels = engine._subdivide(np.concatenate(los), np.concatenate(his), splits)
-        x, w = engine._gl_panels(*panels, engine._GL32)
-        x, w = x.ravel(), w.ravel()
+        x, half = engine._gl_panels(*panels, engine._GL32)
+        x, w = x.ravel(), (half[:, None] * engine._GL32[1]).ravel()
         return _log_sum_exp_rows(engine._log_weight(pot, n, j_arr[:, None], x), w)
 
     return float((math.log(2.0) + engine._converged_rows(make, cfg)[0])[0])

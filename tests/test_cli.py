@@ -454,6 +454,17 @@ def test_sample_over_table_budget_exits_1(tmp_path, capsys, monkeypatch):
     assert "above the limit of 1,000" in err
 
 
+def test_sample_over_draw_budget_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(hg.engine, "_TABLE_ELEMENTS", 1000)
+    path = write_config(tmp_path, "gin.json", {"case": "ginibre"})
+    argv = ["sample", "--config", path, "--n", "8", "--reps", "200", "--out", str(tmp_path)]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "reps=200 draws of n=8 moduli need 1,600 radii, above the limit of 1,000" in err
+    assert not (tmp_path / "moduli.csv").exists()
+
+
 def test_sample_rejects_single_particle(tmp_path, capsys):
     path = write_config(tmp_path, "gin.json", {"case": "ginibre"})
     rc = main(["sample", "--config", path, "--n", "1", "--out", str(tmp_path)])

@@ -896,6 +896,43 @@ def test_sampler_table_over_budget_at_converged_splits(monkeypatch):
     assert cells >= 2 * one_split
 
 
+def _whole_row_cell_table(pot, n):
+    """(mass, phi_max) of the sampler's cells with every row's density
+    formed on all nodes by _density_blocks and summed per cell: the table
+    without live bands."""
+    splits = engine._log_norm_rows_full(pot, n, tuple(range(n)), QuadratureConfig())[1]
+    lo, hi = engine._subdivide(*engine._grid_panels(pot, n, (), splits), engine._CELL_PARTS)
+    x, half = engine._gl_panels(lo, hi, engine._GL32)
+    w = half[:, None] * engine._GL32[1]
+    mass, phi_max = np.empty((n, lo.size)), np.empty(n)
+    rows = np.arange(n, dtype=float)
+    for part, top, cols, dens in engine._density_blocks(pot, n, rows, x.ravel(), w.ravel()):
+        assert cols == slice(0, x.size)
+        phi_max[part] = top
+        mass[part] = dens.reshape(top.size, lo.size, -1).sum(axis=2)
+    return mass, phi_max
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("pot_name", ["ginibre_pot", "case1_pot", "case2_pot"])
+def test_sampler_table_bands_change_no_bit(request, pot_name, n):
+    # each row's density is formed on its live band of cells only; the
+    # table equals the whole-row one bit for bit; at n = 1024 a third to
+    # three quarters of the cells lie outside the bands
+    pot = request.getfixturevalue(pot_name)
+    table = engine._cell_table(pot, n, QuadratureConfig())
+    mass, phi_max = _whole_row_cell_table(pot, n)
+    assert np.array_equal(table.mass, mass)
+    assert np.array_equal(table.phi_max, phi_max)
+    nonzero = table.mass > 0.0
+    first = nonzero.argmax(axis=1)
+    last = nonzero.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1)
+    assert nonzero.any(axis=1).all()
+    assert np.all(np.diff(first) >= 0) and np.all(np.diff(last) >= 0)
+    if n == 1024:
+        assert not nonzero.all()
+
+
 def test_engine_caches_free_their_potential():
     pot = hg.ginibre()
     hard = RegionSet.hard([HardRegion(0.9, 1.1)])
@@ -927,6 +964,31 @@ def test_sampler_reps_batching_consistent(ginibre_pot):
     many = sample_moduli(ginibre_pot, 16, seed=3, reps=4)
     assert many.radii.shape == (4, 16)
     assert np.array_equal(many.radii[0], one.radii)
+
+
+def test_sampler_radius_independent_of_draw_count(case1_pot):
+    # a draw's radius is bitwise the same whatever the number of draws
+    # inverted with it; a residual summed by BLAS @ can change with it
+    n = 128
+    one, some, many = (sample_moduli(case1_pot, n, seed=3, reps=r).radii for r in (1, 37, 3000))
+    assert many.shape == (3000, n)
+    assert np.array_equal(many[0], one)
+    assert np.array_equal(many[:37], some)
+
+
+def test_sampler_chunks_change_no_radius(ginibre_pot, monkeypatch):
+    # draws × 8-node arrays of at most 40 elements: chunks of 5 draws
+    whole = sample_moduli(ginibre_pot, 16, seed=4, reps=37).radii
+    monkeypatch.setattr(engine, "_BLOCK_ELEMENTS", 40)
+    assert np.array_equal(sample_moduli(ginibre_pot, 16, seed=4, reps=37).radii, whole)
+
+
+def test_sampler_rejects_too_many_draws_before_quadrature(monkeypatch):
+    # no potential is read: the check comes before any quadrature
+    monkeypatch.setattr(engine, "_TABLE_ELEMENTS", 1000)
+    want = r"reps=16 draws of n=64 moduli need 1,024 radii, above the limit of 1,000"
+    with pytest.raises(ValueError, match=want):
+        sample_moduli(None, 64, seed=1, reps=16)
 
 
 def test_sampler_ginibre_moments(ginibre_pot):
