@@ -203,11 +203,14 @@ def cmd_heine(args) -> int:
     out = _out_dir(args)
     if out is not None:
         text = json.dumps(report)
-        if law is not None:
-            # the law's own JSON text, spliced in as converge does
-            text = f'{text[:-1]}, "law": {law.to_json()}}}'
         with open(os.path.join(out, "heine.json"), "w") as fh:
-            fh.write(text)
+            if law is None:
+                fh.write(text)
+            else:
+                # the law's own JSON text, streamed in as converge does
+                fh.write(f'{text[:-1]}, "law": ')
+                fh.writelines(law._json_pieces())
+                fh.write("}")
     return 0
 
 
@@ -286,11 +289,12 @@ def cmd_converge(args) -> int:
         if out is not None:
             path = os.path.join(out, f"law_n{n}.json")
             with open(path, "w") as fh:
-                fh.write(
-                    f'{{"n": {n}, "x_n": {json.dumps(lim.x_n)}, "exact": {law.to_json()}, '
-                    f'"predicted": {predicted.to_json()}, '
-                    f'"limit": {json.dumps(lim.to_json_dict())}}}'
-                )
+                # each law's JSON text is written piece by piece, never whole
+                fh.write(f'{{"n": {n}, "x_n": {json.dumps(lim.x_n)}, "exact": ')
+                fh.writelines(law._json_pieces())
+                fh.write(', "predicted": ')
+                fh.writelines(predicted._json_pieces())
+                fh.write(f', "limit": {json.dumps(lim.to_json_dict())}}}')
             law_files.append(path)
         print(
             f"n={n} tv=[{row['tv_lo']:.6f}, {row['tv_hi']:.6f}] "

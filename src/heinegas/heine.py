@@ -249,7 +249,8 @@ class CountLaw:
             if m is None or entries is None or cap is None:
                 raise ValueError("a count law needs a table, or m, entries and cap")
             shape = _law_shape(m, cap)
-            table = _dense(_ravel(list(entries), len(entries), shape), list(entries.values()), shape)
+            flat = _ravel(list(entries), len(entries), shape)
+            table = _dense([(flat, list(entries.values()))], shape)
         elif not (m is None and entries is None and cap is None):
             raise ValueError("a count law takes a table, or m, entries and cap, not both")
         table = np.asarray(table, dtype=float)
@@ -338,17 +339,29 @@ class CountLaw:
         """The law as JSON text, stored cells in lexicographic order.
 
         The text is json.dumps of {"m", "entries": [{"alpha", "p"}, ...],
-        "mass_deficit", "cap"}, formed one block of _JSON_BLOCK_CELLS cells
-        at a time without an object per cell: the count vectors walk the
-        cells in C order as itertools.product of each axis's index strings,
-        and p is float.__repr__, as json.dumps writes it. The block texts
-        are joined once, at the end.
+        "mass_deficit", "cap"}, made of ``_json_pieces``. It is grown in
+        place, one piece at a time: CPython resizes a string that nothing
+        else refers to, so the text is held once, where a join of the
+        pieces would hold it twice.
         """
+        text = ""
+        for piece in self._json_pieces():
+            text += piece
+        return text
+
+    def _json_pieces(self) -> Iterator[str]:
+        """``to_json``'s text in pieces: head, separators, block texts, tail.
+
+        Each block text formats _JSON_BLOCK_CELLS cells without an object
+        per cell: the count vectors walk the cells in C order as
+        itertools.product of each axis's index strings, and p is
+        float.__repr__, as json.dumps writes it."""
         axes = [[f"{', ' if k else ''}{i}" for i in range(c + 1)] for k, c in enumerate(self.cap)]
         alphas = product(*axes)
         flat = self.table.ravel()
+        yield f'{{"m": {self.m}, "entries": ['
         # no separator before the first stored cell's block
-        parts, sep = [f'{{"m": {self.m}, "entries": ['], ""
+        sep = ""
         for start in range(0, flat.size, _JSON_BLOCK_CELLS):
             block = flat[start : start + _JSON_BLOCK_CELLS]
             stored = block != 0.0
@@ -357,13 +370,13 @@ class CountLaw:
             )
             text = ", ".join([f'{{"alpha": [{"".join(a)}], "p": {p!r}}}' for a, p in cells])
             if text:
-                parts += (sep, text)
+                yield sep
+                yield text
                 sep = ", "
-        parts.append(
+        yield (
             f'], "mass_deficit": {json.dumps(self.mass_deficit)}, '
             f'"cap": {json.dumps(list(self.cap))}}}'
         )
-        return "".join(parts)
 
     def to_json_dict(self) -> dict:
         """The parsed ``to_json`` text."""
@@ -383,10 +396,11 @@ class CountLaw:
         """The law a JSON text describes, as ``from_json_dict`` of its parse.
 
         Text in ``to_json``'s layout is parsed a block of entries at a
-        time (``_blocked_fields``), so no more than one block of entries is
-        ever held as Python objects. Any other text, and any text that
-        block parse fails on, is parsed whole by json.loads; so every
-        rejection comes from the whole-document path."""
+        time (``_blocked_fields``), and each block is placed into the
+        table as it is parsed, so no more than one block of entries is
+        ever held, as Python objects or as arrays. Any other text, and
+        any text that block parse fails on, is parsed whole by json.loads;
+        so every rejection comes from the whole-document path."""
         # A parsed document holds no cycles. With the cyclic collector
         # paused, its per-cell objects are freed by reference counting
         # before any collection has walked them.
@@ -404,8 +418,10 @@ class CountLaw:
 
 
 # the JSON writer formats, and the reader checks, at most this many cells
-# at a time; the reader parses entries text this many characters at a time
-_JSON_BLOCK_CELLS = 1 << 15
+# at a time; the reader parses entries text this many characters at a time.
+# Small blocks let to_json's string grow in place from its first call:
+# CPython resizes it only once the loop has run a few times.
+_JSON_BLOCK_CELLS = 1 << 12
 _JSON_BLOCK_CHARS = 1 << 18
 
 _ENTRY_FIELDS = "every count law entry needs an 'alpha' list and a 'p'"
@@ -463,9 +479,10 @@ def _law_fields(data, blocks: Optional[Iterable[list]] = None) -> dict:
     """CountLaw keyword arguments (mass_deficit, table) from a parsed law
     document; raises ValueError for a malformed one.
 
-    The entries are checked and placed a block at a time by
-    ``_entry_block``: those of ``blocks`` (lists of parsed entries) when
-    given, else _JSON_BLOCK_CELLS of data["entries"] at a time."""
+    The entries are checked a block at a time by ``_entry_block`` and
+    placed into the table by ``_dense`` as each is checked: those of
+    ``blocks`` (lists of parsed entries) when given, else
+    _JSON_BLOCK_CELLS of data["entries"] at a time."""
     if not isinstance(data, dict):
         raise ValueError("a count law document must be a JSON object")
     for key in ("m", "entries", "mass_deficit", "cap"):
@@ -481,12 +498,7 @@ def _law_fields(data, blocks: Optional[Iterable[list]] = None) -> dict:
             raise ValueError(_ENTRY_FIELDS)
         step = _JSON_BLOCK_CELLS
         blocks = (entries[i : i + step] for i in range(0, len(entries), step))
-    flats, ps = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
-    for block in blocks:
-        flat, p = _entry_block(block, shape)
-        flats.append(flat)
-        ps.append(p)
-    table = _dense(np.concatenate(flats), np.concatenate(ps), shape)
+    table = _dense((_entry_block(block, shape) for block in blocks), shape)
     return {"mass_deficit": float(mass_deficit), "table": table}
 
 
@@ -522,14 +534,19 @@ def _ravel(alphas, count: int, shape: Tuple[int, ...]) -> np.ndarray:
     return np.ravel_multi_index(tuple(idx.T), shape)
 
 
-def _dense(flat: np.ndarray, ps, shape: Tuple[int, ...]) -> np.ndarray:
-    """Table of ``shape`` holding ps[i] at flat C-order index flat[i];
-    raises ValueError for an index listed twice."""
+def _dense(blocks: Iterable[Tuple[np.ndarray, object]], shape: Tuple[int, ...]) -> np.ndarray:
+    """Table of ``shape`` holding ps[i] at flat C-order index flat[i] of
+    each (flat, ps) block, placed as it comes; raises ValueError, after the
+    last block, for an index listed twice."""
     table = np.zeros(shape)
-    ordered = np.sort(flat)
-    if (ordered[1:] == ordered[:-1]).any():
+    seen = np.zeros(shape, dtype=bool)
+    count = 0
+    for flat, ps in blocks:
+        np.put(table, flat, ps)
+        np.put(seen, flat, True)
+        count += flat.size
+    if np.count_nonzero(seen) != count:
         raise ValueError("a count vector is listed twice")
-    np.put(table, flat, ps)
     return table
 
 
@@ -544,26 +561,38 @@ def poisson_binomial_dp(
     Each row holds the per-site success probabilities (p_1, ..., p_m); the
     remaining mass is category 0 and counts toward nothing. Counts are
     clipped at ``caps``; clipped mass accumulates in the returned overflow
-    scalar, which is exact because counts never decrease.
+    scalar, which is exact because counts never decrease. A row updates
+    only the cells that can be nonzero, so the table is bitwise the one
+    that updating every cell gives.
     """
     caps = tuple(int(c) for c in caps)
     m = len(caps)
     table = np.zeros(tuple(c + 1 for c in caps))
     table[(0,) * m] = 1.0
+    # ext[k]: the last index along axis k that holds a nonzero cell; every
+    # cell outside the box [0, ext] is 0.0, so a row updates only the box
+    # grown by one along each axis it can shift
+    ext = [0] * m
     overflow = 0.0
     for row in rows:
         r = np.asarray(row, dtype=float)
         p0 = 1.0 - float(r.sum())
-        new = table * max(p0, 0.0)
-        for k in range(m):
+        live = [k for k in range(m) if float(r[k]) > 0.0]
+        grown = [min(c, e + 1) if k in live else e for k, (c, e) in enumerate(zip(caps, ext))]
+        box = table[tuple(slice(0, e + 1) for e in grown)]
+        old = box.copy()
+        box *= max(p0, 0.0)
+        for k in live:
             pk = float(r[k])
-            if pk <= 0.0:
-                continue
             # views with coordinate k first: shift up by one, spill the top
-            src, dst = np.moveaxis(table, k, 0), np.moveaxis(new, k, 0)
+            src, dst = np.moveaxis(old, k, 0), np.moveaxis(box, k, 0)
             dst[1:] += src[:-1] * pk
-            overflow += float(src[-1].sum()) * pk
-        table = new
+            if ext[k] == caps[k]:
+                overflow += float(src[-1].sum()) * pk
+            elif dst[-1].any():
+                # only this shift fills the new top slab; underflow can
+                # leave it all 0.0
+                ext[k] += 1
     return table, overflow
 
 

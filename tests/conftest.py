@@ -7,6 +7,8 @@ oracles that check the library without sharing its code:
   exponent, against the landing kernel's joint MGF;
 - 30-digit mpmath transcriptions of the case-1 and case-2 builders;
 - a plain-float site-product MGF, against the Heine module's;
+- the count-law DP updating the whole table for every row, against the
+  library's DP on the cells that can be nonzero;
 - the Heine moments summed as series in the (ϑ, ρ) parameterization.
 
 Building and classifying the reference potentials costs a few seconds, so
@@ -193,6 +195,35 @@ def _site_product_mgf(thetas, qs, s, tol=1e-16):
 @pytest.fixture(scope="session")
 def site_product_mgf():
     return _site_product_mgf
+
+
+def _whole_table_dp(rows, caps):
+    """(table, overflow) of the multivariate Bernoulli DP with every cell
+    of the table updated for every row, and the clipped mass spilled from
+    each coordinate's top slab at every row."""
+    caps = tuple(int(c) for c in caps)
+    m = len(caps)
+    table = np.zeros(tuple(c + 1 for c in caps))
+    table[(0,) * m] = 1.0
+    overflow = 0.0
+    for row in rows:
+        r = np.asarray(row, dtype=float)
+        p0 = 1.0 - float(r.sum())
+        new = table * max(p0, 0.0)
+        for k in range(m):
+            pk = float(r[k])
+            if pk <= 0.0:
+                continue
+            src, dst = np.moveaxis(table, k, 0), np.moveaxis(new, k, 0)
+            dst[1:] += src[:-1] * pk
+            overflow += float(src[-1].sum()) * pk
+        table = new
+    return table, overflow
+
+
+@pytest.fixture(scope="session")
+def whole_table_dp():
+    return _whole_table_dp
 
 
 def _series_moments(vartheta, rho, tol=1e-15):

@@ -15,11 +15,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import heinegas as hg
-from heinegas import heine
+from heinegas import engine, heine
 from heinegas.heine import (
     CoordinateMap,
     convolve_mapped,
@@ -254,14 +254,15 @@ def bernoulli_sum_pmf(probs):
 
 
 @st.composite
-def site_rows(draw):
+def site_rows(draw, weights=st.floats(0.0, 1.0)):
     """(rows, caps): per-site success probabilities for m categories, each
-    row summing to at most 1, and a cap per coordinate."""
+    row summing to at most 1, and a cap per coordinate. The row's m + 1
+    category weights are drawn from ``weights`` and normalized."""
     m = draw(st.integers(min_value=1, max_value=3))
     sites = draw(st.integers(min_value=0, max_value=8))
     rows = []
     for _ in range(sites):
-        w = draw(st.lists(st.floats(0.0, 1.0), min_size=m + 1, max_size=m + 1))
+        w = draw(st.lists(weights, min_size=m + 1, max_size=m + 1))
         total = sum(w)
         rows.append([v / total for v in w[1:]] if total > 0 else [0.0] * m)
     caps = draw(st.lists(st.integers(0, sites), min_size=m, max_size=m))
@@ -283,6 +284,38 @@ def test_poisson_binomial_dp_mass_and_marginals(case):
         marg = full.sum(axis=tuple(i for i in range(m) if i != k))
         want = bernoulli_sum_pmf([row[k] for row in rows])
         assert np.allclose(marg, want, rtol=0.0, atol=1e-12)
+
+
+# exact zeros, and weights whose products underflow, so that a row can
+# leave the DP's new top slab all 0.0
+SPARSE_WEIGHTS = st.one_of(
+    st.just(0.0), st.sampled_from([1e-200, 1e-250, 1e-300]), st.floats(0.0, 1.0)
+)
+
+
+@given(site_rows(SPARSE_WEIGHTS))
+@example(([[1e-200], [1e-200], [0.5], [0.5]], [3]))
+@example(([[1e-200, 0.0], [0.0, 0.5], [1e-200, 0.25], [0.5, 0.5]], [2, 1]))
+@settings(max_examples=200, deadline=None)
+def test_poisson_binomial_dp_matches_whole_table(whole_table_dp, case):
+    # updating only the cells that can be nonzero leaves the table bitwise
+    # the whole-table DP's; the overflow sums fewer zeros
+    rows, caps = case
+    table, overflow = poisson_binomial_dp(rows, caps)
+    want, spill = whole_table_dp(rows, caps)
+    assert table.tobytes() == want.tobytes()
+    assert overflow == pytest.approx(spill, rel=0.0, abs=1e-15)
+
+
+def test_poisson_binomial_dp_matches_whole_table_on_ginibre(ginibre_pot, whole_table_dp):
+    annuli = ((0.985, 1.0), (1.0, 1.015), (1.015, 1.04))
+    regions = engine.RegionSet.hard(engine.HardRegion(lo, hi) for lo, hi in annuli)
+    pi = engine.landing_matrix(ginibre_pot, 512, regions).pi
+    caps = heine._budgeted_caps(pi, 1e-12, None)
+    table, overflow = poisson_binomial_dp(pi, caps)
+    want, spill = whole_table_dp(pi, caps)
+    assert table.tobytes() == want.tobytes()
+    assert overflow == pytest.approx(spill, rel=0.0, abs=1e-15)
 
 
 def test_marginal_cap_covers_tail():
@@ -494,18 +527,48 @@ def _traced_peak(fn, *args):
 
 
 def test_count_law_json_writer_memory(law_10e5):
-    # a work guard by measurement: the blocked writer's traced peak is 2.1
-    # times the text it returns (the text and its block texts); with a head
-    # string per cell it was 4.3 times
+    # a work guard by measurement: the writer grows its text in place, and
+    # its traced peak is 1.12 times the text it returns (the text and one
+    # block text) on a first call; joining the block texts at the end
+    # took 2.1 times, and a head string per cell 4.3 times
     law, text = law_10e5
-    assert _traced_peak(law.to_json) <= 2.5 * len(text)
+    assert _traced_peak(law.to_json) <= 1.25 * len(text)
 
 
 def test_count_law_json_reader_memory(law_10e5):
-    # a work guard by measurement: reading the text a block at a time peaks
-    # at 0.92 times the text; one json.loads of it peaked at 5.8 times
+    # a work guard by measurement: reading the text a block at a time and
+    # placing each block into the table peaks at 0.73 times the text;
+    # keeping every block's indices for one sort took 0.92 times, and one
+    # json.loads of the text peaked at 5.8 times
     law, text = law_10e5
-    assert _traced_peak(hg.CountLaw.from_json, text) <= 1.25 * len(text)
+    assert _traced_peak(hg.CountLaw.from_json, text) <= 0.85 * len(text)
+
+
+@pytest.mark.parametrize("block", [1, None], ids=["across-blocks", "within-a-block"])
+def test_count_law_json_duplicate_in_any_block(monkeypatch, block):
+    # the duplicate check runs once, after the last block, on the blocked
+    # path and on the whole-document path alike
+    entries = [{"alpha": [0], "p": 0.25}, {"alpha": [1], "p": 0.25}, {"alpha": [0], "p": 0.25}]
+    doc = {"m": 1, "entries": entries, "mass_deficit": 0.25, "cap": [1]}
+    if block:
+        monkeypatch.setattr(heine, "_JSON_BLOCK_CELLS", block)
+        monkeypatch.setattr(heine, "_JSON_BLOCK_CHARS", block)
+    sizes, check = [], heine._entry_block
+
+    def counted(block_entries, shape):
+        sizes.append(len(block_entries))
+        return check(block_entries, shape)
+
+    monkeypatch.setattr(heine, "_entry_block", counted)
+    want = [1, 1, 1] if block else [3]
+    for parse in (
+        lambda: heine._blocked_fields(json.dumps(doc)),
+        lambda: hg.CountLaw.from_json_dict(doc),
+    ):
+        sizes.clear()
+        with pytest.raises(ValueError, match="listed twice"):
+            parse()
+        assert sizes == want
 
 
 def _doc(entries, **fields):

@@ -10,8 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-# count-laws is left out: one repetition of it takes about 6.5 s
-@pytest.mark.parametrize("workload", ["sample-case1", "converge-case2"])
+@pytest.mark.parametrize("workload", ["sample-case1", "converge-case2", "count-laws"])
 def test_benchmark_run_is_correct(workload):
     argv = ["perfbench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0"]
     done = subprocess.run(
