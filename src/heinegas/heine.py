@@ -279,10 +279,19 @@ class CountLaw:
     def total_mass(self) -> float:
         return _exact_sum(self.table)
 
-    def _support(self) -> Tuple[list, list]:
-        """Count vectors and probabilities of the stored cells, in C order."""
-        stored = self.table != 0.0
-        return np.argwhere(stored).tolist(), self.table[stored].tolist()
+    def _stored_blocks(self, labels: Sequence[Sequence]) -> Iterator[Iterator[tuple]]:
+        """The stored cells, _JSON_BLOCK_CELLS cells of the table at a time
+        in C order: per block, the (alpha, p) pairs of its nonzero cells,
+        alpha the tuple of labels[k][i] for count i of coordinate k and p
+        a Python float. Count vectors walk the cells as itertools.product
+        of the labels, so no more than one block is held at a time."""
+        alphas = product(*labels)
+        flat = self.table.ravel()
+        for start in range(0, flat.size, _JSON_BLOCK_CELLS):
+            block = flat[start : start + _JSON_BLOCK_CELLS]
+            stored = block != 0.0
+            alpha = compress(islice(alphas, block.size), stored.tolist())
+            yield zip(alpha, block[stored].tolist())
 
     @property
     def entries(self) -> Dict[Tuple[int, ...], float]:
@@ -290,9 +299,9 @@ class CountLaw:
         return dict(self.iter_entries())
 
     def iter_entries(self) -> Iterator[Tuple[Tuple[int, ...], float]]:
-        """Stored cells in lexicographic order of the count vector."""
-        alphas, ps = self._support()
-        return zip(map(tuple, alphas), ps)
+        """Stored cells in lexicographic order of the count vector, as
+        (tuple of Python ints, float), found one block at a time."""
+        return chain.from_iterable(self._stored_blocks([range(c + 1) for c in self.cap]))
 
     def pmf(self, alpha: Sequence[int]) -> float:
         a = tuple(int(v) for v in alpha)
@@ -352,22 +361,14 @@ class CountLaw:
     def _json_pieces(self) -> Iterator[str]:
         """``to_json``'s text in pieces: head, separators, block texts, tail.
 
-        Each block text formats _JSON_BLOCK_CELLS cells without an object
-        per cell: the count vectors walk the cells in C order as
-        itertools.product of each axis's index strings, and p is
-        float.__repr__, as json.dumps writes it."""
+        Each block text formats one of ``_stored_blocks`` without an
+        object per cell: the count vectors are labelled by each axis's
+        index strings, and p is float.__repr__, as json.dumps writes it."""
         axes = [[f"{', ' if k else ''}{i}" for i in range(c + 1)] for k, c in enumerate(self.cap)]
-        alphas = product(*axes)
-        flat = self.table.ravel()
         yield f'{{"m": {self.m}, "entries": ['
         # no separator before the first stored cell's block
         sep = ""
-        for start in range(0, flat.size, _JSON_BLOCK_CELLS):
-            block = flat[start : start + _JSON_BLOCK_CELLS]
-            stored = block != 0.0
-            cells = zip(
-                compress(islice(alphas, block.size), stored.tolist()), block[stored].tolist()
-            )
+        for cells in self._stored_blocks(axes):
             text = ", ".join([f'{{"alpha": [{"".join(a)}], "p": {p!r}}}' for a, p in cells])
             if text:
                 yield sep
@@ -417,8 +418,9 @@ class CountLaw:
                 gc.enable()
 
 
-# the JSON writer formats, and the reader checks, at most this many cells
-# at a time; the reader parses entries text this many characters at a time.
+# iter_entries and the JSON writer walk, and the reader checks, at most
+# this many cells at a time; the reader parses entries text this many
+# characters at a time.
 # Small blocks let to_json's string grow in place from its first call:
 # CPython resizes it only once the loop has run a few times.
 _JSON_BLOCK_CELLS = 1 << 12

@@ -19,8 +19,16 @@ questions in radial form:
   edge b; it reports these with a case tag.
 - ``build_case1`` / ``build_case2`` construct validated example potentials
   with outposts outside the droplet (case 1) or inside a spectral gap
-  (case 2), engineered so the touch data (coincidence radii, stationarity,
-  ΔQ at the outposts) have closed forms the validators can pin exactly.
+  (case 2). Both make an outpost the same way: a profile q0 without
+  outposts is lowered onto the obstacle Q̌ = q0(e) + 2M ln(r/e) of the
+  piece of the droplet's complement that holds the outposts (e its inner
+  edge, M the mass inside e) by one transform through windows ζ about
+  the outposts t_k,
+
+      q = q0 − (q0 − Q̌) · Σ_k ζ((r − t_k)/w_k),
+
+  so the touch data have closed forms the validators pin exactly:
+  q(t_k) = Q̌(t_k), t_k q′(t_k) = 2M and ΔQ(t_k) = (q0 − Q̌)(t_k)/(2 w_k²).
 """
 
 from __future__ import annotations
@@ -309,33 +317,66 @@ def g_tau(pot: RadialPotential, tau: float, r) -> np.ndarray:
 # ----------------------------------------------------------------- builders
 
 
+def _jet(order: int, *derivs: Callable) -> Tuple[np.ndarray, ...]:
+    """(f, f′, …, f^(order)) from thunks of f and its derivatives, calling
+    only those asked for."""
+    return tuple([d() for d in derivs[: order + 1]])
+
+
+def _leibniz(f: Sequence, g: Sequence) -> Tuple[np.ndarray, ...]:
+    """The jet of f·g from the jets of f and g, through the order of f."""
+    out = (f[0] * g[0],)
+    if len(f) > 1:
+        out += (f[1] * g[0] + f[0] * g[1],)
+    if len(f) > 2:
+        out += (f[2] * g[0] + 2.0 * f[1] * g[1] + f[0] * g[2],)
+    return out
+
+
+def _lower_onto_obstacle(q0, r, ts, ws, excess: Callable) -> Tuple[np.ndarray, ...]:
+    """The outpost transform q = q0 − E · Σ_k ζ((r − t_k)/w_k), where E = q0 − Q̌
+    is the profile's excess over its obstacle. q0 is the profile's jet at r,
+    lowered in place and returned; excess(act) gives E's jet, to the same
+    order, at r[act], the window points (Σζ > 0)."""
+    s = _zeta_sum(r, ts, ws, len(q0) - 1)
+    act = s[0] > 0.0
+    if act.any():
+        for qk, lowered in zip(q0, _leibniz(excess(act), [sk[act] for sk in s])):
+            qk[act] -= lowered
+    return q0
+
+
+def _ginibre_terms(r, order):
+    return _jet(order, lambda: r * r, lambda: 2.0 * r, lambda: np.full(r.shape, 2.0))
+
+
 def ginibre() -> RadialPotential:
     """The quadratic benchmark q(r) = r²: unit-disk droplet, ΔQ ≡ 1."""
-
-    def _terms(r, order):
-        derivs = (lambda: r * r, lambda: 2.0 * r, lambda: np.full(r.shape, 2.0))
-        return tuple(d() for d in derivs[: order + 1])
-
-    return RadialPotential(_terms, label="ginibre")
+    return RadialPotential(_ginibre_terms, label="ginibre")
 
 
-def _check_windows(
-    t: Tuple[float, ...], w: Tuple[float, ...], lo: float, hi: float,
-    margin: float, inside_msg: str, touch_msg: str,
-) -> None:
-    for tk, wk in zip(t, w):
+def _parse_windows(t, w, lo: float, hi: float, margin: float, inside_msg: str, touch_msg: str):
+    """(ts, ws): the outpost radii t and window half-widths w as floats,
+    sorted by radius. Raises ValueError unless t and w pair up, every
+    centre lies in (lo, hi) and its window in (lo + margin, hi − margin),
+    and no two windows overlap."""
+    if len(t) != len(w):
+        raise ValueError("need matching t and w sequences")
+    pairs = sorted(zip(map(float, t), map(float, w)))
+    for tk, wk in pairs:
         if wk <= 0.0:
             raise ValueError("window half-width must be positive")
         if not lo < tk < hi:
             raise ValueError(inside_msg)
         if tk - wk <= lo + margin or tk + wk >= hi - margin:
             raise ValueError(touch_msg)
-    for (ta, wa), (tb, wb) in zip(list(zip(t, w))[:-1], list(zip(t, w))[1:]):
+    for (ta, wa), (tb, wb) in zip(pairs[:-1], pairs[1:]):
         if ta + wa >= tb - wb:
             raise ValueError(
                 "window overlap: overlapping windows "
                 f"[{ta - wa:g}, {ta + wa:g}] and [{tb - wb:g}, {tb + wb:g}]"
             )
+    return tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
 
 
 def build_case1(
@@ -346,51 +387,44 @@ def build_case1(
 ) -> RadialPotential:
     """Potential with droplet [0,1] and outposts at the radii t inside (1,3).
 
-    q(r) = r² off (1,3); on (1,3) the profile is lowered onto the obstacle
-    Q̌(r) = 1 + 2 ln r through multiplicative windows:
-
-        q(r) = r² − A(r) · Σ_k ζ((r − t_k)/w_k),   A(r) = r² − 1 − 2 ln r.
-
-    Since 0 ≤ Σζ ≤ 1 with equality 1 exactly at the t_k, the obstacle
-    inequality Q̌ ≤ q ≤ r² holds with coincidence precisely at the
-    outposts, where r q′ = 2 and ΔQ(t_k) = A(t_k)/(2 w_k²) exactly.
+    The outpost transform q = q0 − (q0 − Q̌) · Σ_k ζ((r − t_k)/w_k) lowers
+    the Ginibre profile q0 = r² onto the obstacle Q̌ = 1 + 2 ln r of (1,3)
+    (e = 1, M = 1), with q0 − Q̌ = r² − 1 − 2 ln r. So Q̌ ≤ q ≤ r², with
+    coincidence exactly at the outposts, where r q′ = 2 and
+    ΔQ(t_k) = (q0 − Q̌)(t_k)/(2 w_k²).
     """
-    pairs = sorted(zip(map(float, t), map(float, w)))
-    if not pairs or len(t) != len(w):
-        raise ValueError("need matching nonempty t and w sequences")
-    ts = tuple(p[0] for p in pairs)
-    ws = tuple(p[1] for p in pairs)
-    _check_windows(
-        ts, ws, 1.0, 3.0, margin,
-        "outpost not in (1,3)", "window touches the boundary of (1,3)",
+    ts, ws = _parse_windows(
+        t, w, 1.0, 3.0, margin, "outpost not in (1,3)", "window touches the boundary of (1,3)",
     )
+    if not ts:
+        raise ValueError("need nonempty t and w sequences")
 
     def _terms(r, order):
-        s = _zeta_sum(r, ts, ws, order)
-        out = [r * r]
-        if order >= 1:
-            out.append(2.0 * r)
-        if order >= 2:
-            out.append(np.full(r.shape, 2.0))
-        act = s[0] > 0.0
-        if act.any():
+        def excess(act):
             ra = r[act]
-            sa = [sk[act] for sk in s]
-            a = ra * ra - 1.0 - 2.0 * np.log(ra)
-            out[0][act] -= a * sa[0]
-            if order >= 1:
-                a1 = 2.0 * ra - 2.0 / ra
-                out[1][act] -= a1 * sa[0] + a * sa[1]
-            if order >= 2:
-                a2 = 2.0 + 2.0 / ra**2
-                out[2][act] -= a2 * sa[0] + 2.0 * a1 * sa[1] + a * sa[2]
-        return tuple(out)
+            return _jet(order, lambda: ra * ra - 1.0 - 2.0 * np.log(ra),
+                        lambda: 2.0 * ra - 2.0 / ra, lambda: 2.0 + 2.0 / ra**2)
+
+        return _lower_onto_obstacle(_ginibre_terms(r, order), r, ts, ws, excess)
 
     pot = RadialPotential(
         _terms, r_max=r_max, label="case1", params={"t": ts, "w": ws, "margin": margin},
     )
     _validate(pot)
     return pot
+
+
+# build_case2's smoothsteps across the gap, each rising from 0 to 1 as
+# u = (r − b0)/(a1 − b0) runs from u0 to u0 + du: the inner profile's
+# roll-off, the outer profile's roll-on, the bridge plateau's rise and fall
+_CASE2_BANDS = ((0.30, 0.15), (0.55, 0.15), (0.15, 0.10), (0.85, -0.10))
+
+
+def _band_step(u, cu, band, order):
+    """The jet in r of the smoothstep across band (u0, du) of u, du/dr = cu."""
+    u0, du = band
+    step = _smoothstep((u - u0) / du, order)
+    return step[:1] + tuple(v * (cu / du) ** k for k, v in enumerate(step[1:], 1))
 
 
 def build_case2(
@@ -406,15 +440,14 @@ def build_case2(
     components = ([0, b0], [a1, b1]); m0 is the mass of the inner disk.
     The density is flat on each component (ΔQ = c0 inside, c1 outside, with
     c0 = m0/b0² and c1 = (1−m0)/(b1²−a1²) so the total mass is 1). Across
-    the gap the profile sits on the obstacle Q̌(r) = m0 + 2 m0 ln(r/b0)
-    plus a positive barrier pulled down to zero at the outposts:
-
-        q = Q̌ + B(r) · (1 − Σ_k ζ((r−t_k)/w_k)),
-
-    where B blends the continuations of the two component profiles with a
-    bridging plateau, vanishes to second order at b0 and a1 (hence C²
-    matching is automatic), and is strictly positive inside the gap. At
-    each outpost q = Q̌, r q′ = 2 m0, and ΔQ(t_k) = B(t_k)/(2 w_k²).
+    the gap the profile q0 without outposts is the obstacle
+    Q̌(r) = m0 + 2 m0 ln(r/b0) (e = b0, M = m0) plus a barrier B = q0 − Q̌.
+    B blends the continuations of the two component profiles with a
+    bridging plateau (``_CASE2_BANDS``), vanishes to second order at b0 and
+    a1 (hence C² matching is automatic), and is positive inside the gap.
+    The outpost transform q = q0 − (q0 − Q̌) · Σ_k ζ((r − t_k)/w_k) lowers q0
+    onto Q̌ at the outposts, so q(t_k) = Q̌(t_k), t_k q′(t_k) = 2 m0 and
+    ΔQ(t_k) = B(t_k)/(2 w_k²).
     """
     comps = [tuple(map(float, c)) for c in components]
     if len(comps) != 2 or any(len(c) != 2 for c in comps):
@@ -427,86 +460,60 @@ def build_case2(
     m0 = float(m0)
     if not 0.0 < m0 < 1.0:
         raise ValueError("infeasible mass target (need 0 < M0 < 1)")
-    pairs = sorted(zip(map(float, t), map(float, w)))
-    ts = tuple(p[0] for p in pairs)
-    ws = tuple(p[1] for p in pairs)
-    if len(ts) != len(w):
-        raise ValueError("need matching t and w sequences")
-    _check_windows(
-        ts, ws, b0, a1, margin,
-        "outpost not inside the gap", "window touches component",
+    ts, ws = _parse_windows(
+        t, w, b0, a1, margin, "outpost not inside the gap", "window touches component",
     )
 
     c0 = m0 / b0**2
     c1 = (1.0 - m0) / (b1**2 - a1**2)
     gap = a1 - b0
+    cu = 1.0 / gap  # du/dr
     k_bridge = 0.5 * (c0 + c1) * gap**2
     q_a1 = m0 + 2.0 * m0 * math.log(a1 / b0)  # obstacle value at the far edge
     d_out = m0 - c1 * a1**2
 
+    def _disk(x, order):
+        """The inner component's profile c0 r² and its continuation."""
+        return _jet(order, lambda: c0 * x**2, lambda: 2.0 * c0 * x, lambda: 2.0 * c0)
+
+    def _outside(x, order):
+        """The outer component's profile and its continuation past b1."""
+        return _jet(order, lambda: q_a1 + c1 * (x**2 - a1**2) + 2.0 * d_out * np.log(x / a1),
+                    lambda: 2.0 * c1 * x + 2.0 * d_out / x, lambda: 2.0 * c1 - 2.0 * d_out / x**2)
+
+    def _barrier(x, order):
+        """The jets of the obstacle Q̌ and of the barrier B on the gap."""
+        u = (x - b0) / gap
+        sl, wr, f, g = (_band_step(u, cu, band, order) for band in _CASE2_BANDS)
+        wl = (1.0 - sl[0],) + tuple(-v for v in sl[1:])
+        # the obstacle, and the inward and outward continuations' excess over it
+        qc = _jet(order, lambda: m0 + 2.0 * m0 * np.log(x / b0), lambda: 2.0 * m0 / x,
+                  lambda: -2.0 * m0 / x**2)
+        p = [a - b for a, b in zip(_disk(x, order), qc)]
+        ps = _jet(order, lambda: c1 * (x**2 - a1**2) - 2.0 * c1 * a1**2 * np.log(x / a1),
+                  lambda: 2.0 * c1 * x - 2.0 * c1 * a1**2 / x,
+                  lambda: 2.0 * c1 + 2.0 * c1 * a1**2 / x**2)
+        bar = [y + z for y, z in zip(_leibniz(wl, p), _leibniz(wr, ps))]
+        for b, z in zip(bar, _leibniz(f, g)):
+            b += k_bridge * z
+        return qc, bar
+
+    def _gap(x, order):
+        """q on the gap: q0 = Q̌ + B, lowered at the windows."""
+        q0, bar = _barrier(x, order)
+        for a, b in zip(q0, bar):
+            a += b
+        return _lower_onto_obstacle(q0, x, ts, ws, lambda act: [b[act] for b in bar])
+
     def _terms(r, order):
         out = tuple(np.empty(r.shape) for _ in range(order + 1))
-
         inner = r <= b0
         outer = r >= a1
-        mid = ~(inner | outer)
-
-        ri = r[inner]
-        out[0][inner] = c0 * ri**2
-        ro = r[outer]
-        out[0][outer] = q_a1 + c1 * (ro**2 - a1**2) + 2.0 * d_out * np.log(ro / a1)
-        if order >= 1:
-            out[1][inner] = 2.0 * c0 * ri
-            out[1][outer] = 2.0 * c1 * ro + 2.0 * d_out / ro
-        if order >= 2:
-            out[2][inner] = 2.0 * c0
-            out[2][outer] = 2.0 * c1 - 2.0 * d_out / ro**2
-
-        if mid.any():
-            rg = r[mid]
-            u = (rg - b0) / gap
-            cu = 1.0 / gap  # du/dr
-            c15 = cu / 0.15  # d/dr of the arguments of the 0.15-wide steps
-            cf = cu / 0.10
-            cg = -cu / 0.10
-
-            # obstacle, inward continuation excess, outward continuation excess
-            qc = m0 + 2.0 * m0 * np.log(rg / b0)
-            p = c0 * rg**2 - qc
-            ps = c1 * (rg**2 - a1**2) - 2.0 * c1 * a1**2 * np.log(rg / a1)
-
-            sl = _smoothstep((u - 0.30) / 0.15, order)
-            wr = _smoothstep((u - 0.55) / 0.15, order)
-            f = _smoothstep((u - 0.15) / 0.10, order)
-            g = _smoothstep((0.85 - u) / 0.10, order)
-            s = _zeta_sum(rg, ts, ws, order)
-
-            wl = 1.0 - sl[0]
-            bar = wl * p + wr[0] * ps + k_bridge * (f[0] * g[0])
-            wfun = 1.0 - s[0]
-            out[0][mid] = qc + bar * wfun
-            if order >= 1:
-                qc1 = 2.0 * m0 / rg
-                p1 = 2.0 * c0 * rg - qc1
-                ps1 = 2.0 * c1 * rg - 2.0 * c1 * a1**2 / rg
-                wl1 = -sl[1] * c15
-                wr1 = wr[1] * c15
-                bm1 = f[1] * cf * g[0] + f[0] * g[1] * cg
-                bar1 = wl1 * p + wl * p1 + wr1 * ps + wr[0] * ps1 + k_bridge * bm1
-                out[1][mid] = qc1 + bar1 * wfun - bar * s[1]
-            if order >= 2:
-                qc2 = -2.0 * m0 / rg**2
-                p2 = 2.0 * c0 - qc2
-                ps2 = 2.0 * c1 + 2.0 * c1 * a1**2 / rg**2
-                wl2 = -sl[2] * c15**2
-                wr2 = wr[2] * c15**2
-                bm2 = f[2] * cf**2 * g[0] + 2.0 * f[1] * cf * g[1] * cg + f[0] * g[2] * cg**2
-                bar2 = (
-                    wl2 * p + 2.0 * wl1 * p1 + wl * p2
-                    + wr2 * ps + 2.0 * wr1 * ps1 + wr[0] * ps2
-                    + k_bridge * bm2
-                )
-                out[2][mid] = qc2 + bar2 * wfun - 2.0 * bar1 * s[1] - bar * s[2]
+        # each piece's jet is placed, and freed, before the next is formed
+        for where, piece in ((inner, _disk), (outer, _outside), (~(inner | outer), _gap)):
+            if where.any():
+                for qk, v in zip(out, piece(r[where], order)):
+                    qk[where] = v
         return out
 
     pot = RadialPotential(
@@ -834,8 +841,7 @@ def _piece_edges(pot: RadialPotential) -> np.ndarray:
     pts = [tk + side * wk for tk, wk in zip(p.get("t", ()), p.get("w", ())) for side in (-1.0, 1.0)]
     if pot.label == "case2" and "components" in p:
         (_, b0), (a1, _) = p["components"]
-        # band edges in build_case2's u = (r - b0)/(a1 - b0)
-        bands = (0.0, 0.15, 0.25, 0.30, 0.45, 0.55, 0.70, 0.75, 0.85, 1.0)
+        bands = [0.0, 1.0] + [u for u0, du in _CASE2_BANDS for u in (u0, u0 + du)]
         pts += [b0 + u * (a1 - b0) for u in bands]
     return np.unique(np.array(pts, dtype=float))
 

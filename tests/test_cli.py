@@ -149,8 +149,12 @@ def test_validate_potential_reports(tmp_path, capsys, cfg, tag):
     assert f"case: {tag}" in out
 
 
-def test_validate_potential_rejects_bad_geometry(tmp_path, capsys):
-    cfg = dict(CASE1_CFG, t=[0.5, 2.0])
+@pytest.mark.parametrize(
+    "cfg",
+    [dict(CASE1_CFG, t=[0.5, 2.0]), dict(CASE2_CFG, w=[0.06])],
+    ids=["outpost-off-piece", "window-missing"],
+)
+def test_validate_potential_rejects_bad_geometry(tmp_path, capsys, cfg):
     path = write_config(tmp_path, "pot.json", cfg)
     rc = main(["validate-potential", "--config", path])
     err = capsys.readouterr().err

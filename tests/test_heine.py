@@ -544,6 +544,17 @@ def test_count_law_json_reader_memory(law_10e5):
     assert _traced_peak(hg.CountLaw.from_json, text) <= 0.85 * len(text)
 
 
+def test_count_law_iter_entries_memory(law_10e5):
+    # a work guard by measurement: walking the stored cells one block at a
+    # time peaks at 0.24 times the table's bytes; listing every count
+    # vector and p up front (np.argwhere(...).tolist()) peaked at 17 times
+    law, _ = law_10e5
+    stored = law.table != 0.0
+    want = zip(map(tuple, np.argwhere(stored).tolist()), law.table[stored].tolist())
+    assert list(law.iter_entries()) == list(want)
+    assert _traced_peak(lambda: all(True for _ in law.iter_entries())) <= 0.5 * law.table.nbytes
+
+
 @pytest.mark.parametrize("block", [1, None], ids=["across-blocks", "within-a-block"])
 def test_count_law_json_duplicate_in_any_block(monkeypatch, block):
     # the duplicate check runs once, after the last block, on the blocked

@@ -259,6 +259,29 @@ def test_case2_gap_barrier(case2_pot):
         assert bt == pytest.approx(0.0, abs=1e-12)
 
 
+def test_case2_is_the_bare_profile_lowered(case2_pot, case2_bare_pot):
+    # q = q0 - (q0 - Q̌) Σζ with q0 the bare case-2 profile: ΔQ(t_k) is
+    # (q0 - Q̌)(t_k)/(2 w_k²), measured 3.5e-16 relative; across the gap q
+    # is q0 lowered by the windows, written out here, measured within 1 ulp
+    # of q0
+    p = case2_pot.params
+    (_, b0), (a1, _) = p["components"]
+    t, w = np.array(p["t"]), np.array(p["w"])
+
+    def obstacle(r):
+        return p["M0"] + 2.0 * p["M0"] * np.log(r / b0)
+
+    want = (case2_bare_pot.q(t) - obstacle(t)) / (2.0 * w**2)
+    assert np.all(np.abs(hg.laplacian(case2_pot, t) - want) <= 1e-10 * np.abs(want))
+    r = np.linspace(b0, a1, 60001)[1:-1]
+    u = (r[:, None] - t) / w
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        zeta = np.where(np.abs(u) < 1.0, np.exp(1.0 - 1.0 / (1.0 - u * u)), 0.0).sum(axis=1)
+    q0 = case2_bare_pot.q(r)
+    lowered = q0 - (q0 - obstacle(r)) * zeta
+    assert np.all(np.abs(case2_pot.q(r) - lowered) <= 2.0 * np.spacing(q0))
+
+
 def test_case2_classification_roundtrip(case2_data):
     assert case2_data.case_tag == "case2"
     assert len(case2_data.components) == 2
@@ -389,6 +412,15 @@ def test_droplet_data_json(case2_data):
             lambda: hg.build_case2(((0.0, 1.0), (1.6, 2.2)), 0.5, t=(0.5,), w=(0.06,)),
             "outpost",
         ),
+        # an outpost without its window, or a window without its outpost
+        (
+            lambda: hg.build_case2(((0.0, 1.0), (1.6, 2.2)), 0.5, t=(1.2, 1.4), w=(0.06,)),
+            "matching",
+        ),
+        (
+            lambda: hg.build_case2(((0.0, 1.0), (1.6, 2.2)), 0.5, t=(1.2,), w=(0.06, 0.06)),
+            "matching",
+        ),
     ],
 )
 def test_builders_reject_bad_geometry(build, message):
@@ -445,6 +477,51 @@ def test_tilt_roots_match_mpmath(request, pot_name, q_mp):
             )
             worst = max(worst, abs(float(want - x)))
     assert worst <= 1e-13
+
+
+def _mp_radii(pot):
+    """The window centres, t_k ± w_k/2, the builder's piece edges (case 2's
+    band edges among them) and seven points spread over each piece between
+    them; not the component ends b0 and a1, where the transcription's
+    formula changes and mp.diff's 30-digit differences see its rounding
+    as a jump."""
+    p = pot.params
+    t, w = np.array(p["t"]), np.array(p["w"])
+    seams = np.r_[hg.potentials._piece_edges(pot), (1.0, 3.0) if pot.label == "case1" else ()]
+    seams = np.unique(np.r_[0.0, seams, pot.r_max])
+    spread = [np.linspace(a, b, 9)[1:-1] for a, b in zip(seams[:-1], seams[1:])]
+    r = np.unique(np.r_[t, t - w / 2.0, t + w / 2.0, seams, np.concatenate(spread)])
+    ends = [c for comp in p.get("components", ()) for c in comp]
+    return r[(r > 0.0) & (r < pot.r_max) & ~np.isin(r, ends)]
+
+
+@pytest.mark.parametrize(
+    "pot_name,q_mp,gates",
+    [
+        # each gate is the measured worst miss at orders 0, 1 and 2, rounded
+        # up at two digits: case 1 at r = 1.95, 1.95 and 1.85, case 2 at 1.49,
+        # 1.47 and 1.26, the bare gap at 1.49, 1.50 and 1.12
+        ("case1_pot", _case1_q_mp, (1.7e-16, 7.5e-16, 4.6e-15)),
+        ("case2_pot", _case2_q_mp, (3.1e-16, 5.1e-15, 4.3e-14)),
+        ("case2_bare_pot", _case2_q_mp, (2.3e-16, 4.4e-15, 1.1e-13)),
+    ],
+)
+def test_terms_match_mpmath(request, pot_name, q_mp, gates):
+    # q, q' and q'' against an independent 30-digit transcription of the
+    # builder's formula, the derivatives by mp.diff, each miss relative to
+    # max(1, |value|)
+    mp = pytest.importorskip("mpmath")
+    pot = request.getfixturevalue(pot_name)
+    r = _mp_radii(pot)
+    got = pot.terms(r, 2)
+    with mp.workdps(30):
+        q = q_mp(mp, pot)
+        for k, gate in enumerate(gates):
+            worst = 0.0
+            for x, value in zip(r.tolist(), got[k].tolist()):
+                want = mp.diff(q, mp.mpf(x), k)
+                worst = max(worst, float(abs(value - want) / max(1, abs(want))))
+            assert worst <= gate, (k, worst)
 
 
 def test_tilt_roots_zero_end_and_bad_bracket(ginibre_pot):
